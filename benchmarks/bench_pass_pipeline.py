@@ -8,10 +8,10 @@ BERT Large iteration trace, once through the legacy per-kernel list scans
 
 The legacy side is charged what it actually costs end to end inside the
 columnar repo: materializing ``trace.kernels`` from the table, running the
-list-scan transforms, and re-columnarizing the result (the rest of the
-stack consumes tables).  The columnar side rewrites the table directly.
-Each repeat forks a fresh table-backed trace view so neither side benefits
-from another's materialization.
+list-scan transforms, and re-columnarizing the result (``Trace.replaced``
+builds a table: the rest of the stack consumes tables).  The columnar side
+rewrites the table directly.  Each repeat wraps the base table in a fresh
+trace view, so every legacy sample pays its own list materialization.
 
 Writes ``BENCH_pass_pipeline.json`` at the repo root and exits non-zero if
 the combined all-pipelines speedup drops below ``MIN_SPEEDUP``, so CI
@@ -33,6 +33,7 @@ from repro.fusion.passes import ElementwiseChainFusionPass
 from repro.fusion.windowed_transform import WindowedAttentionPass
 from repro.memoryplan.checkpointing import CheckpointingPass
 from repro.trace.bert_trace import build_iteration_trace
+from repro.trace.builder import Trace
 from repro.trace.passes import PassManager
 from repro.trace.reference import (reference_apply_checkpointing,
                                    reference_apply_fused_attention,
@@ -66,17 +67,16 @@ OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_pass_pipeline.json"
 
 
 def _run_legacy(base, transform) -> tuple[float, int]:
-    trace = base.fork()
+    trace = Trace.from_table(base.model, base.training, base.table)
     t0 = time.perf_counter()
     trace.kernels  # materialize: what list transforms cost in this repo
-    out = transform(trace)
-    out.table  # re-columnarize: the rest of the stack consumes tables
+    out = transform(trace)  # re-columnarizes: the stack consumes tables
     t1 = time.perf_counter()
     return t1 - t0, len(out)
 
 
 def _run_columnar(base, manager: PassManager) -> tuple[float, int]:
-    trace = base.fork()
+    trace = Trace.from_table(base.model, base.training, base.table)
     t0 = time.perf_counter()
     out = manager.run(trace)
     out.table

@@ -30,7 +30,7 @@ def test_bench_trace_profile_compute(benchmark, device):
     """The uncached path: build the trace and profile it."""
     def compute():
         trace = build_iteration_trace(BERT_LARGE, POINT)
-        return profile_trace(trace.kernels, device)
+        return profile_trace(trace, device)
 
     profile = benchmark(compute)
     assert len(profile.records) > 1000
@@ -49,7 +49,7 @@ def test_bench_run_point_disk_hit(benchmark, isolated_cache):
 
 
 def test_bench_run_point_memo_hit(benchmark, isolated_cache):
-    """The in-process path: memo lookup plus defensive copies."""
+    """The in-process path: a memo lookup returning the shared pair."""
     run_point(BERT_LARGE, POINT)
     trace, _ = benchmark(run_point, BERT_LARGE, POINT)
     assert len(trace.kernels) > 1000

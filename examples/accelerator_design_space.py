@@ -28,7 +28,7 @@ def sweep_compute(training) -> list[tuple]:
     for multiplier in (1, 2, 4, 8):
         device = balanced_accelerator(46.1 * multiplier, 1228.8,
                                       name=f"{multiplier}x-compute")
-        stats = summarize(profile_trace(trace.kernels, device))
+        stats = summarize(profile_trace(trace, device))
         rows.append((device.name, f"{stats['total_time_s'] * 1e3:.0f} ms",
                      f"{stats['gemm']:.1%}", f"{stats['non_gemm']:.1%}",
                      f"{stats['optimizer']:.1%}"))
@@ -42,7 +42,7 @@ def sweep_bandwidth(training) -> list[tuple]:
     for multiplier in (1, 2, 4):
         device = balanced_accelerator(46.1, 1228.8 * multiplier,
                                       name=f"{multiplier}x-bandwidth")
-        stats = summarize(profile_trace(trace.kernels, device))
+        stats = summarize(profile_trace(trace, device))
         rows.append((device.name, f"{stats['total_time_s'] * 1e3:.0f} ms",
                      f"{stats['gemm']:.1%}", f"{stats['non_gemm']:.1%}"))
     return rows

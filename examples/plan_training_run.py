@@ -78,8 +78,8 @@ def main() -> None:
         timeline = hybrid_timeline(BERT_LARGE, phase, device, ts_link=XGMI,
                                    dp_link=PCIE4, ts_ways=4,
                                    dp_replicas=CLUSTER // 4)
-        profile = profile_trace(
-            build_iteration_trace(BERT_LARGE, phase).kernels, device)
+        profile = profile_trace(build_iteration_trace(BERT_LARGE, phase),
+                                device)
         energy = iteration_energy(profile)
         hours = steps * timeline.total / 3600
         mwh = steps * energy.total_j * timeline.devices / 3.6e9

@@ -20,7 +20,7 @@ def main() -> None:
     training = training_point(1, 32, Precision.FP32)
 
     trace = build_iteration_trace(BERT_LARGE, training)
-    profile = profile_trace(trace.kernels, device)
+    profile = profile_trace(trace, device)
     stats = summarize(profile)
 
     print(f"model: {BERT_LARGE.name}  "

@@ -53,8 +53,7 @@ def pipeline_timeline(model: BertConfig, training: TrainingConfig,
     if training.batch_size % micro_batches:
         raise ValueError("micro_batches must divide the batch size")
 
-    profile = profile_trace(
-        build_iteration_trace(model, training).kernels, device)
+    profile = profile_trace(build_iteration_trace(model, training), device)
 
     encoder = profile.time_of(component=Component.TRANSFORMER)
     embedding = profile.time_of(component=Component.EMBEDDING)

@@ -8,12 +8,10 @@ training, device fingerprint and code version), fronted by a small
 in-process table so repeated points within one invocation do not touch
 disk.
 
-Callers always receive *independent views*: the seed's ``lru_cache`` handed
-every caller the same mutable ``Trace``/``Profile``, so a fusion or
-checkpointing transform that mutated ``trace.kernels`` silently corrupted
-the cache for all later figures.  ``fork()`` hands each caller its own
-view — columnar-backed traces/profiles share the frozen backing arrays
-(copy-free), while materialized ones copy their containers.
+Every caller of a point receives the same memoized ``(Trace, Profile)``
+pair.  Sharing is safe because both are frozen views over an immutable
+``KernelTable`` and times array: a fusion or checkpointing transform
+returns a new view and cannot touch the cached one.
 """
 
 from __future__ import annotations
@@ -21,8 +19,7 @@ from __future__ import annotations
 from repro.config import BertConfig, TrainingConfig
 from repro.hw.device import DeviceModel, mi100
 from repro.profiler.profiler import Profile, profile_trace
-from repro.runner import telemetry
-from repro.runner.cache import get_cache
+from repro.runner.cache import POINT_KERNELS, POINT_RESOLUTIONS, get_cache
 from repro.trace.bert_trace import build_iteration_trace
 from repro.trace.builder import Trace
 from repro.trace.passes import PassManager
@@ -33,8 +30,7 @@ def default_device() -> DeviceModel:
     return mi100()
 
 
-# In-process front of the disk cache: key -> canonical (Trace, Profile).
-# The canonical objects are never handed out; callers get fork()ed views.
+# In-process front of the disk cache: key -> (Trace, Profile).
 _memo: dict[str, tuple[Trace, Profile]] = {}
 
 
@@ -54,8 +50,8 @@ def run_point(model: BertConfig, training: TrainingConfig,
     :class:`~repro.trace.passes.PassManager` — is applied to the generated
     trace before profiling; its :attr:`~repro.trace.passes.PassManager.
     signature` joins the cache key, so transformed variants of the same
-    point never collide with the raw one.  The returned objects are
-    private to the caller — mutating them cannot corrupt later fetches.
+    point never collide with the raw one.  The returned pair is shared
+    with every other caller of the point and is immutable.
     """
     if device is None:
         device = default_device()
@@ -76,7 +72,6 @@ def run_point(model: BertConfig, training: TrainingConfig,
             cache.put(key, *entry)
         _memo[key] = entry
 
-    collector = telemetry.current()
-    if collector is not None:
-        collector.record_point(kernels=len(entry[0]), hit=hit)
-    return entry[0].fork(), entry[1].fork()
+    POINT_RESOLUTIONS.inc(result="hit" if hit else "miss")
+    POINT_KERNELS.inc(len(entry[0]))
+    return entry

@@ -30,8 +30,7 @@ from repro.hw.device import DeviceModel, mi100
 from repro.hw.timing import kernel_times
 from repro.obs import metrics, spans
 from repro.profiler.profiler import Profile
-from repro.runner import telemetry
-from repro.runner.cache import get_cache
+from repro.runner.cache import POINT_KERNELS, POINT_RESOLUTIONS, get_cache
 from repro.trace.builder import Trace
 from repro.trace.kernel_table import KernelTable
 from repro.trace.passes import PassManager
@@ -229,11 +228,8 @@ def profile_grid(points: Iterable, device: DeviceModel | None = None, *,
         times = kernel_times(grid.table, device)
     _GRIDS.inc()
     _POINTS.inc(len(grid))
-    collector = telemetry.current()
-    if collector is not None:
-        for index in range(len(grid)):
-            start, stop = grid.point_rows(index)
-            collector.record_point(kernels=stop - start, hit=False)
+    POINT_RESOLUTIONS.inc(len(grid), result="miss")
+    POINT_KERNELS.inc(len(grid.table))
     return GridProfile(grid, device, times)
 
 
@@ -260,10 +256,8 @@ def grid_summaries(points: Iterable, device: DeviceModel | None = None, *,
     if use_cache:
         payload = cache.get_payload(key)
         if payload is not None:
-            collector = telemetry.current()
-            if collector is not None:
-                for kernels in payload["kernels"]:
-                    collector.record_point(kernels=int(kernels), hit=True)
+            POINT_RESOLUTIONS.inc(len(payload["kernels"]), result="hit")
+            POINT_KERNELS.inc(sum(payload["kernels"]))
             return [dict(row) for row in payload["rows"]]
 
     profile = profile_grid(points, device, passes=passes)

@@ -1,15 +1,12 @@
 """Unified metrics registry: labeled counters, gauges and histograms.
 
-Before this module, the repository's only run-time counters were the four
-ad-hoc fields of :mod:`repro.runner.telemetry` plus the
-:class:`~repro.runner.cache.CacheStats` dataclass — neither extensible nor
-queryable by label.  The registry subsumes both: instrumented subsystems
-(the result cache, the GEMM-time memo in :mod:`repro.hw.timing`,
-``run_point``, the experiment executor) report into process-wide metrics,
-and the run manifest stores a snapshot so ``repro stats`` can render hit
-rates after the fact.  The legacy telemetry collector remains as a shim —
-its ``record_point`` both feeds the nested per-experiment counters the
-manifest schema already exposes *and* increments the registry.
+Instrumented subsystems (the result cache, the GEMM-time memo in
+:mod:`repro.hw.timing`, ``run_point`` and the grid engine, the experiment
+executor) report into process-wide metrics, and the run manifest stores a
+snapshot so ``repro stats`` can render hit rates after the fact.  The
+manifest's per-experiment ``cache_hits``/``cache_misses``/``kernels``/
+``points`` columns are read from the ``run_point.*`` counters of each
+experiment's snapshot diff.
 
 Model (a deliberately small subset of the Prometheus vocabulary):
 

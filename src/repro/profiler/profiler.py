@@ -5,14 +5,14 @@ Plays a :class:`~repro.trace.builder.Trace` through a
 the rocProf-equivalent table (time, FLOPs, bytes, achieved bandwidth) that
 every breakdown and figure in :mod:`repro.experiments` is computed from.
 
-A profile, like a trace, is columnar-first: :func:`profile_trace` times the
-whole trace through the vectorized :func:`repro.hw.timing.kernel_times`
-engine and stores just ``(KernelTable, times array)``.  The per-record
-object view (``profile.records``) is materialized lazily; until someone
-touches it, ``time_of`` / ``gemm_time`` / ``total_time`` are masked array
-reductions.  Once the record list exists it becomes the authoritative,
-mutable side and the aggregation methods fall back to scanning it, so code
-that appends or deletes records keeps its existing semantics.
+A profile, like a trace, is a frozen columnar view: :func:`profile_trace`
+times the whole trace through the vectorized
+:func:`repro.hw.timing.kernel_times` engine and stores just
+``(KernelTable, times array)``.  ``time_of`` / ``gemm_time`` /
+``total_time`` are always masked array reductions, so a reported number
+never depends on what was read before it.  The per-record object view
+(``profile.records``) is a read-only tuple built on first read; only
+arbitrary-predicate queries (``time_where`` and friends) scan it.
 """
 
 from __future__ import annotations
@@ -55,68 +55,43 @@ class KernelProfile:
 class Profile:
     """Profiled execution of a whole iteration trace.
 
+    A frozen view over one kernel table and its per-kernel times.
+
     Attributes:
         device: device the trace was timed on.
-        records: per-kernel profiles, in launch order (lazily materialized
-            when the profile is columnar-backed).
+        records: per-kernel profiles, in launch order, as a read-only
+            tuple built from the columns on first read.
     """
 
-    def __init__(self, device: DeviceModel,
-                 records: list[KernelProfile] | None = None, *,
-                 table: KernelTable | None = None,
-                 times: np.ndarray | None = None):
-        if records is None and (table is None or times is None):
-            raise ValueError("Profile needs records or a (table, times) pair")
+    def __init__(self, device: DeviceModel, table: KernelTable,
+                 times: np.ndarray):
         self.device = device
-        self._records: list[KernelProfile] | None = (
-            list(records) if records is not None else None)
         self._table = table
-        if times is not None:
-            times = np.asarray(times, dtype=np.float64)
-            times.flags.writeable = False  # shared across fork()ed views
+        times = np.asarray(times, dtype=np.float64)
+        times.flags.writeable = False  # views may share it
         self._times = times
-        # (record count, total) pair backing the cached total_time; compared
-        # against len() on access so appends invalidate it.
-        self._total_cache: tuple[int, float] | None = None
+        self._records: tuple[KernelProfile, ...] | None = None
 
     # -------------------------------------------------------- representations
     @property
-    def records(self) -> list[KernelProfile]:
-        """The record list, materialized from the columns on first access."""
+    def records(self) -> tuple[KernelProfile, ...]:
+        """The per-kernel records, built from the columns on first read."""
         if self._records is None:
-            kernels = self._table.to_kernels()
-            self._records = [KernelProfile(kernel=k, time_s=float(t))
-                             for k, t in zip(kernels, self._times)]
+            self._records = tuple(
+                KernelProfile(kernel=k, time_s=float(t))
+                for k, t in zip(self._table.to_kernels(), self._times))
         return self._records
-
-    def _columnar(self) -> KernelTable | None:
-        """The table, only while it is authoritative (records untouched)."""
-        return self._table if self._records is None else None
 
     @property
     def times(self) -> np.ndarray:
-        """Per-kernel times as an array (a copy when record-backed)."""
-        if self._columnar() is not None:
-            return self._times
-        return np.array([r.time_s for r in self._records], dtype=np.float64)
-
-    def fork(self) -> "Profile":
-        """An independent view for another caller.
-
-        Columnar profiles share the immutable (table, times) backing;
-        record-backed profiles copy the container (records are frozen).
-        """
-        if self._records is None:
-            return Profile(self.device, table=self._table, times=self._times)
-        return Profile(self.device, records=self._records)
+        """Per-kernel times as a read-only array."""
+        return self._times
 
     def __iter__(self) -> Iterator[KernelProfile]:
         return iter(self.records)
 
     def __len__(self) -> int:
-        if self._records is None:
-            return len(self._times)
-        return len(self._records)
+        return len(self._times)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Profile):
@@ -124,47 +99,22 @@ class Profile:
         return self.device == other.device and self.records == other.records
 
     def __repr__(self) -> str:
-        return f"Profile(device={self.device.name!r}, records={len(self)})"
+        return f"Profile(device={self.device.name!r}, kernels={len(self)})"
 
     # --------------------------------------------------------------- pickling
     def __getstate__(self) -> dict:
-        # Serialize the compact columnar form (rebuilt from the records if
-        # they were materialized/mutated) so cache entries stay small and
-        # loads stay lazy.
-        if self._records is not None:
-            table = KernelTable.from_kernels(r.kernel for r in self._records)
-            times = np.array([r.time_s for r in self._records],
-                             dtype=np.float64)
-        else:
-            table, times = self._table, self._times
-        return {"device": self.device, "table": table, "times": times}
+        # The compact columnar form, so cache entries stay small.
+        return {"device": self.device, "table": self._table,
+                "times": self._times}
 
     def __setstate__(self, state: dict) -> None:
-        self.device = state["device"]
-        self._records = None
-        self._table = state["table"]
-        times = state["times"]
-        times.flags.writeable = False
-        self._times = times
-        self._total_cache = None
+        self.__init__(state["device"], state["table"], state["times"])
 
     # ------------------------------------------------------------ aggregates
     @property
     def total_time(self) -> float:
-        """Serialized iteration time in seconds.
-
-        Cached: ``fraction_where``/``summarize`` loops call this per
-        kernel group, which made them O(n^2) over large traces.  Records
-        are append-only after construction, so the cache keys on the
-        record count and recomputes whenever it changes.
-        """
-        if self._total_cache is None or self._total_cache[0] != len(self):
-            if self._columnar() is not None:
-                total = float(np.sum(self._times))
-            else:
-                total = sum(r.time_s for r in self._records)
-            self._total_cache = (len(self), total)
-        return self._total_cache[1]
+        """Serialized iteration time in seconds."""
+        return float(np.sum(self._times))
 
     # ------------------------------------------------------------- selection
     def time_where(self, predicate: Callable[[Kernel], bool]) -> float:
@@ -179,27 +129,11 @@ class Profile:
         """Total time of kernels matching the given attribute filters.
 
         Each filter accepts a single enum member or a tuple of members
-        (matched as a set).  On a columnar-backed profile this is one
-        masked array reduction.
+        (matched as a set); the sum is one masked array reduction.
         """
-        table = self._columnar()
-        if table is not None:
-            mask = table.mask(phase=phase, component=component,
-                              region=region, op_class=op_class)
-            return float(self._times[mask].sum())
-
-        def matches(value, attribute) -> bool:
-            if value is None:
-                return True
-            if isinstance(value, tuple):
-                return attribute in value
-            return attribute is value
-
-        return sum(r.time_s for r in self._records
-                   if matches(phase, r.kernel.phase)
-                   and matches(component, r.kernel.component)
-                   and matches(region, r.kernel.region)
-                   and matches(op_class, r.kernel.op_class))
+        mask = self._table.mask(phase=phase, component=component,
+                                region=region, op_class=op_class)
+        return float(self._times[mask].sum())
 
     def fraction_where(self, predicate: Callable[[Kernel], bool]) -> float:
         """Fraction of total time in kernels matching ``predicate``."""
@@ -208,17 +142,11 @@ class Profile:
 
     def gemm_time(self) -> float:
         """Time in (batched) GEMM kernels."""
-        table = self._columnar()
-        if table is not None:
-            return float(self._times[table.is_gemm].sum())
-        return self.time_where(lambda k: k.op_class.is_gemm)
+        return float(self._times[self._table.is_gemm].sum())
 
     def non_gemm_time(self) -> float:
         """Time in non-GEMM (memory-bound) kernels."""
-        table = self._columnar()
-        if table is not None:
-            return float(self._times[~table.is_gemm].sum())
-        return self.time_where(lambda k: not k.op_class.is_gemm)
+        return float(self._times[~self._table.is_gemm].sum())
 
     def records_where(self, predicate: Callable[[Kernel], bool]
                       ) -> list[KernelProfile]:

@@ -1,4 +1,4 @@
-"""Experiment-runner subsystem: cache, parallel executor, telemetry.
+"""Experiment-runner subsystem: cache, parallel executor, manifests.
 
 The paper's evaluation is a battery of per-figure experiments; this package
 makes replaying that battery fast and trustworthy:
@@ -10,8 +10,6 @@ makes replaying that battery fast and trustworthy:
 * :mod:`repro.runner.executor` — runs a batch of registered experiments,
   optionally across processes, with per-experiment isolation so one
   failure cannot abort the batch;
-* :mod:`repro.runner.telemetry` — per-experiment counters (cache hits,
-  kernels profiled) collected while an experiment runs;
 * :mod:`repro.runner.manifest` — JSON run manifests under ``runs/`` and
   the ``repro report`` summary.
 """
@@ -21,7 +19,6 @@ from repro.runner.cache import (CacheStats, ResultCache, configure_cache,
 from repro.runner.executor import ExperimentResult, run_experiments
 from repro.runner.manifest import (latest_manifest_path, load_manifest,
                                    render_manifest, write_manifest)
-from repro.runner.telemetry import Telemetry, collect, current
 
 __all__ = [
     "CacheStats", "ResultCache", "configure_cache", "default_cache_dir",
@@ -29,5 +26,4 @@ __all__ = [
     "ExperimentResult", "run_experiments",
     "latest_manifest_path", "load_manifest", "render_manifest",
     "write_manifest",
-    "Telemetry", "collect", "current",
 ]

@@ -1,12 +1,8 @@
 """Content-addressed, disk-backed trace/profile cache.
 
-Several figures evaluate the same operating points; the seed repository
-memoized them with ``functools.lru_cache``, which had two failure modes:
-the cache died with the process, and every caller received the *same
-mutable* ``Trace``/``Profile`` objects, so a downstream transform mutating
-``trace.kernels`` silently corrupted every later figure.
-
-This cache fixes both.  Entries are pickled ``(Trace, Profile)`` pairs —
+Several figures evaluate the same operating points, and a
+``functools.lru_cache`` memo died with the process.  This cache survives
+it.  Entries are pickled ``(Trace, Profile)`` pairs — frozen views,
 serialized in their compact columnar form (``KernelTable`` arrays plus a
 times array; see ``Trace.__getstate__``/``Profile.__getstate__``) rather
 than as per-kernel object graphs, so entries are small and loads stay
@@ -20,6 +16,13 @@ lazy — stored under a key that is a SHA-256 over
   and profiles),
 
 so a change to any of them simply misses instead of serving stale data.
+
+Every operating point resolved by
+:func:`~repro.experiments.common.run_point` or priced by the grid engine
+(:mod:`repro.grid.engine`) is counted, process-wide, in
+:data:`POINT_RESOLUTIONS` and :data:`POINT_KERNELS`.  The executor reads
+each experiment's share from the registry delta it takes around the
+experiment.
 
 Concurrency invariant (relied on by the profiling server's worker pool
 as well as ``repro run --jobs N``): writes are atomic — each
@@ -187,6 +190,14 @@ class CacheStats:
     def as_dict(self) -> dict[str, int]:
         return {"hits": self.hits, "misses": self.misses,
                 "evictions": self.evictions, "corrupt": self.corrupt}
+
+
+#: Resolved operating points, ``result=hit|miss``.
+POINT_RESOLUTIONS = metrics.counter(
+    "run_point.resolutions", "operating-point resolutions by cache result")
+#: Kernels in the profiles of those resolved points.
+POINT_KERNELS = metrics.counter(
+    "run_point.kernels", "kernels in resolved profiles")
 
 
 @dataclass

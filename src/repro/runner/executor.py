@@ -7,15 +7,17 @@ batch out over worker processes (``--jobs N``), and always returns
 results in the requested order so output is deterministic whatever the
 completion order was.
 
-Each experiment is wrapped in a :mod:`repro.runner.telemetry` collector
-*and* an observability scope — a :meth:`~repro.obs.spans.SpanTracer.
-capture` recording the spans the instrumented subsystems open, plus a
-metrics-registry snapshot diff — so its result carries wall-clock time,
-cache hit/miss counts, kernel counts, a span summary, per-experiment
-metric deltas, and — where the experiment's rows self-report a pass/fail
-verdict (Table 1's takeaway checks) — a paper-band summary.  This works
-identically in ``--jobs N`` worker processes: each worker's registry
-starts empty and the deltas ride home in the pickled result.
+Each experiment is wrapped in an observability scope — a
+:meth:`~repro.obs.spans.SpanTracer.capture` recording the spans the
+instrumented subsystems open, plus a metrics-registry snapshot diff — so
+its result carries wall-clock time, a span summary, per-experiment metric
+deltas, the operating-point counters read from those deltas (cache
+hits/misses, kernels, points), and — where the experiment's rows
+self-report a pass/fail verdict (Table 1's takeaway checks) — a
+paper-band summary.  An experiment runs alone in its process while the
+delta is taken (serially, or one at a time per ``--jobs N`` worker), so
+the delta is its own.  Each worker's registry starts empty and the deltas
+ride home in the pickled result.
 
 Every experiment in a batch is additionally assigned a ``trace_id`` *by
 the parent* before dispatch: the id rides into the worker process as a
@@ -47,7 +49,6 @@ from dataclasses import dataclass, field
 from repro.faults import sites as fault_sites
 from repro.obs import metrics, spans
 from repro.resilience.retry import Retry
-from repro.runner import telemetry
 
 #: Default transient-failure policy for one experiment: a handful of
 #: quick attempts (experiments are seconds, backoff need not be polite)
@@ -66,8 +67,8 @@ class ExperimentResult:
         output: the rendered report (empty on failure).
         error: formatted traceback (empty on success).
         duration_s: wall-clock seconds spent in ``run`` + ``render``.
-        counters: telemetry counters (cache hits/misses, kernels, points,
-            transient-failure retries).
+        counters: operating-point counters (cache hits/misses, kernels,
+            points) and transient-failure retries.
         bands: ``{"passed": n, "failed": m}`` when the experiment's rows
             carry a boolean ``holds`` verdict, else ``None``.
         spans: per-span-name ``{count, total_s, max_s}`` summary of the
@@ -114,10 +115,20 @@ def _band_summary(result: object) -> dict[str, int] | None:
             "failed": len(verdicts) - sum(verdicts)}
 
 
+def _point_counters(delta: dict[str, dict]) -> dict[str, int]:
+    """Operating-point counters of one experiment, from its metrics delta."""
+    resolutions = delta.get("run_point.resolutions", {}).get("series", {})
+    hits = resolutions.get("result=hit", 0)
+    misses = resolutions.get("result=miss", 0)
+    kernels = delta.get("run_point.kernels", {}).get("series", {})
+    return {"cache_hits": hits, "cache_misses": misses,
+            "kernels": kernels.get("", 0), "points": hits + misses}
+
+
 def run_one(experiment_id: str, use_result_cache: bool = True,
             trace_context: dict | None = None,
             retry: Retry | None = None) -> ExperimentResult:
-    """Run a single registered experiment under telemetry, never raising.
+    """Run a single registered experiment, never raising.
 
     Successful results (rendered output + band verdicts) are stored in
     the content-addressed cache keyed on the experiment id and the digest
@@ -185,8 +196,7 @@ def run_one(experiment_id: str, use_result_cache: bool = True,
         result = experiment.run()
         return result, experiment.render(result)
 
-    with spans.get_tracer().capture() as scope, \
-            telemetry.collect() as counters:
+    with spans.get_tracer().capture() as scope:
         with spans.attach(context), \
                 spans.span(f"experiment.{experiment_id}",
                            category="experiment"):
@@ -195,11 +205,12 @@ def run_one(experiment_id: str, use_result_cache: bool = True,
                 result, output = policy.call(
                     _attempt, token=experiment_id, on_retry=_count_retry)
             except Exception:  # incl. RetryBudgetExceeded after giveup
+                delta = metrics.diff_snapshots(before, registry.snapshot())
                 return ExperimentResult(
                     experiment_id=experiment_id, ok=False,
                     error=traceback.format_exc(),
                     duration_s=time.perf_counter() - started,
-                    counters={**counters.as_dict(), "retries": retries},
+                    counters={**_point_counters(delta), "retries": retries},
                     trace_id=context.trace_id)
     bands = _band_summary(result)
     if cache_key is not None:
@@ -209,14 +220,15 @@ def run_one(experiment_id: str, use_result_cache: bool = True,
         "experiment.duration_s",
         "per-experiment wall-clock").observe(duration_s,
                                              experiment=experiment_id)
+    delta = metrics.diff_snapshots(before, registry.snapshot())
     return ExperimentResult(
         experiment_id=experiment_id, ok=True, output=output,
         duration_s=duration_s,
-        counters={**counters.as_dict(), "experiment_cached": 0,
+        counters={**_point_counters(delta), "experiment_cached": 0,
                   "retries": retries},
         bands=bands,
         spans=spans.aggregate_spans(scope.spans),
-        metrics=metrics.diff_snapshots(before, registry.snapshot()),
+        metrics=delta,
         trace_id=context.trace_id)
 
 

@@ -12,7 +12,7 @@ from repro.trace.bert_trace import (attention_backward_kernels,
                                     transformer_gemm_shapes,
                                     transformer_layer_backward_kernels,
                                     transformer_layer_forward_kernels)
-from repro.trace.builder import Trace, TraceBuilder
+from repro.trace.builder import Trace
 from repro.trace.kernel_table import KernelTable
 from repro.trace.passes import (PassContext, PassManager, TracePass,
                                 available_passes, build_pipeline)
@@ -26,7 +26,7 @@ from repro.trace.parameters import (ParamTensor, bert_parameter_inventory,
 
 __all__ = [
     "KernelTable", "ParamTensor", "PassContext", "PassManager", "Trace",
-    "TraceBuilder", "TracePass", "ValidationReport",
+    "TracePass", "ValidationReport",
     "available_passes", "build_pipeline",
     "build_finetuning_trace", "build_inference_trace", "validate_trace",
     "attention_backward_kernels", "attention_forward_kernels",

@@ -27,9 +27,9 @@ and transforms (``tiled``, ``concat``, ``take``, ``select``, ``splice``,
 ``rewrite_rows``) return new tables.  The per-:class:`Kernel` view is
 materialized lazily and only for the rows a caller actually asks for.  This
 immutability is what lets :func:`repro.experiments.common.run_point` hand
-the same backing table to every caller without the defensive deep copies
-the object representation needed — and what makes the trace-rewrite passes
-of :mod:`repro.trace.passes` pure functions.
+the same trace and profile to every caller without defensive copies — and
+what makes the trace-rewrite passes of :mod:`repro.trace.passes` pure
+functions.
 
 Each row also carries a **provenance** code (pooled, ``-1`` meaning "from
 the trace generator") recording which rewrite pass produced it.  Provenance
@@ -225,8 +225,9 @@ class KernelTable:
 
         This is the layer-templating primitive: enumerate encoder layer 0
         once, then stamp copies for the remaining identical layers.  Rows
-        whose layer index is already set keep it (mirroring
-        :meth:`TraceBuilder.add`, which only stamps unattributed kernels).
+        whose layer index is already set keep it (mirroring the reference
+        walk in :mod:`repro.trace.reference`, which only stamps
+        unattributed kernels).
         """
         indices = np.asarray(list(layer_indices), dtype=np.int32)
         reps = len(indices)

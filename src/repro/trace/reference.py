@@ -10,8 +10,9 @@ oracle that claim is checked against:
 
 * :func:`reference_iteration_trace` / :func:`reference_inference_trace` /
   :func:`reference_finetuning_trace` re-walk the model once per encoder
-  layer through :class:`~repro.trace.builder.TraceBuilder`, exactly as the
-  seed did, instead of stamping a layer-0 template;
+  layer into a plain kernel list, stamping each layer's index on its
+  unattributed kernels, instead of stamping a layer-0 template; the list
+  becomes a table once, at the end;
 * :func:`reference_profile` times kernels one by one through the scalar
   :func:`repro.hw.timing.kernel_time`;
 * :func:`reference_summarize` computes the headline fractions by predicate
@@ -34,49 +35,59 @@ use the same functions as the honest "before" timings.
 
 from __future__ import annotations
 
+from typing import Iterable
+
+import numpy as np
+
 from repro.config import BertConfig, TrainingConfig
 from repro.hw.device import DeviceModel
 from repro.hw.timing import kernel_time
 from repro.ops.base import Component, Kernel
-from repro.profiler.profiler import KernelProfile, Profile
+from repro.profiler.profiler import Profile
 from repro.trace.bert_trace import (embedding_backward_kernels,
                                     embedding_forward_kernels,
                                     output_head_backward_kernels,
                                     output_head_forward_kernels,
                                     transformer_layer_backward_kernels,
                                     transformer_layer_forward_kernels)
-from repro.trace.builder import Trace, TraceBuilder
+from repro.trace.builder import Trace
+from repro.trace.kernel_table import KernelTable
 from repro.trace.parameters import bert_parameter_inventory
+
+
+def _at_layer(layer: int, kernels: Iterable[Kernel]) -> list[Kernel]:
+    """Stamp ``layer`` on the kernels that carry no attribution yet."""
+    return [k.with_layer(layer) if k.layer_index is None else k
+            for k in kernels]
+
+
+def _walked(model: BertConfig, training: TrainingConfig,
+            kernels: list[Kernel]) -> Trace:
+    """Wrap a walked kernel list as a trace."""
+    return Trace(model, training, KernelTable.from_kernels(kernels))
 
 
 def reference_iteration_trace(model: BertConfig,
                               training: TrainingConfig) -> Trace:
-    """Pre-training iteration trace via the per-layer builder walk."""
-    builder = TraceBuilder(model, training)
-
-    builder.set_layer(None)
-    builder.add(embedding_forward_kernels(model, training))
-    for layer in range(model.num_layers):
-        builder.set_layer(layer)
-        builder.add(transformer_layer_forward_kernels(model, training))
-    builder.set_layer(None)
-    builder.add(output_head_forward_kernels(model, training))
-
-    builder.add(output_head_backward_kernels(model, training))
-    for layer in reversed(range(model.num_layers)):
-        builder.set_layer(layer)
-        builder.add(transformer_layer_backward_kernels(model, training))
-    builder.set_layer(None)
-    builder.add(embedding_backward_kernels(model, training))
-
+    """Pre-training iteration trace via the per-layer walk."""
     from repro.optim.kernels import optimizer_kernels
 
-    inventory = bert_parameter_inventory(model)
-    builder.add(optimizer_kernels(training.optimizer, inventory,
-                                  precision=training.precision,
-                                  fused=training.fuse_optimizer))
+    kernels = embedding_forward_kernels(model, training)
+    for layer in range(model.num_layers):
+        kernels += _at_layer(
+            layer, transformer_layer_forward_kernels(model, training))
+    kernels += output_head_forward_kernels(model, training)
+    kernels += output_head_backward_kernels(model, training)
+    for layer in reversed(range(model.num_layers)):
+        kernels += _at_layer(
+            layer, transformer_layer_backward_kernels(model, training))
+    kernels += embedding_backward_kernels(model, training)
+    kernels += optimizer_kernels(training.optimizer,
+                                 bert_parameter_inventory(model),
+                                 precision=training.precision,
+                                 fused=training.fuse_optimizer)
 
-    trace = builder.build()
+    trace = _walked(model, training, kernels)
     if training.activation_checkpointing:
         # The legacy list-scan transform, so the oracle stays independent
         # of the columnar CheckpointingPass it is checked against.
@@ -86,18 +97,15 @@ def reference_iteration_trace(model: BertConfig,
 
 def reference_inference_trace(model: BertConfig,
                               training: TrainingConfig) -> Trace:
-    """Inference trace via the per-layer builder walk."""
+    """Inference trace via the per-layer walk."""
     from repro.trace.variants import _strip_dropout
 
-    builder = TraceBuilder(model, training)
-    builder.add(_strip_dropout(embedding_forward_kernels(model, training)))
+    kernels = _strip_dropout(embedding_forward_kernels(model, training))
     for layer in range(model.num_layers):
-        builder.set_layer(layer)
-        builder.add(_strip_dropout(
+        kernels += _at_layer(layer, _strip_dropout(
             transformer_layer_forward_kernels(model, training)))
-    builder.set_layer(None)
-    builder.add(_inference_head_kernels(model, training))
-    return builder.build()
+    kernels += _inference_head_kernels(model, training)
+    return _walked(model, training, kernels)
 
 
 def _inference_head_kernels(model: BertConfig,
@@ -124,64 +132,56 @@ def _inference_head_kernels(model: BertConfig,
 
 def reference_finetuning_trace(model: BertConfig, training: TrainingConfig,
                                num_labels: int = 2) -> Trace:
-    """Fine-tuning trace via the per-layer builder walk."""
+    """Fine-tuning trace via the per-layer walk."""
     from repro.optim.kernels import optimizer_kernels
     from repro.trace.variants import (finetuning_head_backward_kernels,
                                       finetuning_head_forward_kernels)
 
-    builder = TraceBuilder(model, training)
-    builder.add(embedding_forward_kernels(model, training))
+    kernels = embedding_forward_kernels(model, training)
     for layer in range(model.num_layers):
-        builder.set_layer(layer)
-        builder.add(transformer_layer_forward_kernels(model, training))
-    builder.set_layer(None)
-    builder.add(finetuning_head_forward_kernels(model, training, num_labels))
-    builder.add(finetuning_head_backward_kernels(model, training,
-                                                 num_labels))
+        kernels += _at_layer(
+            layer, transformer_layer_forward_kernels(model, training))
+    kernels += finetuning_head_forward_kernels(model, training, num_labels)
+    kernels += finetuning_head_backward_kernels(model, training, num_labels)
     for layer in reversed(range(model.num_layers)):
-        builder.set_layer(layer)
-        builder.add(transformer_layer_backward_kernels(model, training))
-    builder.set_layer(None)
-    builder.add(embedding_backward_kernels(model, training))
-    builder.add(optimizer_kernels(training.optimizer,
-                                  bert_parameter_inventory(model),
-                                  precision=training.precision,
-                                  fused=training.fuse_optimizer))
-    return builder.build()
+        kernels += _at_layer(
+            layer, transformer_layer_backward_kernels(model, training))
+    kernels += embedding_backward_kernels(model, training)
+    kernels += optimizer_kernels(training.optimizer,
+                                 bert_parameter_inventory(model),
+                                 precision=training.precision,
+                                 fused=training.fuse_optimizer)
+    return _walked(model, training, kernels)
 
 
 def reference_profile(trace: Trace, device: DeviceModel) -> Profile:
-    """Scalar per-kernel timing loop producing a record-backed profile."""
-    records = [KernelProfile(kernel=k, time_s=kernel_time(k, device))
-               for k in trace.kernels]
-    return Profile(device=device, records=records)
+    """Scalar per-kernel timing loop over the trace's kernel objects."""
+    times = [kernel_time(k, device) for k in trace.kernels]
+    return Profile(device, trace.table, np.array(times, dtype=np.float64))
 
 
 def reference_sliced_iteration_trace(model: BertConfig,
                                      training: TrainingConfig,
                                      ways: int) -> Trace:
-    """Tensor-sliced iteration trace via the per-layer builder walk."""
+    """Tensor-sliced iteration trace via the per-layer walk."""
     from repro.distributed.tensor_slicing import sliced_parameter_inventory
     from repro.optim.kernels import optimizer_kernels
 
-    builder = TraceBuilder(model, training)
-    builder.add(embedding_forward_kernels(model, training))
+    kernels = embedding_forward_kernels(model, training)
     for layer in range(model.num_layers):
-        builder.set_layer(layer)
-        builder.add(transformer_layer_forward_kernels(model, training, ways))
-    builder.set_layer(None)
-    builder.add(output_head_forward_kernels(model, training))
-    builder.add(output_head_backward_kernels(model, training))
+        kernels += _at_layer(layer, transformer_layer_forward_kernels(
+            model, training, ways))
+    kernels += output_head_forward_kernels(model, training)
+    kernels += output_head_backward_kernels(model, training)
     for layer in reversed(range(model.num_layers)):
-        builder.set_layer(layer)
-        builder.add(transformer_layer_backward_kernels(model, training, ways))
-    builder.set_layer(None)
-    builder.add(embedding_backward_kernels(model, training))
-    builder.add(optimizer_kernels(training.optimizer,
-                                  sliced_parameter_inventory(model, ways),
-                                  precision=training.precision,
-                                  fused=training.fuse_optimizer))
-    return builder.build()
+        kernels += _at_layer(layer, transformer_layer_backward_kernels(
+            model, training, ways))
+    kernels += embedding_backward_kernels(model, training)
+    kernels += optimizer_kernels(training.optimizer,
+                                 sliced_parameter_inventory(model, ways),
+                                 precision=training.precision,
+                                 fused=training.fuse_optimizer)
+    return _walked(model, training, kernels)
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,14 @@ litter the repository with ``runs/`` manifests.  Point both at
 session-scoped temporary directories before anything imports them.
 """
 
+import contextlib
+
 import pytest
 
 from repro.experiments import common
+from repro.obs import metrics
 from repro.runner import cache
+from repro.runner.executor import _point_counters
 
 
 @pytest.fixture(autouse=True, scope="session")
@@ -24,3 +28,19 @@ def _isolated_runner_dirs(tmp_path_factory):
     mp.undo()
     cache.reset_cache()
     getattr(common, "clear_memo", lambda: None)()
+
+
+@pytest.fixture
+def point_counters():
+    """Context manager yielding the manifest's operating-point counters
+    (``cache_hits``, ``cache_misses``, ``kernels``, ``points``) of the
+    code run inside it, filled in when the block exits."""
+    @contextlib.contextmanager
+    def counting():
+        registry = metrics.get_registry()
+        before = registry.snapshot()
+        counts: dict[str, int] = {}
+        yield counts
+        counts.update(_point_counters(
+            metrics.diff_snapshots(before, registry.snapshot())))
+    return counting

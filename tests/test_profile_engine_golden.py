@@ -124,14 +124,14 @@ def test_finetuning_equivalence():
 
 
 def test_region_breakdown_equivalence():
-    """Masked-reduction region fractions match record-scan fractions."""
+    """Region fractions of the batched and scalar-timed profiles match."""
     trace = build_iteration_trace(BERT_TINY,
                                   training_point(1, 32, Precision.FP32))
     device = mi100()
     fast = profile_trace(trace, device)
     slow = reference_profile(trace, device)
     fast_regions = region_breakdown(fast)
-    slow_regions = region_breakdown(slow)  # record-backed -> scan path
+    slow_regions = region_breakdown(slow)
     assert fast_regions.keys() == slow_regions.keys()
     for region, entry in fast_regions.items():
         assert entry.fraction == pytest.approx(
@@ -152,12 +152,12 @@ def test_kernel_times_matches_scalar_rowwise():
 
 
 def test_mutated_trace_still_equivalent():
-    """Once the kernel list is touched, the legacy scan paths take over
-    and still agree with a rebuilt columnar profile."""
+    """A trace rebuilt from an edited kernel list (``Trace.replaced``)
+    profiles identically through both engines."""
     training = training_point(1, 4, Precision.FP32)
     trace = build_iteration_trace(BERT_TINY, training)
     device = mi100()
-    half = trace.kernels[:len(trace.kernels) // 2]  # materializes the view
+    half = trace.kernels[:len(trace.kernels) // 2]
     truncated = trace.replaced(half)
     fast = profile_trace(truncated, device)
     slow = reference_profile(truncated, device)

@@ -8,11 +8,13 @@ from repro.config import BERT_TINY, BertConfig, TrainingConfig
 from repro.distributed import LinkSpec, ring_allreduce_time
 from repro.fusion import fuse_chain
 from repro.hw import mi100, shape_efficiency
-from repro.ops.base import Component, DType, Phase, Region
+from repro.ops.base import (AccessPattern, Component, DType, Kernel, OpClass,
+                            Phase, Region)
 from repro.ops.elementwise import elementwise
 from repro.ops.gemm import GemmShape
 from repro.tensor import functional as F
 from repro.tensor.tensor import Tensor
+from repro.trace.kernel_table import KernelTable
 from repro.trace.parameters import bert_parameter_inventory
 
 dims = st.integers(min_value=1, max_value=4096)
@@ -159,3 +161,39 @@ class TestTraceProperties:
             if kernel.op_class.is_gemm:
                 assert kernel.gemm is not None
                 assert kernel.flops == kernel.gemm.flops
+
+
+costs = st.integers(min_value=0, max_value=1 << 40)
+
+
+@st.composite
+def kernels(draw) -> Kernel:
+    """One GEMM or non-GEMM kernel, drawing from small pools of names and
+    fusion groups so tables repeat pooled values."""
+    gemm = draw(st.one_of(st.none(), st.builds(
+        GemmShape, m=small_dims, n=small_dims, k=small_dims,
+        batch=st.integers(1, 4), transpose_a=st.booleans(),
+        transpose_b=st.booleans(), accumulate=st.booleans())))
+    gemm_classes = [op for op in OpClass if op.is_gemm]
+    op_class = draw(st.sampled_from(
+        gemm_classes if gemm is not None
+        else [op for op in OpClass if op not in gemm_classes]))
+    return Kernel(
+        name=draw(st.sampled_from(["a", "b", "c"])), op_class=op_class,
+        phase=draw(st.sampled_from(Phase)),
+        component=draw(st.sampled_from(Component)),
+        region=draw(st.sampled_from(Region)),
+        flops=draw(costs), bytes_read=draw(costs),
+        bytes_written=draw(costs), dtype=draw(st.sampled_from(DType)),
+        access=draw(st.sampled_from(AccessPattern)),
+        layer_index=draw(st.one_of(st.none(), st.integers(0, 47))),
+        gemm=gemm,
+        fusion_group=draw(st.one_of(st.none(), st.sampled_from(["g", "h"]))),
+        n_elements=draw(costs))
+
+
+class TestKernelTableProperties:
+    @given(ks=st.lists(kernels(), max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_from_kernels_round_trips(self, ks):
+        assert KernelTable.from_kernels(ks).to_kernels() == list(ks)

@@ -1,10 +1,11 @@
 """Runner cache: content addressing, round-trips, aliasing regression.
 
-The aliasing test is the regression guard for the seed's ``lru_cache``
+The aliasing tests are the regression guard for the seed's ``lru_cache``
 bug: memoized ``run_point`` handed every caller the same mutable
 ``Trace``/``Profile``, so mutating ``trace.kernels`` corrupted the cache
-for every later figure.  Against that implementation the test fails; with
-the content-addressed cache plus defensive copies it passes.
+for every later figure.  Callers still share one memoized pair, but it is
+immutable: ``trace.kernels`` and ``profile.records`` are tuples, so the
+mutation raises instead of corrupting the cache.
 """
 
 import dataclasses
@@ -18,7 +19,6 @@ from repro.experiments.common import run_point
 from repro.hw.device import mi100
 from repro.runner import cache as cache_module
 from repro.runner.cache import ResultCache
-from repro.runner.telemetry import collect
 
 TINY = TrainingConfig(batch_size=2, seq_len=16)
 DEVICE = mi100()
@@ -45,7 +45,8 @@ class TestAliasingRegression:
     def test_mutating_returned_trace_does_not_corrupt_cache(self):
         trace, _ = run_point(BERT_TINY, TINY)
         n_kernels = len(trace.kernels)
-        trace.kernels.clear()  # a hostile downstream transform
+        with pytest.raises(AttributeError):
+            trace.kernels.clear()  # a hostile downstream transform
 
         again, _ = run_point(BERT_TINY, TINY)
         assert len(again.kernels) == n_kernels
@@ -54,19 +55,19 @@ class TestAliasingRegression:
         _, profile = run_point(BERT_TINY, TINY)
         n_records = len(profile.records)
         total = profile.total_time
-        del profile.records[: n_records // 2]
+        with pytest.raises(TypeError):
+            del profile.records[: n_records // 2]
 
         _, again = run_point(BERT_TINY, TINY)
         assert len(again.records) == n_records
-        assert again.total_time == pytest.approx(total)
+        assert again.total_time == total
 
-    def test_callers_get_distinct_containers(self):
+    def test_callers_share_one_immutable_pair(self):
         trace_a, profile_a = run_point(BERT_TINY, TINY)
         trace_b, profile_b = run_point(BERT_TINY, TINY)
-        assert trace_a.kernels is not trace_b.kernels
-        assert profile_a.records is not profile_b.records
-        # Same content though: the copies are cheap container copies.
-        assert trace_a.kernels == trace_b.kernels
+        assert trace_a is trace_b and profile_a is profile_b
+        assert isinstance(trace_a.kernels, tuple)
+        assert isinstance(profile_a.records, tuple)
 
 
 class TestContentAddressing:
@@ -130,26 +131,26 @@ class TestDiskRoundTrip:
         assert second.get(key) is not None
         assert second.stats.hits == 1
 
-    def test_corrupted_entry_falls_back_to_recompute(self):
-        with collect() as first:
+    def test_corrupted_entry_falls_back_to_recompute(self, point_counters):
+        with point_counters() as first:
             run_point(BERT_TINY, TINY)
-        assert first.cache_misses == 1
+        assert first["cache_misses"] == 1
 
         cache = cache_module.get_cache()
         [entry] = cache.entries()
         entry.write_bytes(b"not a pickle")
         common.clear_memo()
 
-        with collect() as second:
+        with point_counters() as second:
             trace, _ = run_point(BERT_TINY, TINY)
-        assert second.cache_misses == 1
+        assert second["cache_misses"] == 1
         assert cache.stats.evictions == 1
         assert len(trace.kernels) > 0
         # The recompute rewrote the entry; it loads cleanly now.
         common.clear_memo()
-        with collect() as third:
+        with point_counters() as third:
             run_point(BERT_TINY, TINY)
-        assert third.cache_hits == 1
+        assert third["cache_hits"] == 1
 
     def test_truncated_pickle_falls_back(self, tmp_path):
         cache = ResultCache(root=tmp_path / "trunc")
@@ -176,26 +177,27 @@ class TestDiskRoundTrip:
 
 
 class TestRunPointThroughCache:
-    def test_second_invocation_hits_disk(self):
-        with collect() as first:
+    def test_second_invocation_hits_disk(self, point_counters):
+        with point_counters() as first:
             run_point(BERT_TINY, TINY)
-        assert (first.cache_hits, first.cache_misses) == (0, 1)
+        assert (first["cache_hits"], first["cache_misses"]) == (0, 1)
 
         common.clear_memo()  # simulate a new process, same cache dir
-        with collect() as second:
+        with point_counters() as second:
             run_point(BERT_TINY, TINY)
-        assert (second.cache_hits, second.cache_misses) == (1, 0)
+        assert (second["cache_hits"], second["cache_misses"]) == (1, 0)
 
-    def test_memo_hit_within_invocation(self):
-        with collect() as telemetry:
+    def test_memo_hit_within_invocation(self, point_counters):
+        with point_counters() as counts:
             run_point(BERT_TINY, TINY)
             run_point(BERT_TINY, TINY)
-        assert telemetry.cache_hits == 1
-        assert telemetry.cache_misses == 1
-        assert telemetry.points == 2
-        assert telemetry.kernels > 0
+        assert counts["cache_hits"] == 1
+        assert counts["cache_misses"] == 1
+        assert counts["points"] == 2
+        assert counts["kernels"] > 0
 
-    def test_custom_device_is_cached_under_its_fingerprint(self):
+    def test_custom_device_is_cached_under_its_fingerprint(
+            self, point_counters):
         tweaked = dataclasses.replace(DEVICE, name="tweaked",
                                       mem_bandwidth_gbps=600.0)
         _, profile_default = run_point(BERT_TINY, TINY)
@@ -204,9 +206,9 @@ class TestRunPointThroughCache:
             profile_default.total_time)
 
         common.clear_memo()
-        with collect() as telemetry:
+        with point_counters() as counts:
             _, again = run_point(BERT_TINY, TINY, tweaked)
-        assert telemetry.cache_hits == 1
+        assert counts["cache_hits"] == 1
         assert again.total_time == pytest.approx(
             profile_tweaked.total_time)
 
@@ -218,15 +220,23 @@ class TestRunPointThroughCache:
         assert [r.time_s for r in profile_cached.records] == pytest.approx(
             [r.time_s for r in profile_fresh.records])
 
+    def test_grid_resolutions_are_counted_once_per_call(
+            self, point_counters):
+        from repro.grid.engine import grid_points, grid_summaries
+
+        trainings = [TINY, dataclasses.replace(TINY, batch_size=4)]
+        with point_counters() as cold:
+            grid_summaries(grid_points(BERT_TINY, trainings))
+        with point_counters() as warm:
+            grid_summaries(grid_points(BERT_TINY, trainings))
+        assert (cold["cache_misses"], cold["cache_hits"]) == (2, 0)
+        assert (warm["cache_misses"], warm["cache_hits"]) == (0, 2)
+        assert cold["points"] == warm["points"] == 2
+        assert cold["kernels"] == warm["kernels"] == 2 * len(
+            run_point(BERT_TINY, TINY)[0])
+
 
 class TestProfileTotalTimeCache:
-    def test_append_invalidates(self):
-        _, profile = run_point(BERT_TINY, TINY)
-        before = profile.total_time
-        profile.records.append(profile.records[0])
-        assert profile.total_time == pytest.approx(
-            before + profile.records[0].time_s)
-
     def test_pickle_roundtrip_preserves_total(self):
         _, profile = run_point(BERT_TINY, TINY)
         total = profile.total_time

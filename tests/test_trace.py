@@ -1,4 +1,5 @@
-"""Tests for trace generation: parameter inventory, builder, full iteration."""
+"""Tests for trace generation: parameter inventory, the trace container,
+full iteration."""
 
 import pytest
 
@@ -8,7 +9,7 @@ from repro.ops.base import Component, DType, OpClass, Phase, Region
 from repro.trace.bert_trace import (build_iteration_trace,
                                     transformer_layer_backward_kernels,
                                     transformer_layer_forward_kernels)
-from repro.trace.builder import Trace, TraceBuilder
+from repro.trace.builder import Trace
 from repro.trace.parameters import (bert_parameter_inventory, group_by_layer,
                                     total_parameters)
 
@@ -38,19 +39,6 @@ class TestParameterInventory:
 
 
 class TestTraceBuilder:
-    def _kernel(self, name="k"):
-        return [k.renamed(name) for k in
-                transformer_layer_forward_kernels(
-                    BERT_TINY, TrainingConfig(batch_size=2, seq_len=16))[:1]]
-
-    def test_layer_stamping(self):
-        training = TrainingConfig(batch_size=2, seq_len=16)
-        builder = TraceBuilder(BERT_TINY, training)
-        builder.set_layer(5)
-        builder.add(self._kernel())
-        trace = builder.build()
-        assert trace.kernels[0].layer_index == 5
-
     def test_select_filters_compose(self):
         trace = build_iteration_trace(BERT_TINY,
                                       TrainingConfig(batch_size=2, seq_len=16))
