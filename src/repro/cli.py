@@ -426,7 +426,7 @@ def _cmd_cache(action: str) -> int:
 def _cmd_trace(point: str, *, from_graph: bool = False,
                rewrites: str | None = None) -> int:
     from repro.experiments.points import resolve_point
-    from repro.trace.bert_trace import build_iteration_trace
+    from repro.trace.bert_trace import iteration_trace
 
     try:
         model, training = resolve_point(point)
@@ -458,7 +458,7 @@ def _cmd_trace(point: str, *, from_graph: bool = False,
         source = f"lazy graph ({len(graph.schedule)} schedule items)"
         if not names:
             match = (trace.table.to_kernels()
-                     == build_iteration_trace(model, training)
+                     == iteration_trace(model, training)
                      .table.to_kernels())
             source += (", bit-identical to builder" if match
                        else ", DIVERGES from builder")
@@ -466,7 +466,7 @@ def _cmd_trace(point: str, *, from_graph: bool = False,
                 print(f"{source}", file=sys.stderr)
                 return 1
     else:
-        trace = build_iteration_trace(model, training)
+        trace = iteration_trace(model, training)
         source = "layer-templated builder"
 
     gemms = len(trace.gemms())

@@ -18,7 +18,7 @@ from repro.hw.device import DeviceModel, mi100
 from repro.memoryplan.footprint import training_footprint
 from repro.profiler.profiler import profile_trace
 from repro.report.tables import format_table
-from repro.trace.bert_trace import build_iteration_trace
+from repro.trace.bert_trace import iteration_trace
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ def _evaluate(model: BertConfig, training: TrainingConfig,
         return ConfigOption(training=training, fits=False,
                             footprint_gb=footprint.total / 1e9,
                             iteration_s=None, tokens_per_second=None)
-    trace = build_iteration_trace(model, training)
+    trace = iteration_trace(model, training)
     iteration = profile_trace(trace, device).total_time
     return ConfigOption(
         training=training, fits=True,

@@ -19,7 +19,7 @@ from repro.ops.base import Component, Region
 from repro.profiler.breakdown import region_breakdown, summarize
 from repro.profiler.profiler import Profile, profile_trace
 from repro.report.tables import format_percent, format_table
-from repro.trace.bert_trace import build_iteration_trace
+from repro.trace.bert_trace import iteration_trace
 from repro.trace.builder import Trace
 from repro.trace.validate import validate_trace
 
@@ -159,7 +159,7 @@ def characterize(model: BertConfig,
     training = training or TrainingConfig(batch_size=32, seq_len=128,
                                           precision=Precision.FP32)
     device = device or mi100()
-    trace = build_iteration_trace(model, training)
+    trace = iteration_trace(model, training)
     for transform in transforms:
         trace = transform(trace)
     # Transforms may legitimately break training-only invariants (fused

@@ -61,19 +61,25 @@ class MarkovCorpus:
         self._rng = np.random.default_rng(seed)
         n = vocab.regular_tokens
         self._successors = self._rng.integers(0, n, size=(n, branching))
+        # The chain is walked one token at a time; Python lists index
+        # far faster than an array does element by element.
+        self._successor_lists = self._successors.tolist()
 
     def sentence(self, length: int) -> np.ndarray:
         """One sentence of ``length`` regular-token ids."""
         if length < 1:
             raise ValueError("length must be >= 1")
-        n = self.vocab.regular_tokens
-        tokens = np.empty(length, dtype=np.int64)
-        current = int(self._rng.integers(0, n))
-        for position in range(length):
-            tokens[position] = current + self.vocab.first_regular
-            choices = self._successors[current]
-            current = int(choices[self._rng.integers(0, len(choices))])
-        return tokens
+        current = int(self._rng.integers(0, self.vocab.regular_tokens))
+        # One array draw yields the same values as ``length`` scalar
+        # draws, so the stream matches a per-token sampler exactly.
+        picks = self._rng.integers(0, self._successors.shape[1],
+                                   size=length).tolist()
+        successors = self._successor_lists
+        chain = []
+        for pick in picks:
+            chain.append(current)
+            current = successors[current][pick]
+        return np.array(chain, dtype=np.int64) + self.vocab.first_regular
 
     def sentence_pair(self, total_length: int,
                       is_next: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -83,12 +89,14 @@ class MarkovCorpus:
         first = self.sentence(first_len)
         if is_next:
             # Continue the chain from the first sentence's last token.
-            last = int(first[-1]) - self.vocab.first_regular
-            second = np.empty(second_len, dtype=np.int64)
-            current = int(self._successors[last][0])
-            for position in range(second_len):
-                second[position] = current + self.vocab.first_regular
-                current = int(self._successors[current][0])
+            successors = self._successor_lists
+            current = successors[int(first[-1]) - self.vocab.first_regular][0]
+            chain = []
+            for _ in range(second_len):
+                chain.append(current)
+                current = successors[current][0]
+            second = (np.array(chain, dtype=np.int64)
+                      + self.vocab.first_regular)
         else:
             second = self.sentence(second_len)
         return first, second

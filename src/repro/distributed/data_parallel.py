@@ -17,7 +17,7 @@ from repro.distributed.timeline import DeviceTimeline, compute_buckets
 from repro.hw.device import DeviceModel
 from repro.ops.base import Component, Phase
 from repro.profiler.profiler import Profile, profile_trace
-from repro.trace.bert_trace import build_iteration_trace
+from repro.trace.bert_trace import iteration_trace
 from repro.trace.parameters import bert_parameter_inventory, group_by_layer
 
 
@@ -52,14 +52,11 @@ def _backward_compute_after(profile: Profile,
     the embedding backward — the window available to hide L's AllReduce.
     """
     layer_bwd = {
-        layer: profile.time_where(
-            lambda k, layer=layer: k.phase is Phase.BACKWARD
-            and k.layer_index == layer)
+        layer: profile.time_of(phase=Phase.BACKWARD, layer_index=layer)
         for layer in range(model.num_layers)
     }
-    embedding_bwd = profile.time_where(
-        lambda k: k.phase is Phase.BACKWARD
-        and k.component is Component.EMBEDDING)
+    embedding_bwd = profile.time_of(phase=Phase.BACKWARD,
+                                    component=Component.EMBEDDING)
     encoder_bwd_total = sum(layer_bwd.values())
 
     window: dict[str, float] = {
@@ -119,7 +116,7 @@ def data_parallel_timeline(model: BertConfig, training: TrainingConfig,
     The compute profile equals single-device training (the model is
     replicated); only exposed AllReduce time is added.
     """
-    trace = build_iteration_trace(model, training)
+    trace = iteration_trace(model, training)
     profile = profile_trace(trace, device)
     buckets = compute_buckets(profile)
     buckets["communication"] = exposed_dp_communication(
@@ -136,7 +133,7 @@ def single_device_timeline(model: BertConfig, training: TrainingConfig,
                            device: DeviceModel,
                            label: str | None = None) -> DeviceTimeline:
     """Baseline S1: one device, no communication."""
-    trace = build_iteration_trace(model, training)
+    trace = iteration_trace(model, training)
     profile = profile_trace(trace, device)
     return DeviceTimeline(
         label=label or f"single, B={training.batch_size}",

@@ -24,6 +24,18 @@ from repro.trace.kernel_table import KernelTable
 from repro.trace.passes import PassContext, TracePass
 
 
+def global_norm_rows(table: KernelTable) -> np.ndarray:
+    """Row mask of the global gradient-norm reduction.
+
+    This is the one optimizer kernel a replica cannot shard: LAMB needs
+    the norm over *all* gradients before any update.  It is matched by
+    name, not by ``Region.OPT_NORM``, because unfused LAMB also files its
+    per-tensor trust-ratio norms under that region, and those shard with
+    their tensors.
+    """
+    return table.name_contains("grad_norm")
+
+
 class OptimizerShardPass(TracePass):
     """Shrink optimizer kernels to one replica's ``1/D`` parameter shard.
 
@@ -45,10 +57,9 @@ class OptimizerShardPass(TracePass):
     def apply(self, table: KernelTable, ctx: PassContext) -> KernelTable:
         if self.devices == 1:
             return table
-        is_norm = np.array(["grad_norm" in name for name in table.names],
-                           dtype=bool)[table.name_code]
         rows = np.flatnonzero(
-            table.mask(component=Component.OPTIMIZER) & ~is_norm)
+            table.mask(component=Component.OPTIMIZER)
+            & ~global_norm_rows(table))
         if not len(rows):
             return table
 

@@ -22,7 +22,7 @@ from repro.distributed.timeline import DeviceTimeline
 from repro.hw.device import DeviceModel
 from repro.ops.base import Component
 from repro.profiler.profiler import profile_trace
-from repro.trace.bert_trace import build_iteration_trace
+from repro.trace.bert_trace import iteration_trace
 
 
 def pipeline_bubble_fraction(stages: int, micro_batches: int) -> float:
@@ -53,7 +53,7 @@ def pipeline_timeline(model: BertConfig, training: TrainingConfig,
     if training.batch_size % micro_batches:
         raise ValueError("micro_batches must divide the batch size")
 
-    profile = profile_trace(build_iteration_trace(model, training), device)
+    profile = profile_trace(iteration_trace(model, training), device)
 
     encoder = profile.time_of(component=Component.TRANSFORMER)
     embedding = profile.time_of(component=Component.EMBEDDING)

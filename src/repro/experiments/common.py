@@ -20,7 +20,7 @@ from repro.config import BertConfig, TrainingConfig
 from repro.hw.device import DeviceModel, mi100
 from repro.profiler.profiler import Profile, profile_trace
 from repro.runner.cache import POINT_KERNELS, POINT_RESOLUTIONS, get_cache
-from repro.trace.bert_trace import build_iteration_trace
+from repro.trace.bert_trace import clear_iteration_traces, iteration_trace
 from repro.trace.builder import Trace
 from repro.trace.passes import PassManager
 
@@ -35,8 +35,10 @@ _memo: dict[str, tuple[Trace, Profile]] = {}
 
 
 def clear_memo() -> None:
-    """Drop the in-process memo (tests; the disk cache is unaffected)."""
+    """Drop the in-process memos of points and of their iteration traces
+    (tests, cold benchmarks; the disk cache is unaffected)."""
     _memo.clear()
+    clear_iteration_traces()
 
 
 def run_point(model: BertConfig, training: TrainingConfig,
@@ -65,7 +67,7 @@ def run_point(model: BertConfig, training: TrainingConfig,
         entry = cache.get(key)
         hit = entry is not None
         if entry is None:
-            trace = build_iteration_trace(model, training)
+            trace = iteration_trace(model, training)
             if passes is not None and passes.passes:
                 trace = passes.run(trace)
             entry = (trace, profile_trace(trace, device))

@@ -27,8 +27,7 @@ from repro.ops.base import DType, Region
 from repro.profiler.breakdown import region_breakdown, summarize
 from repro.profiler.profiler import profile_trace
 from repro.report.tables import format_table
-from repro.trace.bert_trace import (build_iteration_trace,
-                                    transformer_gemm_shapes)
+from repro.trace.bert_trace import iteration_trace, transformer_gemm_shapes
 
 #: Perturbations applied one knob at a time: (label, knob or field, factor).
 PERTURBATIONS: tuple[tuple[str, str, float], ...] = (
@@ -83,11 +82,11 @@ def _check_claims(device: DeviceModel, model: BertConfig) -> dict[str, bool]:
     ph1_b16 = training_point(1, 16, Precision.FP32)
 
     def stats(training):
-        trace = build_iteration_trace(model, training)
+        trace = iteration_trace(model, training)
         return summarize(profile_trace(trace, device))
 
     def attention_ops_share(training):
-        trace = build_iteration_trace(model, training)
+        trace = iteration_trace(model, training)
         regions = region_breakdown(profile_trace(trace, device))
         return (regions[Region.ATTENTION_BGEMM].fraction
                 + regions[Region.ATTENTION_SMDSM].fraction)

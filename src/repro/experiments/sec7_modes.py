@@ -21,7 +21,7 @@ from repro.hw.device import DeviceModel
 from repro.profiler.breakdown import summarize
 from repro.profiler.profiler import profile_trace
 from repro.report.tables import format_percent, format_table
-from repro.trace.bert_trace import build_iteration_trace
+from repro.trace.bert_trace import iteration_trace
 from repro.trace.variants import build_finetuning_trace, build_inference_trace
 
 
@@ -51,7 +51,7 @@ def run(model: BertConfig = BERT_LARGE,
     training = training or training_point(1, 32, Precision.FP32)
     device = device or default_device()
     traces = {
-        "pretraining": build_iteration_trace(model, training),
+        "pretraining": iteration_trace(model, training),
         "finetuning": build_finetuning_trace(model, training),
         "inference": build_inference_trace(model, training),
     }

@@ -124,9 +124,10 @@ def run() -> list[TakeawayCheck]:
     params = sum(t.n_elements for t in bert_parameter_inventory(BERT_LARGE))
     trace, _ = run_point(BERT_LARGE, training_point(1, 32, Precision.FP32),
                          device)
-    stage1_reads = sum(k.bytes_read for k in trace.kernels
-                       if k.component is Component.OPTIMIZER
-                       and "stage1" in k.name)
+    table = trace.table
+    stage1_reads = int(table.bytes_read[
+        table.mask(component=Component.OPTIMIZER)
+        & table.name_contains("stage1")].sum())
     model_bytes = params * 4
     ratio = stage1_reads / model_bytes
     checks.append(TakeawayCheck(

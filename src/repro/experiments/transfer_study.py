@@ -25,7 +25,7 @@ from repro.ops.base import DType
 from repro.profiler.breakdown import summarize
 from repro.profiler.profiler import profile_trace
 from repro.report.tables import format_percent, format_table
-from repro.trace.bert_trace import build_iteration_trace
+from repro.trace.bert_trace import iteration_trace
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ def run(model: BertConfig = BERT_LARGE,
     """Profile the same iteration on every device."""
     training = training or training_point(1, 32, Precision.FP32)
     devices = devices or (mi100(), v100_like(), a100_like())
-    trace = build_iteration_trace(model, training)
+    trace = iteration_trace(model, training)
     rows = []
     for device in devices:
         stats = summarize(profile_trace(trace, device))

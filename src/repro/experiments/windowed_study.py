@@ -21,7 +21,7 @@ from repro.ops.windowed_attention import (WindowConfig,
                                           windowed_attention_op_kernels)
 from repro.profiler.profiler import profile_trace
 from repro.report.tables import format_percent, format_table
-from repro.trace.bert_trace import build_iteration_trace
+from repro.trace.bert_trace import iteration_trace
 
 
 @dataclass(frozen=True)
@@ -62,13 +62,12 @@ def run(model: BertConfig = BERT_LARGE,
         batch = max(1, tokens_budget // seq_len)
         training = TrainingConfig(batch_size=batch, seq_len=seq_len,
                                   precision=Precision.FP32)
-        trace = build_iteration_trace(model, training)
+        trace = iteration_trace(model, training)
         profile = profile_trace(trace, device)
         iteration = profile.total_time
-        dense_attention = profile.time_where(
-            lambda k: k.component is Component.TRANSFORMER
-            and k.region in (Region.ATTENTION_BGEMM,
-                             Region.ATTENTION_SMDSM))
+        dense_attention = profile.time_of(
+            component=Component.TRANSFORMER,
+            region=(Region.ATTENTION_BGEMM, Region.ATTENTION_SMDSM))
 
         windowed_kernels = windowed_attention_op_kernels(
             seq_len=seq_len, d_head=model.d_head,

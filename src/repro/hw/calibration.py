@@ -92,11 +92,11 @@ def objective(device: DeviceModel, model: BertConfig,
     """Weighted squared error of modeled vs. target fractions."""
     from repro.profiler.breakdown import summarize
     from repro.profiler.profiler import profile_trace
-    from repro.trace.bert_trace import build_iteration_trace
+    from repro.trace.bert_trace import iteration_trace
 
     error = 0.0
     for target in targets:
-        trace = build_iteration_trace(model, target.training)
+        trace = iteration_trace(model, target.training)
         stats = summarize(profile_trace(trace, device))
         if target.metric not in stats:
             raise KeyError(f"unknown metric {target.metric!r}")

@@ -18,7 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.ops.base import DType, Kernel
+from repro.trace.kernel_table import DTYPES, KernelTable
 
 
 @dataclass(frozen=True)
@@ -69,11 +72,29 @@ def kernel_energy(kernel: Kernel, spec: EnergySpec,
     return (arithmetic + movement) * 1e-12
 
 
+def _energy_columns(table: KernelTable, spec: EnergySpec, *,
+                    nmc: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row (arithmetic, movement) energy of a table, in picojoules.
+
+    Row for row the same products as :func:`kernel_energy`.
+    """
+    per_flop = np.array([spec.flop_energy(d) for d in DTYPES])
+    per_byte = (spec.nmc_internal_pj_per_byte if nmc
+                else spec.dram_pj_per_byte)
+    return table.flops * per_flop[table.dtype], table.bytes_total * per_byte
+
+
 def trace_energy(kernels, spec: EnergySpec | None = None, *,
                  nmc: bool = False) -> float:
-    """Total dynamic energy of a kernel sequence, in joules."""
+    """Total dynamic energy of a kernel sequence, in joules.
+
+    Accepts a :class:`~repro.trace.builder.Trace`, a
+    :class:`KernelTable`, or any kernel iterable.
+    """
     spec = spec or default_energy_spec()
-    return sum(kernel_energy(k, spec, nmc=nmc) for k in kernels)
+    arithmetic, movement = _energy_columns(KernelTable.coerce(kernels), spec,
+                                           nmc=nmc)
+    return float(((arithmetic + movement) * 1e-12).sum())
 
 
 @dataclass(frozen=True)
@@ -104,12 +125,9 @@ def iteration_energy(profile, spec: EnergySpec | None = None) -> EnergyReport:
         spec: energy constants.
     """
     spec = spec or default_energy_spec()
-    arithmetic = 0.0
-    movement = 0.0
-    for record in profile.records:
-        kernel = record.kernel
-        arithmetic += kernel.flops * spec.flop_energy(kernel.dtype) * 1e-12
-        movement += kernel.bytes_total * spec.dram_pj_per_byte * 1e-12
+    arithmetic, movement = _energy_columns(profile.table, spec)
+    arithmetic = float((arithmetic * 1e-12).sum())
+    movement = float((movement * 1e-12).sum())
     dynamic = arithmetic + movement
     static = spec.static_watts * profile.total_time
     return EnergyReport(dynamic_j=dynamic, static_j=static,

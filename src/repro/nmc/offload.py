@@ -25,7 +25,7 @@ from repro.hw.device import DeviceModel
 from repro.nmc.model import NmcConfig
 from repro.ops.base import Component
 from repro.profiler.profiler import profile_trace
-from repro.trace.bert_trace import build_iteration_trace
+from repro.trace.bert_trace import iteration_trace
 from repro.trace.kernel_table import KernelTable
 from repro.trace.passes import PassContext, TracePass
 
@@ -99,7 +99,7 @@ def evaluate_lamb_offload(model: BertConfig, training: TrainingConfig,
                           device: DeviceModel,
                           nmc: NmcConfig) -> LambOffloadResult:
     """Offload the optimizer phase of one training point to NMC."""
-    trace = build_iteration_trace(model, training)
+    trace = iteration_trace(model, training)
     profile = profile_trace(trace, device)
     flops, bytes_moved, groups = optimizer_workload(trace)
 

@@ -7,6 +7,7 @@ from repro.trace.bert_trace import (attention_backward_kernels,
                                     embedding_forward_kernels,
                                     feedforward_backward_kernels,
                                     feedforward_forward_kernels,
+                                    iteration_trace,
                                     output_head_backward_kernels,
                                     output_head_forward_kernels,
                                     transformer_gemm_shapes,
@@ -34,7 +35,7 @@ __all__ = [
     "embedding_backward_kernels", "embedding_forward_kernels",
     "embedding_tensors", "encoder_layer_tensors",
     "feedforward_backward_kernels", "feedforward_forward_kernels",
-    "group_by_layer", "output_head_backward_kernels",
+    "group_by_layer", "iteration_trace", "output_head_backward_kernels",
     "output_head_forward_kernels", "output_head_tensors",
     "total_parameters", "transformer_gemm_shapes",
     "transformer_layer_backward_kernels",

@@ -401,7 +401,9 @@ class KernelTable:
         """Boolean row mask for the given attribute filters.
 
         ``phase`` / ``component`` / ``region`` / ``op_class`` accept a single
-        enum member or a tuple of members (matched as a set).
+        enum member or a tuple of members (matched as a set);
+        ``layer_index`` selects one encoder layer's rows.  A filter left at
+        ``None`` does not filter.
         """
         mask = np.ones(len(self), dtype=bool)
         for value, column, codes in (
@@ -417,8 +419,16 @@ class KernelTable:
                 sub |= column == codes[member]
             mask &= sub
         if layer_index is not None:
-            mask &= self.layer == (-1 if layer_index is None else layer_index)
+            mask &= self.layer == layer_index
         return mask
+
+    def name_contains(self, text: str) -> np.ndarray:
+        """Boolean row mask of kernels whose name contains ``text``.
+
+        The test runs once per pooled name, not once per row.
+        """
+        pooled = np.array([text in name for name in self.names], dtype=bool)
+        return pooled[self.name_code]
 
     # ---------------------------------------------------------------- views
     def kernel(self, row: int) -> Kernel:

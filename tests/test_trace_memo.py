@@ -1,0 +1,99 @@
+"""The shared iteration-trace memo and the uncached builder beside it.
+
+``iteration_trace`` hands every reader in the process one frozen trace
+per ``(model, training)``; ``build_iteration_trace`` always builds, so the
+benchmarks that time it keep timing real builds.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.config import BERT_LARGE, BERT_TINY, Precision, training_point
+from repro.experiments.common import clear_memo, run_point
+from repro.hw.device import mi100
+from repro.obs import metrics
+from repro.trace.bert_trace import build_iteration_trace, iteration_trace
+from repro.trace.kernel_table import KernelTable
+
+POINT = (BERT_TINY, training_point(1, 4, Precision.FP32))
+
+
+@pytest.fixture(autouse=True)
+def _fresh_memo():
+    clear_memo()
+    yield
+    clear_memo()
+
+
+def _memo_lookups(before: dict) -> dict[str, float]:
+    delta = metrics.diff_snapshots(before, metrics.get_registry().snapshot())
+    series = delta.get("trace.memo", {}).get("series", {})
+    return {"hit": series.get("result=hit", 0),
+            "miss": series.get("result=miss", 0)}
+
+
+def test_repeat_lookup_returns_the_same_trace():
+    assert iteration_trace(*POINT) is iteration_trace(*POINT)
+
+
+@pytest.mark.parametrize("training", [
+    training_point(1, 32, Precision.FP32),
+    training_point(2, 4, Precision.MIXED),
+])
+def test_memoized_trace_has_the_builder_columns(training):
+    shared = iteration_trace(BERT_LARGE, training)
+    fresh = build_iteration_trace(BERT_LARGE, training)
+    assert (shared.model, shared.training) == (BERT_LARGE, training)
+    for slot in KernelTable.__slots__:
+        a, b = getattr(shared.table, slot), getattr(fresh.table, slot)
+        if isinstance(a, np.ndarray):
+            np.testing.assert_array_equal(a, b, err_msg=slot)
+        else:
+            assert a == b, slot
+
+
+def test_distinct_points_get_distinct_traces():
+    other = training_point(1, 8, Precision.FP32)
+    assert iteration_trace(POINT[0], other) is not iteration_trace(*POINT)
+    assert iteration_trace(POINT[0], other).training == other
+
+
+def test_clear_memo_drops_memoized_traces():
+    first = iteration_trace(*POINT)
+    clear_memo()
+    second = iteration_trace(*POINT)
+    assert second is not first
+    assert second == first
+
+
+def test_memo_counts_one_miss_then_hits():
+    before = metrics.get_registry().snapshot()
+    for _ in range(3):
+        iteration_trace(*POINT)
+    assert _memo_lookups(before) == {"hit": 2, "miss": 1}
+
+
+def test_builder_returns_a_fresh_trace_every_call():
+    iteration_trace(*POINT)  # a memoized copy must not leak into builds
+    before = metrics.get_registry().snapshot()
+    first = build_iteration_trace(*POINT)
+    second = build_iteration_trace(*POINT)
+    assert first is not second
+    assert first.table is not second.table
+    assert first is not iteration_trace(*POINT)
+    assert _memo_lookups(before) == {"hit": 1, "miss": 0}
+
+
+def test_run_point_builds_through_the_memo(tmp_path, monkeypatch):
+    from repro.runner import cache
+
+    monkeypatch.setenv(cache.CACHE_DIR_ENV, str(tmp_path))
+    cache.reset_cache()
+    try:
+        trace, _ = run_point(*POINT, mi100())
+        assert trace is iteration_trace(*POINT)
+    finally:
+        monkeypatch.undo()
+        cache.reset_cache()
