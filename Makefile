@@ -19,17 +19,15 @@ experiments:
 # every registered experiment (exercises the runner, cache and manifest),
 # a validated Perfetto export (exercises the observability layer), a
 # live-server telemetry smoke (scrapes /metrics, validates the Prometheus
-# exposition, round-trips a trace through the flight recorder), a
-# lazy-graph smoke (schedule validity, determinism, no double-realize,
-# graph-lowered trace bit-identical to the builder), and a chaos smoke
-# (seeded fault injection: runner outputs byte-identical under faults,
-# a faulted serve storm degrades to stale bytes or 503/504 only).
+# exposition, round-trips a trace through the flight recorder), and a
+# chaos smoke (seeded fault injection: runner outputs byte-identical
+# under faults, a faulted serve storm degrades to stale bytes or 503/504
+# only).
 verify:
 	PYTHONPATH=src python -m pytest tests/ -x -q
 	PYTHONPATH=src python -m repro run all --jobs 2
 	PYTHONPATH=src python scripts/check_perfetto.py perfetto-smoke
 	PYTHONPATH=src python scripts/check_prometheus.py prometheus-smoke
-	PYTHONPATH=src python scripts/check_lazy_graph.py
 	PYTHONPATH=src python scripts/check_chaos.py chaos-smoke
 
 examples:

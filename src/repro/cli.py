@@ -16,6 +16,7 @@ Usage::
     python -m repro export --format perfetto --passes fuse_elementwise \
         fig3.ph1-b32-fp32 /tmp/fused.json
     python -m repro passes
+    python -m repro trace fig3.ph1-b32-fp32 --passes fuse_elementwise
     python -m repro cache info
     python -m repro info
 
@@ -82,16 +83,10 @@ def _build_parser() -> argparse.ArgumentParser:
     trace.add_argument("point",
                        help="operating-point id, e.g. fig3.ph1-b32-fp32 or "
                             "tiny.ph1-b2-fp32")
-    trace.add_argument("--from-graph", action="store_true",
-                       dest="from_graph",
-                       help="build via the lazy tensor graph and scheduler "
-                            "(validated and cross-checked bit-exact "
-                            "against the layer-templated builder) instead "
-                            "of the builder directly")
-    trace.add_argument("--rewrites", default=None, metavar="NAME,NAME",
-                       help="schedule rewrites applied to the graph before "
-                            "lowering (graph path only), e.g. "
-                            "fuse_elementwise")
+    trace.add_argument("--passes", default=None, metavar="SPEC",
+                       help="trace-rewrite pipeline applied before "
+                            "summarizing, e.g. 'fuse_elementwise' "
+                            "(see `repro passes`)")
 
     grid = commands.add_parser(
         "grid",
@@ -423,51 +418,23 @@ def _cmd_cache(action: str) -> int:
     return 0
 
 
-def _cmd_trace(point: str, *, from_graph: bool = False,
-               rewrites: str | None = None) -> int:
+def _cmd_trace(point: str, passes_spec: str | None = None) -> int:
     from repro.experiments.points import resolve_point
     from repro.trace.bert_trace import iteration_trace
+    from repro.trace.passes import build_pipeline
 
     try:
         model, training = resolve_point(point)
-    except KeyError as error:
-        print(error.args[0], file=sys.stderr)
+        manager = build_pipeline(passes_spec) if passes_spec else None
+    except (KeyError, ValueError) as error:
+        print(str(error.args[0] if error.args else error), file=sys.stderr)
         return 2
 
-    names = tuple(n for n in (rewrites or "").split(",") if n)
-    if names and not from_graph:
-        print("--rewrites requires --from-graph", file=sys.stderr)
-        return 2
-
-    if from_graph:
-        from repro.tensor.schedule import ScheduleError
-        from repro.trace.builder import Trace
-        from repro.trace.lowerer import SCHEDULE_REWRITES, bert_iteration_graph
-        unknown = [n for n in names if n not in SCHEDULE_REWRITES]
-        if unknown:
-            print(f"unknown rewrites {unknown}; valid: "
-                  f"{', '.join(sorted(SCHEDULE_REWRITES))}", file=sys.stderr)
-            return 2
-        try:
-            graph = bert_iteration_graph(model, training, rewrites=names)
-            graph.validate()
-        except ScheduleError as error:
-            print(f"invalid schedule: {error}", file=sys.stderr)
-            return 1
-        trace = Trace.from_table(model, training, graph.lower())
-        source = f"lazy graph ({len(graph.schedule)} schedule items)"
-        if not names:
-            match = (trace.table.to_kernels()
-                     == iteration_trace(model, training)
-                     .table.to_kernels())
-            source += (", bit-identical to builder" if match
-                       else ", DIVERGES from builder")
-            if not match:
-                print(f"{source}", file=sys.stderr)
-                return 1
-    else:
-        trace = iteration_trace(model, training)
-        source = "layer-templated builder"
+    trace = iteration_trace(model, training)
+    source = "layer-templated builder"
+    if manager is not None:
+        trace = manager.run(trace)
+        source += f" + passes [{manager.signature}]"
 
     gemms = len(trace.gemms())
     print(f"{point}: {model.name} {training.label}")
@@ -628,8 +595,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "cache":
         return _cmd_cache(args.action)
     if args.command == "trace":
-        return _cmd_trace(args.point, from_graph=args.from_graph,
-                          rewrites=args.rewrites)
+        return _cmd_trace(args.point, args.passes)
     if args.command == "grid":
         return _cmd_grid(args.model, args.batch_sizes, args.seq_lens,
                          args.precisions, args.csv)

@@ -22,14 +22,8 @@ from repro.hw.device import DeviceModel
 from repro.obs import spans
 from repro.ops.base import Component, Region
 from repro.profiler.profiler import profile_trace
-from repro.trace.bert_trace import (embedding_backward_kernels,
-                                    embedding_forward_kernels,
-                                    output_head_backward_kernels,
-                                    output_head_forward_kernels,
-                                    transformer_layer_backward_kernels,
-                                    transformer_layer_forward_kernels)
+from repro.trace.bert_trace import layout_table, pretraining_sections
 from repro.trace.builder import Trace
-from repro.trace.kernel_table import KernelTable
 from repro.trace.parameters import ParamTensor, bert_parameter_inventory
 
 #: AllReduces per Transformer layer per iteration under tensor slicing:
@@ -67,33 +61,14 @@ def build_sliced_iteration_trace(model: BertConfig, training: TrainingConfig,
 
     Embedding and output head are replicated (full size); encoder layers
     emit their per-device shard of work; the optimizer updates only this
-    device's parameter shard.  Like :func:`build_iteration_trace`, one
-    sliced encoder layer is enumerated per direction and replicated
-    columnarly across the rest (:meth:`KernelTable.tiled`).
+    device's parameter shard.  The iteration is laid out like
+    :func:`build_iteration_trace`'s (:func:`layout_table`).
     """
-    from repro.optim.kernels import optimizer_kernels
-
     with spans.span("trace.build_sliced", model=model.name,
                     point=training.label, ways=ways):
-        layer_fwd = KernelTable.from_kernels(
-            transformer_layer_forward_kernels(model, training, ways))
-        layer_bwd = KernelTable.from_kernels(
-            transformer_layer_backward_kernels(model, training, ways))
-        table = KernelTable.concat([
-            KernelTable.from_kernels(
-                embedding_forward_kernels(model, training)),
-            layer_fwd.tiled(range(model.num_layers)),
-            KernelTable.from_kernels(
-                output_head_forward_kernels(model, training)
-                + output_head_backward_kernels(model, training)),
-            layer_bwd.tiled(range(model.num_layers - 1, -1, -1)),
-            KernelTable.from_kernels(
-                embedding_backward_kernels(model, training)
-                + optimizer_kernels(training.optimizer,
-                                    sliced_parameter_inventory(model, ways),
-                                    precision=training.precision,
-                                    fused=training.fuse_optimizer)),
-        ])
+        table = layout_table(model.num_layers, pretraining_sections(
+            model, training, slicing=ways,
+            inventory=sliced_parameter_inventory(model, ways)))
         spans.annotate(kernels=len(table))
     return Trace.from_table(model, training, table)
 

@@ -9,14 +9,15 @@ pipeline can study windowed models end to end.
 :class:`WindowedAttentionPass` is the columnar implementation: the first
 dense attention-op row of each (layer, phase) becomes a splice marker, the
 rest are dropped with one boolean-mask select, and the per-phase windowed
-kernel block — built once as a layer-templated :class:`KernelTable` and
-:meth:`~repro.trace.kernel_table.KernelTable.tiled` per layer — replaces
-each marker via :meth:`~repro.trace.kernel_table.KernelTable.splice` with
+kernel block — built once as a :class:`KernelTable` and stamped with
+each marker's layer — replaces each marker via :meth:`~repro.trace.kernel_table.KernelTable.splice` with
 ``replace=True``.  The original per-kernel scan survives as
 :func:`repro.trace.reference.reference_apply_windowed_attention`.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.ops.base import Phase
 from repro.ops.windowed_attention import (WindowConfig,
@@ -65,10 +66,13 @@ class WindowedAttentionPass(TracePass):
             for phase in (Phase.FORWARD, Phase.BACKWARD)}
 
         forward_code = code_of(Phase.FORWARD)
-        segments = [
-            templates[Phase.FORWARD if out.phase[position] == forward_code
-                      else Phase.BACKWARD].tiled([int(out.layer[position])])
-            for position in positions]
+        segments = []
+        for position in positions:
+            phase = (Phase.FORWARD if out.phase[position] == forward_code
+                     else Phase.BACKWARD)
+            segment = templates[phase]
+            segments.append(segment.with_columns(
+                layer=np.full(len(segment), out.layer[position])))
         return out.splice(positions, segments, replace=True)
 
 

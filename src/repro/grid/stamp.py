@@ -2,13 +2,13 @@
 
 One emitter walk with :class:`~repro.grid.lanes.LaneTraining` lanes yields
 *template* kernels whose numeric fields are ``(P,)`` arrays (one lane per
-point).  This module assembles them into the same row order
-:func:`repro.trace.bert_trace.build_iteration_trace` produces per point —
-embedding FWD, encoder layers FWD (0..N-1), output head FWD+BWD, encoder
-layers BWD (N-1..0), embedding BWD + optimizer — with each point's rows
-**contiguous** in the stacked table.  Contiguity is what keeps per-point
-aggregation bit-exact against the loop path: a point's times are a plain
-slice, so masked sums reduce over the same arrays in the same order.
+point).  This module lays them out with the builder's own
+:func:`repro.trace.bert_trace.iteration_layout`, so each point gets the
+row order :func:`~repro.trace.bert_trace.build_iteration_trace` produces,
+with each point's rows **contiguous** in the stacked table.  Contiguity
+is what keeps per-point aggregation bit-exact against the loop path: a
+point's times are a plain slice, so masked sums reduce over the same
+arrays in the same order.
 
 GEMM shapes are pooled across the whole family with one
 ``np.unique(axis=0)`` over the ``(m, n, k, batch, tA, tB, acc)`` integer
@@ -27,76 +27,12 @@ from repro.config import BertConfig, TrainingConfig
 from repro.grid.lanes import LaneTraining
 from repro.ops.base import Kernel
 from repro.ops.gemm import GemmShape
-from repro.trace.bert_trace import (embedding_backward_kernels,
-                                    embedding_forward_kernels,
-                                    output_head_backward_kernels,
-                                    output_head_forward_kernels,
-                                    transformer_layer_backward_kernels,
-                                    transformer_layer_forward_kernels)
+from repro.trace.bert_trace import iteration_layout, pretraining_sections
 from repro.trace.kernel_table import KernelTable, code_of
-from repro.trace.parameters import bert_parameter_inventory
 
 #: GemmShape fields flattened into the integer pooling matrix, in order.
 _GEMM_FIELDS = ("m", "n", "k", "batch", "transpose_a", "transpose_b",
                 "accumulate")
-
-
-def _template_kernels(model: BertConfig, lanes: LaneTraining
-                      ) -> tuple[list[Kernel], list[int]]:
-    """Unique template kernels plus section sizes, in iteration order.
-
-    Sections: embedding FWD, one encoder layer FWD, output head FWD+BWD,
-    one encoder layer BWD, embedding BWD + optimizer.  The optimizer and
-    parameter inventory depend only on the model and the family's
-    structural fields, so they are emitted once (scalar) per family.
-    """
-    # Lazy for the same reason as build_iteration_trace: repro.optim needs
-    # the parameter inventory from repro.trace, so a module-level import
-    # of it here would be circular through repro.trace.bert_trace.
-    from repro.optim.kernels import optimizer_kernels
-
-    emb_fwd = embedding_forward_kernels(model, lanes)
-    layer_fwd = transformer_layer_forward_kernels(model, lanes)
-    heads = (output_head_forward_kernels(model, lanes)
-             + output_head_backward_kernels(model, lanes))
-    layer_bwd = transformer_layer_backward_kernels(model, lanes)
-    tail = (embedding_backward_kernels(model, lanes)
-            + optimizer_kernels(lanes.optimizer,
-                                bert_parameter_inventory(model),
-                                precision=lanes.precision,
-                                fused=lanes.fuse_optimizer))
-    sections = [emb_fwd, layer_fwd, heads, layer_bwd, tail]
-    template = [kernel for section in sections for kernel in section]
-    return template, [len(section) for section in sections]
-
-
-def _point_layout(sizes: list[int], num_layers: int
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """(template row ids, layer attribution) of one point's row sequence.
-
-    Mirrors ``build_iteration_trace``: the encoder-layer sections repeat
-    ``num_layers`` times (FWD ascending, BWD descending layer stamp);
-    everything else appears once with no layer attribution.
-    """
-    bounds = np.concatenate(([0], np.cumsum(sizes)))
-    emb_f, layer_f, heads, layer_b, tail = (
-        np.arange(bounds[i], bounds[i + 1]) for i in range(5))
-    ids = np.concatenate([
-        emb_f,
-        np.tile(layer_f, num_layers),
-        heads,
-        np.tile(layer_b, num_layers),
-        tail,
-    ])
-    layer = np.concatenate([
-        np.full(sizes[0], -1, dtype=np.int32),
-        np.repeat(np.arange(num_layers, dtype=np.int32), sizes[1]),
-        np.full(sizes[2], -1, dtype=np.int32),
-        np.repeat(np.arange(num_layers - 1, -1, -1, dtype=np.int32),
-                  sizes[3]),
-        np.full(sizes[4], -1, dtype=np.int32),
-    ])
-    return ids, layer
 
 
 def _pool_gemms(template: list[Kernel],
@@ -134,8 +70,8 @@ def stamp_family(model: BertConfig, trainings: Sequence[TrainingConfig]
     """
     lanes = LaneTraining(trainings)
     point_count = len(lanes)
-    template, sizes = _template_kernels(model, lanes)
-    ids, layer = _point_layout(sizes, model.num_layers)
+    template, ids, layer = iteration_layout(
+        model.num_layers, pretraining_sections(model, lanes))
 
     # Static per-template-row columns (identical across lanes).
     name_pool: dict[str, int] = {}

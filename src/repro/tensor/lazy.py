@@ -1,14 +1,11 @@
 """Lazy dataflow graph underlying the tensor engine.
 
-Eagerly-executing tensor code and the analytic kernel trace
-(:mod:`repro.trace`) used to be two separate artifacts that could drift.
-This module provides the single source of truth that unifies them: a
-:class:`LazyOp` dataflow node.  Under :func:`lazy_mode`, tensor ops build
-``LazyOp`` nodes instead of calling NumPy immediately; the scheduler
-(:mod:`repro.tensor.schedule`) linearizes the graph, executes the NumPy
-kernels, and the trace lowerer (:mod:`repro.trace.lowerer`) maps the same
-schedule into :class:`~repro.trace.kernel_table.KernelTable` rows — so
-running an iteration *is* tracing it.
+Under :func:`lazy_mode`, tensor ops build :class:`LazyOp` dataflow nodes
+instead of calling NumPy immediately; the scheduler
+(:mod:`repro.tensor.schedule`) linearizes the graph and executes the NumPy
+kernels in one deterministic order.  Eager execution stays the golden
+oracle: losses, gradients and recorded op streams are bit-identical
+between the two modes.
 
 Design notes (tinygrad-shaped, NumPy-sized):
 
@@ -16,10 +13,9 @@ Design notes (tinygrad-shaped, NumPy-sized):
   construction time.  Sources are always constructed before consumers, so
   ``sorted(nodes, key=nid)`` is simultaneously a valid topological order
   and a deterministic one — the scheduler needs no explicit DFS ordering.
-* A node is either a **buffer** (``kind == "buffer"``: a realized array,
-  or an allocator thunk for data-free graphs that are lowered but never
-  executed) or an **op** (``compute`` maps source arrays to the output
-  array).  Only op nodes become schedule items and kernel rows.
+* A node is either a **buffer** (``kind == "buffer"``: a realized array)
+  or an **op** (``compute`` maps source arrays to the output array).
+  Only op nodes become schedule items.
 * ``owner`` is a weak reference to the :class:`~repro.tensor.tensor.Tensor`
   fronting the node.  Together with ``_pending`` (how many constructed
   consumers have not yet executed) it drives buffer reuse: once every
@@ -75,21 +71,19 @@ class LazyOp:
         srcs: source nodes, in operand order.
         shape: inferred output shape (known without executing).
         dtype: inferred output NumPy dtype.
-        compute: maps realized source arrays to the output array.  ``None``
-            for realized buffers; for data-free buffers it is the allocator
-            thunk invoked only if the graph is actually executed.
+        compute: maps realized source arrays to the output array
+            (``None`` for buffers).
         record_shapes: operand shapes reported to
             :mod:`repro.tensor.recording` when the node executes.
-        meta: lowering metadata (kernel attribution); opaque to execution.
         realized: the output array once executed (or ``None``).
     """
 
     __slots__ = ("nid", "kind", "srcs", "shape", "dtype", "compute",
-                 "record_shapes", "meta", "realized", "owner", "_pending",
+                 "record_shapes", "realized", "owner", "_pending",
                  "__weakref__")
 
     def __init__(self, kind: str, srcs: tuple["LazyOp", ...], shape, dtype,
-                 compute: Callable | None, *, record_shapes=None, meta=None):
+                 compute: Callable | None, *, record_shapes=None):
         self.nid = next(_NIDS)
         self.kind = kind
         self.srcs = srcs
@@ -97,7 +91,6 @@ class LazyOp:
         self.dtype = dtype
         self.compute = compute
         self.record_shapes = record_shapes
-        self.meta = meta
         self.realized = None
         self.owner = None
         self._pending = 0
@@ -122,20 +115,8 @@ class LazyOp:
                 f"shape={self.shape}, {state})")
 
 
-def buffer(array, *, meta=None) -> LazyOp:
+def buffer(array) -> LazyOp:
     """A realized leaf node wrapping ``array``."""
-    node = LazyOp(BUFFER, (), array.shape, array.dtype, None, meta=meta)
+    node = LazyOp(BUFFER, (), array.shape, array.dtype, None)
     node.realized = array
     return node
-
-
-def deferred_buffer(shape, dtype, allocate: Callable | None = None,
-                    *, meta=None) -> LazyOp:
-    """A leaf node whose storage is allocated only if execution needs it.
-
-    Data-free graphs (BERT Large built purely for lowering) use these so
-    that graph construction never touches gigabytes of parameter memory;
-    ``allocate`` runs lazily on first use during :func:`~repro.tensor.
-    schedule.realize`.
-    """
-    return LazyOp(BUFFER, (), shape, dtype, allocate, meta=meta)

@@ -2,10 +2,7 @@
 
 The scheduler turns a set of requested outputs into a deterministic list
 of realize-items (the *schedule*), executes their NumPy kernels in order,
-and recycles intermediate buffers whose every consumer has run.  The same
-schedule object is what :mod:`repro.trace.lowerer` maps 1:1 into
-:class:`~repro.trace.kernel_table.KernelTable` rows — execution and
-tracing share one linearization.
+and recycles intermediate buffers whose every consumer has run.
 
 Guarantees:
 
@@ -72,29 +69,20 @@ def linearize(roots) -> list[LazyOp]:
     return pending
 
 
-def validate_schedule(schedule: list[LazyOp], *,
-                      require_nid_order: bool = True) -> None:
+def validate_schedule(schedule: list[LazyOp]) -> None:
     """Raise :class:`ScheduleError` unless ``schedule`` is executable.
 
     Checks acyclicity / source-before-use (every source of an item is
     either realized, a buffer, or an earlier item), strictly increasing
-    deterministic order, and that no item appears twice or is already
-    realized (double-realize).
-
-    Args:
-        schedule: the realize-items, in execution order.
-        require_nid_order: schedules produced by :func:`linearize` are in
-            strictly increasing ``nid`` order; schedule *rewrites*
-            (checkpoint replays, fused chains) insert freshly-minted nodes
-            mid-stream, so they validate with this check off — the
-            source-before-use check still guarantees executability.
+    deterministic ``nid`` order (what :func:`linearize` produces), and
+    that no item appears twice or is already realized (double-realize).
     """
     position: dict[int, int] = {}
     last_nid = -1
     for index, node in enumerate(schedule):
         if node.nid in position:
             raise ScheduleError(f"node {node.nid} scheduled twice")
-        if require_nid_order and node.nid <= last_nid:
+        if node.nid <= last_nid:
             raise ScheduleError(
                 f"schedule order is not deterministic: nid {node.nid} "
                 f"after {last_nid}")
@@ -118,12 +106,8 @@ def validate_schedule(schedule: list[LazyOp], *,
 
 def _src_array(src: LazyOp):
     if src.realized is None:
-        if src.is_buffer and src.compute is not None:
-            # Deferred buffer: allocate on first (and only) use.
-            src.realized = src.compute()
-        else:
-            raise ScheduleError(
-                f"source {src.nid} ({src.kind}) executed out of order")
+        raise ScheduleError(
+            f"source {src.nid} ({src.kind}) executed out of order")
     return src.realized
 
 

@@ -23,6 +23,9 @@ from __future__ import annotations
 
 import functools
 import threading
+from typing import Sequence
+
+import numpy as np
 
 from repro.config import BertConfig, Precision, TrainingConfig
 from repro.obs import metrics, spans
@@ -563,8 +566,83 @@ def output_head_backward_kernels(model: BertConfig,
 
 
 # --------------------------------------------------------------------------
-# Full iteration
+# Iteration layout
 # --------------------------------------------------------------------------
+
+def pretraining_sections(model: BertConfig, training: TrainingConfig, *,
+                         slicing: int = 1,
+                         inventory: list | None = None) -> list[list[Kernel]]:
+    """The five template sections of one pre-training iteration.
+
+    Embedding FWD, one encoder layer FWD, output head FWD + BWD, one
+    encoder layer BWD, embedding BWD + optimizer.  ``training`` may also
+    be a :class:`~repro.grid.lanes.LaneTraining`, whose numeric fields
+    are per-point lanes.  ``slicing`` shards the encoder layers and
+    ``inventory`` (default: the whole model's) is what the optimizer
+    updates.
+    """
+    # Imported lazily: repro.optim.kernels needs the parameter inventory
+    # from this package, so a module-level import would be circular.
+    from repro.optim.kernels import optimizer_kernels
+
+    if inventory is None:
+        inventory = bert_parameter_inventory(model)
+    return [
+        embedding_forward_kernels(model, training),
+        transformer_layer_forward_kernels(model, training, slicing),
+        output_head_forward_kernels(model, training)
+        + output_head_backward_kernels(model, training),
+        transformer_layer_backward_kernels(model, training, slicing),
+        embedding_backward_kernels(model, training)
+        + optimizer_kernels(training.optimizer, inventory,
+                            precision=training.precision,
+                            fused=training.fuse_optimizer),
+    ]
+
+
+def iteration_layout(num_layers: int, sections: Sequence[Sequence[Kernel]]
+                     ) -> tuple[list[Kernel], np.ndarray, np.ndarray]:
+    """``(template, row ids, layer stamp)`` of one iteration's row order.
+
+    ``sections`` are the five template sections of
+    :func:`pretraining_sections` (any of them may be empty).  This is
+    the one place that knows the iteration order: embedding FWD, encoder
+    layers FWD (0..N-1), heads, encoder layers BWD (N-1..0), then the
+    tail.  Each encoder layer is enumerated once and repeated
+    ``num_layers`` times by row id; the layer stamp is ``-1`` outside
+    the encoder sections.
+    """
+    sizes = [len(section) for section in sections]
+    bounds = np.concatenate(([0], np.cumsum(sizes)))
+    emb_f, layer_f, heads, layer_b, tail = (
+        np.arange(bounds[i], bounds[i + 1]) for i in range(5))
+    ids = np.concatenate([
+        emb_f,
+        np.tile(layer_f, num_layers),
+        heads,
+        np.tile(layer_b, num_layers),
+        tail,
+    ])
+    layer = np.concatenate([
+        np.full(sizes[0], -1, dtype=np.int32),
+        np.repeat(np.arange(num_layers, dtype=np.int32), sizes[1]),
+        np.full(sizes[2], -1, dtype=np.int32),
+        np.repeat(np.arange(num_layers - 1, -1, -1, dtype=np.int32),
+                  sizes[3]),
+        np.full(sizes[4], -1, dtype=np.int32),
+    ])
+    template = [kernel for section in sections for kernel in section]
+    return template, ids, layer
+
+
+def layout_table(num_layers: int,
+                 sections: Sequence[Sequence[Kernel]]) -> KernelTable:
+    """One iteration's table: the template pooled once, then taken by
+    :func:`iteration_layout`'s row ids and stamped with its layers."""
+    template, ids, layer = iteration_layout(num_layers, sections)
+    return KernelTable.from_kernels(template).take(ids).with_columns(
+        layer=layer)
+
 
 def build_iteration_trace(model: BertConfig,
                           training: TrainingConfig) -> Trace:
@@ -572,40 +650,14 @@ def build_iteration_trace(model: BertConfig,
 
     Order: embedding FWD, encoder layers FWD (0..N-1), output head FWD +
     loss, output head BWD, encoder layers BWD (N-1..0), embedding BWD,
-    optimizer update.  Activation checkpointing, when enabled, is applied as
-    a trace transform by :mod:`repro.memoryplan.checkpointing`.
-
-    The encoder layers are all identical except for their layer attribution,
-    so layer 0 is enumerated once per direction and replicated across the
-    remaining layers columnarly (:meth:`KernelTable.tiled`) instead of
-    re-walking the model ``num_layers`` times in FWD and BWD.
+    optimizer update (:func:`layout_table`).  Activation checkpointing,
+    when enabled, is applied as a trace transform by
+    :mod:`repro.memoryplan.checkpointing`.
     """
-    # Imported lazily: repro.optim.kernels needs the parameter inventory
-    # from this package, so a module-level import would be circular.
-    from repro.optim.kernels import optimizer_kernels
-
     with spans.span("trace.build_iteration", model=model.name,
                     point=training.label):
-        layer_fwd = KernelTable.from_kernels(
-            transformer_layer_forward_kernels(model, training))
-        layer_bwd = KernelTable.from_kernels(
-            transformer_layer_backward_kernels(model, training))
-        inventory = bert_parameter_inventory(model)
-        table = KernelTable.concat([
-            KernelTable.from_kernels(
-                embedding_forward_kernels(model, training)),
-            layer_fwd.tiled(range(model.num_layers)),
-            KernelTable.from_kernels(
-                output_head_forward_kernels(model, training)
-                + output_head_backward_kernels(model, training)),
-            layer_bwd.tiled(range(model.num_layers - 1, -1, -1)),
-            KernelTable.from_kernels(
-                embedding_backward_kernels(model, training)
-                + optimizer_kernels(training.optimizer, inventory,
-                                    precision=training.precision,
-                                    fused=training.fuse_optimizer)),
-        ])
-
+        table = layout_table(model.num_layers,
+                             pretraining_sections(model, training))
         if training.activation_checkpointing:
             from repro.memoryplan.checkpointing import CheckpointingPass
             from repro.trace.passes import PassManager

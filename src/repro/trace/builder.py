@@ -48,22 +48,6 @@ class Trace:
         """A trace view over an existing (immutable) columnar table."""
         return cls(model, training, table)
 
-    @classmethod
-    def from_schedule(cls, model: BertConfig, training: TrainingConfig,
-                      schedule) -> "Trace":
-        """A trace lowered from a lazy tensor schedule.
-
-        ``schedule`` is an ordered list of :class:`~repro.tensor.lazy.
-        LazyOp` realize-items — either the analytic iteration graph
-        (:func:`repro.trace.lowerer.bert_iteration_graph`) or the
-        executed schedule of a model run under ``lazy_mode``.  Execution
-        and tracing share one linearization; see
-        :func:`repro.trace.lowerer.lower_schedule`.
-        """
-        from repro.trace.lowerer import lower_schedule
-
-        return cls.from_table(model, training, lower_schedule(schedule))
-
     # -------------------------------------------------------- representations
     @property
     def table(self) -> KernelTable:

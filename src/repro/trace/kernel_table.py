@@ -6,9 +6,10 @@ enumerate a per-kernel trace, time each kernel, aggregate breakdowns.  A
 (one per :class:`~repro.ops.base.Kernel` field) instead of a Python list of
 dataclass objects, so the three stages become array operations:
 
-* **generation** replicates an encoder-layer template across the remaining
-  identical layers with :meth:`KernelTable.tiled` (``np.tile`` + a stamped
-  layer-index column) instead of re-walking the model per layer;
+* **generation** pools one iteration template and replicates its encoder
+  layer across the remaining identical layers with :meth:`KernelTable.take`
+  (``repro.trace.bert_trace.layout_table``) instead of re-walking the model
+  per layer;
 * **timing** (:func:`repro.hw.timing.kernel_times`) batches the GEMM
   tile-efficiency and achieved-bandwidth models over whole columns;
 * **aggregation** (``select`` / ``time_of`` / breakdowns) becomes masked
@@ -23,7 +24,7 @@ table's pool, with ``-1`` meaning absent.  Cost fields (flops, bytes,
 element counts) are ``int64`` columns.
 
 Tables are **immutable**: every array is marked read-only at construction,
-and transforms (``tiled``, ``concat``, ``take``, ``select``, ``splice``,
+and transforms (``concat``, ``take``, ``select``, ``splice``,
 ``rewrite_rows``) return new tables.  The per-:class:`Kernel` view is
 materialized lazily and only for the rows a caller actually asks for.  This
 immutability is what lets :func:`repro.experiments.common.run_point` hand
@@ -219,36 +220,6 @@ class KernelTable:
             fusion_groups=tuple(fusion_pool),
             provenance=np.concatenate(prov_cols),
             provenance_names=tuple(prov_pool))
-
-    def tiled(self, layer_indices: Iterable[int]) -> "KernelTable":
-        """Replicate this table once per layer index, stamping attribution.
-
-        This is the layer-templating primitive: enumerate encoder layer 0
-        once, then stamp copies for the remaining identical layers.  Rows
-        whose layer index is already set keep it (mirroring the reference
-        walk in :mod:`repro.trace.reference`, which only stamps
-        unattributed kernels).
-        """
-        indices = np.asarray(list(layer_indices), dtype=np.int32)
-        reps = len(indices)
-        layer = np.tile(self.layer, reps)
-        stamp = np.repeat(indices, len(self))
-        layer = np.where(layer == -1, stamp, layer)
-
-        def t(attr: str) -> np.ndarray:
-            return np.tile(getattr(self, attr), reps)
-
-        return type(self)(
-            name_code=t("name_code"), names=self.names,
-            op_class=t("op_class"), phase=t("phase"),
-            component=t("component"), region=t("region"), dtype=t("dtype"),
-            access=t("access"), flops=t("flops"),
-            bytes_read=t("bytes_read"), bytes_written=t("bytes_written"),
-            n_elements=t("n_elements"), layer=layer,
-            gemm_code=t("gemm_code"), gemms=self.gemms,
-            fusion_code=t("fusion_code"), fusion_groups=self.fusion_groups,
-            provenance=t("provenance"),
-            provenance_names=self.provenance_names)
 
     def take(self, indices) -> "KernelTable":
         """A new table of the given rows (pools are shared, not re-deduped).

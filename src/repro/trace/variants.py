@@ -17,13 +17,10 @@ from repro.ops.base import Component, Kernel, Phase, Region
 from repro.ops.gemm import linear_layer_gemms
 from repro.ops.reduction import reduction, softmax_kernels
 from repro.trace.bert_trace import (_activation_dtype, _bias_grad_kernel,
-                                    _gemm_kernel, embedding_backward_kernels,
-                                    embedding_forward_kernels,
-                                    transformer_layer_backward_kernels,
+                                    _gemm_kernel, embedding_forward_kernels,
+                                    layout_table, pretraining_sections,
                                     transformer_layer_forward_kernels)
 from repro.trace.builder import Trace
-from repro.trace.kernel_table import KernelTable
-from repro.trace.parameters import bert_parameter_inventory
 
 
 def build_inference_trace(model: BertConfig,
@@ -47,14 +44,11 @@ def build_inference_trace(model: BertConfig,
                                 component=Component.OUTPUT,
                                 name_prefix="mlm.softmax"))
 
-    layer_fwd = KernelTable.from_kernels(_strip_dropout(
-        transformer_layer_forward_kernels(model, training)))
-    table = KernelTable.concat([
-        KernelTable.from_kernels(
-            _strip_dropout(embedding_forward_kernels(model, training))),
-        layer_fwd.tiled(range(model.num_layers)),
-        KernelTable.from_kernels(head),
-    ])
+    # Forward only: empty encoder-BWD and embedding-BWD/optimizer sections.
+    table = layout_table(model.num_layers, [
+        _strip_dropout(embedding_forward_kernels(model, training)),
+        _strip_dropout(transformer_layer_forward_kernels(model, training)),
+        head, [], []])
     return Trace.from_table(model, training, table)
 
 
@@ -120,26 +114,11 @@ def build_finetuning_trace(model: BertConfig, training: TrainingConfig,
     Same Transformer/embedding work and optimizer structure as
     pre-training; only the output head shrinks to the task classifier.
     """
-    from repro.optim.kernels import optimizer_kernels
-
-    layer_fwd = KernelTable.from_kernels(
-        transformer_layer_forward_kernels(model, training))
-    layer_bwd = KernelTable.from_kernels(
-        transformer_layer_backward_kernels(model, training))
-    table = KernelTable.concat([
-        KernelTable.from_kernels(embedding_forward_kernels(model, training)),
-        layer_fwd.tiled(range(model.num_layers)),
-        KernelTable.from_kernels(
-            finetuning_head_forward_kernels(model, training, num_labels)
-            + finetuning_head_backward_kernels(model, training, num_labels)),
-        layer_bwd.tiled(range(model.num_layers - 1, -1, -1)),
-        KernelTable.from_kernels(
-            embedding_backward_kernels(model, training)
-            + optimizer_kernels(training.optimizer,
-                                bert_parameter_inventory(model),
-                                precision=training.precision,
-                                fused=training.fuse_optimizer)),
-    ])
+    sections = pretraining_sections(model, training)
+    sections[2] = (  # the task head replaces the MLM + NSP heads
+        finetuning_head_forward_kernels(model, training, num_labels)
+        + finetuning_head_backward_kernels(model, training, num_labels))
+    table = layout_table(model.num_layers, sections)
     return Trace.from_table(model, training, table)
 
 

@@ -254,3 +254,48 @@ class TestCacheCommand:
         finally:
             cache_module.reset_cache()
             common.clear_memo()
+
+
+class TestTraceCommand:
+    POINT = "fig3.ph1-b32-fp32"
+
+    @staticmethod
+    def _summary(out: str) -> dict:
+        return dict(line.split(": ", 1) for line in out.splitlines())
+
+    @staticmethod
+    def _expected(trace) -> dict:
+        return {"kernels": f"{len(trace)} ({len(trace.gemms())} gemms)",
+                "total flops": f"{trace.total_flops:,}",
+                "total bytes": f"{trace.total_bytes:,}"}
+
+    def test_counts_match_iteration_trace(self, capsys):
+        from repro.experiments.points import resolve_point
+        from repro.trace.bert_trace import iteration_trace
+
+        assert main(["trace", self.POINT]) == 0
+        summary = self._summary(capsys.readouterr().out)
+        expected = self._expected(iteration_trace(*resolve_point(self.POINT)))
+        assert {key: summary[key] for key in expected} == expected
+
+    def test_passes_print_pass_manager_result(self, capsys):
+        from repro.experiments.points import resolve_point
+        from repro.trace.bert_trace import iteration_trace
+        from repro.trace.passes import build_pipeline
+
+        assert main(["trace", self.POINT, "--passes",
+                     "fuse_elementwise"]) == 0
+        summary = self._summary(capsys.readouterr().out)
+        fused = build_pipeline("fuse_elementwise").run(
+            iteration_trace(*resolve_point(self.POINT)))
+        expected = self._expected(fused)
+        assert {key: summary[key] for key in expected} == expected
+        assert "fuse_elementwise" in summary["source"]
+
+    def test_unknown_point_exits_2(self, capsys):
+        assert main(["trace", "fig3.nope"]) == 2
+        assert "unknown operating point" in capsys.readouterr().err
+
+    def test_unknown_pass_exits_2(self, capsys):
+        assert main(["trace", self.POINT, "--passes", "nope"]) == 2
+        assert "unknown pass 'nope'" in capsys.readouterr().err

@@ -1,126 +1,41 @@
-"""Golden tests for the lazy tensor graph and its trace lowering.
+"""Golden tests for the lazy tensor graph and its scheduler.
 
-Three contracts pin the lazy refactor:
+Two contracts pin lazy execution:
 
-* **Tracing.** The analytic iteration graph, lowered through the
-  scheduler, is *bit-identical* (list-equality of frozen kernel records)
-  to the layer-templated builder — on BERT Large and the tiny variants,
-  at FP32 and mixed precision, with and without activation
-  checkpointing, and for the schedule rewrites vs their columnar-pass
-  twins.
 * **Execution.** Eager mode is the golden oracle: losses and gradients
   realized through the lazy scheduler match it bit for bit, and both
   modes report the same op stream to the recorder.
-* **Scheduling.** Schedules are deterministic, acyclic, and never
-  double-realize; validation rejects the broken shapes.
+* **Scheduling.** The executed schedule of a BERT training step is
+  deterministic and acyclic and never double-realizes; validation rejects
+  the broken shapes.
 """
 
 import numpy as np
 import pytest
 
-from repro.config import BERT_LARGE, BERT_TINY, Precision, TrainingConfig, \
-    training_point
+from repro.config import BERT_TINY, TrainingConfig
 from repro.model import BertForPreTraining
 from repro.tensor import lazy_mode, recording, tensor
 from repro.tensor.schedule import (ScheduleError, execute, linearize,
                                    realize, validate_schedule)
-from repro.trace.bert_trace import build_iteration_trace
-from repro.trace.builder import Trace
-from repro.trace.lowerer import (bert_iteration_graph, checkpointing_rewrite,
-                                 fusion_rewrite, lower_schedule)
 
 
-def _builder_kernels(model, training):
-    return build_iteration_trace(model, training).table.to_kernels()
-
-
-def _graph_kernels(model, training, rewrites=()):
-    graph = bert_iteration_graph(model, training, rewrites=rewrites)
-    graph.validate()
-    return graph.lower().to_kernels()
-
-
-class TestLoweringBitIdentical:
-    """Lazily lowered kernel streams vs the layer-templated builder."""
-
-    @pytest.mark.parametrize("model,training", [
-        (BERT_LARGE, training_point(1, 32, Precision.FP32)),
-        (BERT_LARGE, training_point(1, 32, Precision.MIXED)),
-        (BERT_LARGE, training_point(2, 4, Precision.FP32,
-                                    activation_checkpointing=True)),
-        (BERT_TINY, training_point(1, 2, Precision.FP32)),
-        (BERT_TINY, training_point(1, 2, Precision.MIXED,
-                                   activation_checkpointing=True)),
-    ], ids=["large-fp32", "large-mixed", "large-ph2-ckpt", "tiny-fp32",
-            "tiny-mixed-ckpt"])
-    def test_bit_identical_stream(self, model, training):
-        assert _graph_kernels(model, training) == _builder_kernels(
-            model, training)
-
-    def test_trace_from_schedule(self):
-        model, training = BERT_TINY, training_point(1, 2, Precision.FP32)
-        graph = bert_iteration_graph(model, training)
-        trace = Trace.from_schedule(model, training, graph.schedule)
-        assert trace.table.to_kernels() == _builder_kernels(model, training)
-
-    def test_graph_trace_totals_match_builder(self):
-        model, training = BERT_LARGE, training_point(1, 32, Precision.FP32)
-        ref = build_iteration_trace(model, training)
-        got = Trace.from_table(model, training,
-                               bert_iteration_graph(model, training).lower())
-        assert got.total_flops == ref.total_flops
-        assert got.total_bytes == ref.total_bytes
-
-
-class TestScheduleRewrites:
-    """Graph-schedule rewrites vs their columnar-pass twins."""
-
-    def test_fusion_rewrite_matches_pass(self):
-        from repro.fusion.passes import ElementwiseChainFusionPass
-        from repro.trace.passes import PassManager
-
-        model, training = BERT_TINY, training_point(1, 2, Precision.FP32)
-        ref = PassManager([ElementwiseChainFusionPass()]).run_table(
-            build_iteration_trace(model, training).table,
-            model, training).to_kernels()
-        got = _graph_kernels(model, training,
-                             rewrites=("fuse_elementwise",))
-        assert got == ref
-
-    def test_checkpointing_rewrite_matches_pass(self):
-        # The builder applies CheckpointingPass when the training point
-        # sets the flag, so the flagged comparison covers the pass twin.
-        model = BERT_TINY
-        training = training_point(1, 2, Precision.FP32,
-                                  activation_checkpointing=True)
-        assert _graph_kernels(model, training) == _builder_kernels(
-            model, training)
-
-    def test_rewritten_schedule_still_validates(self):
-        model, training = BERT_TINY, training_point(1, 2, Precision.FP32)
-        graph = bert_iteration_graph(model, training)
-        rewritten = checkpointing_rewrite(graph.schedule)
-        validate_schedule(rewritten, require_nid_order=False)
-        fused = fusion_rewrite(bert_iteration_graph(model, training).schedule)
-        validate_schedule(fused, require_nid_order=False)
+def _tiny_batch():
+    training = TrainingConfig(batch_size=2, seq_len=8)
+    rng = np.random.default_rng(3)
+    tokens = rng.integers(4, BERT_TINY.vocab_size,
+                          size=(training.batch_size, training.seq_len))
+    labels = np.full_like(tokens, -100)
+    labels[:, 3] = 7
+    nsp = np.zeros(training.batch_size, dtype=int)
+    return tokens, labels, nsp
 
 
 class TestLazyVsEagerGradients:
     """Eager execution is the golden oracle for the lazy scheduler."""
 
-    @staticmethod
-    def _batch():
-        training = TrainingConfig(batch_size=2, seq_len=8)
-        rng = np.random.default_rng(3)
-        tokens = rng.integers(4, BERT_TINY.vocab_size,
-                              size=(training.batch_size, training.seq_len))
-        labels = np.full_like(tokens, -100)
-        labels[:, 3] = 7
-        nsp = np.zeros(training.batch_size, dtype=int)
-        return tokens, labels, nsp
-
     def test_loss_and_gradients_bit_identical_fp32(self):
-        tokens, labels, nsp = self._batch()
+        tokens, labels, nsp = _tiny_batch()
 
         eager = BertForPreTraining(BERT_TINY, seed=0, dropout_p=0.0)
         eager_loss = eager.loss(tokens, labels, nsp)
@@ -167,79 +82,66 @@ class TestScheduleValidation:
     """Acyclicity, determinism, and the no-double-realize guarantee."""
 
     @staticmethod
-    def _graph():
-        return bert_iteration_graph(BERT_TINY,
-                                    training_point(1, 2, Precision.FP32))
+    def _roots():
+        """Loss and gradient nodes of one lazy BERT-tiny training step."""
+        model = BertForPreTraining(BERT_TINY, seed=0, dropout_p=0.0)
+        with lazy_mode():
+            loss = model.loss(*_tiny_batch())
+            loss.backward()
+        grads = [param._grad for _, param in model.named_parameters()]
+        return [loss._lazy] + [g._lazy for g in grads if g is not None]
 
-    def test_analytic_graph_validates(self):
-        self._graph().validate()
+    def _schedule(self):
+        return linearize(self._roots())
+
+    def test_executed_schedule_validates(self):
+        validate_schedule(self._schedule())
 
     def test_linearize_is_deterministic(self):
-        graph = self._graph()
-        assert linearize(graph.roots) == graph.schedule
-        assert linearize(graph.roots) == linearize(graph.roots)
+        roots = self._roots()
+        schedule = linearize(roots)
+        assert linearize(roots) == schedule
+        # Two identical programs build identical schedules.
+        assert ([node.kind for node in self._schedule()]
+                == [node.kind for node in schedule])
 
     def test_shuffled_schedule_rejected(self):
-        graph = self._graph()
-        shuffled = list(graph.schedule)
+        shuffled = self._schedule()
         shuffled[10], shuffled[40] = shuffled[40], shuffled[10]
         with pytest.raises(ScheduleError):
             validate_schedule(shuffled)
 
     def test_duplicate_item_rejected(self):
-        graph = self._graph()
-        broken = list(graph.schedule) + [graph.schedule[-1]]
+        schedule = self._schedule()
+        broken = schedule + [schedule[-1]]
         with pytest.raises(ScheduleError, match="twice"):
             validate_schedule(broken)
 
     def test_missing_source_rejected(self):
-        graph = self._graph()
         # Drop an early item another item depends on.
-        broken = graph.schedule[1:]
+        broken = self._schedule()[1:]
         with pytest.raises(ScheduleError):
             validate_schedule(broken)
 
     def test_double_realize_raises(self):
-        graph = self._graph()
-        node = graph.schedule[0]
+        node = self._schedule()[0]
         execute(node)
         with pytest.raises(ScheduleError, match="double realize"):
             execute(node)
 
     def test_no_double_realize_across_full_run(self):
-        graph = self._graph()
-        report = realize(graph.roots, report=True)
-        assert len(report.executed) == len(graph.schedule)
+        roots = self._roots()
+        schedule = linearize(roots)
+        report = realize(roots, report=True)
+        assert report.executed == schedule
         assert report.freed > 0
         assert report.peak_live_bytes > 0
         # The terminal node stays realized (nothing consumed it) and is
         # never re-executed: linearize treats it as data, not work.
-        terminal = graph.schedule[-1]
+        terminal = schedule[-1]
         assert terminal.realized is not None
         again = realize([terminal], report=True)
         assert again.executed == []
-
-
-class TestExecutedStreamMatchesTrace:
-    """Executing the analytic graph *is* tracing it."""
-
-    def test_executed_kinds_match_builder_names(self):
-        model, training = BERT_TINY, training_point(1, 2, Precision.FP32)
-        graph = bert_iteration_graph(model, training)
-        report = realize(graph.roots, report=True)
-        executed = [node.kind for node in report.executed]
-        expected = [k.name for k in _builder_kernels(model, training)]
-        assert executed == expected
-
-    def test_rewritten_schedule_executes(self):
-        model = BERT_TINY
-        training = training_point(1, 2, Precision.FP32,
-                                  activation_checkpointing=True)
-        graph = bert_iteration_graph(model, training)
-        for node in graph.schedule:
-            execute(node)
-        lowered = lower_schedule(graph.schedule).to_kernels()
-        assert lowered == _builder_kernels(model, training)
 
 
 class TestRecordingSemantics:
