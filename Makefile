@@ -1,5 +1,5 @@
-# Convenience targets. Everything works offline (NumPy is the only
-# runtime dependency; pytest/pytest-benchmark/hypothesis/scipy for tests).
+# Convenience targets. Everything works offline (NumPy and SciPy are the
+# runtime dependencies; pytest/pytest-benchmark/hypothesis for tests).
 
 .PHONY: install test bench experiments examples lint verify all
 

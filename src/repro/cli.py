@@ -32,6 +32,8 @@ import sys
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    from repro.experiments.sweeps import GRID_MODELS, GRID_PRECISIONS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduction of 'Demystifying BERT: System Design "
@@ -93,8 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="sweep a (batch, seq-len, precision) grid through the "
              "batched grid engine")
     grid.add_argument("--model", default="bert-large",
-                      choices=("bert-tiny", "bert-base", "bert-large",
-                               "c1", "c2", "c3"),
+                      choices=tuple(GRID_MODELS),
                       help="architecture to sweep (default bert-large)")
     grid.add_argument("--batch-sizes", default="4,16,32", metavar="B,B,...",
                       help="comma-separated batch sizes (default 4,16,32)")
@@ -102,7 +103,8 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="comma-separated sequence lengths "
                            "(default 128,512)")
     grid.add_argument("--precisions", default="fp32", metavar="P,P,...",
-                      help="comma-separated from fp32,mixed (default fp32)")
+                      help=f"comma-separated from "
+                           f"{','.join(GRID_PRECISIONS)} (default fp32)")
     grid.add_argument("--csv", default=None, metavar="PATH",
                       help="also write the rows as CSV")
 
@@ -447,29 +449,20 @@ def _cmd_trace(point: str, passes_spec: str | None = None) -> int:
 
 def _cmd_grid(model_name: str, batch_sizes: str, seq_lens: str,
               precisions: str, csv_path: str | None) -> int:
-    from repro.config import (BERT_BASE, BERT_LARGE, BERT_TINY, C1, C2, C3,
-                              Precision)
-    from repro.experiments.sweeps import cross_product, grid_sweep, rows_to_csv
+    from repro.experiments.sweeps import (GRID_MODELS, cross_product,
+                                          grid_sweep, parse_grid_axes,
+                                          rows_to_csv)
     from repro.report.tables import format_percent, format_table
 
-    models = {"bert-tiny": BERT_TINY, "bert-base": BERT_BASE,
-              "bert-large": BERT_LARGE, "c1": C1, "c2": C2, "c3": C3}
-    precision_names = {"fp32": Precision.FP32, "mixed": Precision.MIXED}
     try:
-        batches = [int(b) for b in batch_sizes.split(",") if b]
-        lengths = [int(n) for n in seq_lens.split(",") if n]
-        precs = [precision_names[p.strip().lower()]
-                 for p in precisions.split(",") if p]
-    except (KeyError, ValueError):
-        print("bad grid axis; batch sizes and seq lens are integers, "
-              "precisions come from fp32,mixed", file=sys.stderr)
-        return 2
-    if not (batches and lengths and precs):
-        print("empty grid axis", file=sys.stderr)
+        axes = parse_grid_axes(*(
+            [value for value in axis.split(",") if value]
+            for axis in (batch_sizes, seq_lens, precisions)))
+    except ValueError as error:
+        print(f"bad grid axis: {error}", file=sys.stderr)
         return 2
 
-    rows = grid_sweep(models[model_name],
-                      cross_product(batches, lengths, precs))
+    rows = grid_sweep(GRID_MODELS[model_name], cross_product(*axes))
     table = []
     for row in rows:
         if "error" in row:

@@ -3,7 +3,8 @@
 Every experiment module returns dataclass rows; these helpers flatten them
 into CSV so results can be plotted or diffed outside the repository, and
 provide a generic grid sweep over (model, training) parameters for ad-hoc
-studies.
+studies.  The grid's model table and axis validation live here too, so
+``repro grid`` and ``POST /grid`` accept and reject the same input.
 """
 
 from __future__ import annotations
@@ -12,12 +13,26 @@ import csv
 import dataclasses
 import io
 import itertools
-from typing import Callable, Iterable
+from typing import Iterable
 
-from repro.config import BertConfig, TrainingConfig
+from repro.config import (BERT_BASE, BERT_LARGE, BERT_TINY, C1, C2, C3,
+                          BertConfig, Precision, TrainingConfig)
 from repro.experiments.common import run_point
 from repro.hw.device import DeviceModel
 from repro.profiler.breakdown import summarize
+
+#: Architectures a grid sweep can name (``repro grid --model``, ``POST
+#: /grid``'s ``model``).
+GRID_MODELS: dict[str, BertConfig] = {
+    "bert-tiny": BERT_TINY, "bert-base": BERT_BASE,
+    "bert-large": BERT_LARGE, "c1": C1, "c2": C2, "c3": C3,
+}
+
+#: Precision names a grid axis accepts; ``fp16`` is an alias of mixed.
+GRID_PRECISIONS: dict[str, Precision] = {
+    "fp32": Precision.FP32, "mixed": Precision.MIXED,
+    "fp16": Precision.MIXED,
+}
 
 
 def _flatten(value, prefix: str = "") -> dict[str, object]:
@@ -108,68 +123,36 @@ def _error_row(training: TrainingConfig, error: Exception
 
 def _sweep_row(model: BertConfig, training: TrainingConfig,
                device: DeviceModel | None) -> dict[str, object]:
-    """Summary dict of one sweep point (top-level so workers can pickle it)."""
+    """Summary dict of one sweep point, profiled on its own."""
     _, profile = run_point(model, training, device)
     return {**_point_columns(training), **summarize(profile)}
 
 
 def grid_sweep(model: BertConfig,
                trainings: Iterable[TrainingConfig],
-               device: DeviceModel | None = None,
-               metrics: Callable[[dict], dict] | None = None,
-               jobs: int = 1) -> list[dict[str, object]]:
+               device: DeviceModel | None = None) -> list[dict[str, object]]:
     """Profile every training point; return one summary dict per point.
 
-    In-process sweeps go through the batched grid engine
+    The sweep goes through the batched grid engine
     (:func:`repro.grid.engine.grid_summaries`): the whole grid is stamped
     into one KernelTable and priced in a single timing evaluation, with
-    one disk-cache entry per grid signature.  Worker-pool sweeps
-    (``jobs > 1``) keep the per-point :func:`run_point` path so workers
-    populate the shared per-point cache.
+    one disk-cache entry per grid signature.
 
-    A point that fails to profile no longer aborts the sweep: its row is
-    a structured error entry (``label``/``batch_size``/``seq_len``/
-    ``tokens`` plus an ``error`` column) and every other point's row
-    survives.  ``metrics`` is only applied to successful rows.
+    A point that fails to profile does not abort the sweep.  It poisons
+    the whole stamped grid, so the sweep falls back to profiling point by
+    point: the failing point's row is a structured error entry
+    (``label``/``batch_size``/``seq_len``/``tokens`` plus an ``error``
+    column) and every other point's row survives.  Rows come back in
+    ``trainings`` order.
 
     Args:
         model: architecture to sweep.
         trainings: training points.
         device: device model (default MI100-like).
-        metrics: optional post-processor mapping the summary dict to the
-            columns you want.
-        jobs: worker processes for large sweeps; 1 runs in-process.
-            Rows come back in ``trainings`` order either way.
-    """
-    trainings = list(trainings)
-    if jobs <= 1 or len(trainings) <= 1:
-        rows = _grid_rows(model, trainings, device)
-    else:
-        import concurrent.futures
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_sweep_row, model, training, device)
-                       for training in trainings]
-            rows = []
-            for training, future in zip(trainings, futures):
-                try:
-                    rows.append(future.result())
-                except Exception as error:
-                    rows.append(_error_row(training, error))
-    if metrics is None:
-        return rows
-    return [row if "error" in row else metrics(row) for row in rows]
-
-
-def _grid_rows(model: BertConfig, trainings: list[TrainingConfig],
-               device: DeviceModel | None) -> list[dict[str, object]]:
-    """In-process sweep rows via the grid engine, per-point on failure.
-
-    A bad point poisons the whole stamped grid, so when the batched path
-    raises the sweep degrades to the per-point loop — isolating the
-    failure to its own error row instead of losing the sweep.
     """
     from repro.grid.engine import grid_points, grid_summaries
 
+    trainings = list(trainings)
     if trainings:
         try:
             summaries = grid_summaries(grid_points(model, trainings), device)
@@ -185,6 +168,32 @@ def _grid_rows(model: BertConfig, trainings: list[TrainingConfig],
         except Exception as error:
             rows.append(_error_row(training, error))
     return rows
+
+
+def parse_grid_axes(batch_sizes: Iterable, seq_lens: Iterable,
+                    precisions: Iterable
+                    ) -> tuple[list[int], list[int], list[Precision]]:
+    """Validate the three axes of a grid sweep.
+
+    Batch sizes and sequence lengths must be positive integers and
+    precisions names from :data:`GRID_PRECISIONS`; no axis may be empty.
+
+    Raises:
+        ValueError: with a one-line message naming what is wrong.
+    """
+    try:
+        batches = [int(b) for b in batch_sizes]
+        lengths = [int(n) for n in seq_lens]
+        precs = [GRID_PRECISIONS[str(p).strip().lower()] for p in precisions]
+    except (KeyError, TypeError, ValueError):
+        raise ValueError("batch sizes and seq lens must be integers, "
+                         f"precisions from {','.join(GRID_PRECISIONS)}"
+                         ) from None
+    if not (batches and lengths and precs):
+        raise ValueError("empty grid axis")
+    if min(batches) <= 0 or min(lengths) <= 0:
+        raise ValueError("batch sizes and seq lens must be positive")
+    return batches, lengths, precs
 
 
 def cross_product(batch_sizes: Iterable[int], seq_lens: Iterable[int],

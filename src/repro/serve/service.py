@@ -25,8 +25,7 @@ from __future__ import annotations
 
 import json
 
-from repro.config import (BERT_BASE, BERT_LARGE, BERT_TINY, C1, C2, C3,
-                          BertConfig, Precision, TrainingConfig)
+from repro.config import BertConfig, TrainingConfig
 from repro.experiments.common import default_device, run_point
 from repro.experiments.points import POINT_REGISTRY
 from repro.faults import sites as fault_sites
@@ -35,15 +34,6 @@ from repro.hw.device import DeviceModel
 from repro.profiler.breakdown import (component_breakdown, region_breakdown,
                                       summarize, transformer_breakdown)
 from repro.runner.cache import get_cache
-
-#: Architectures addressable in a ``POST /grid`` spec (the CLI's set).
-GRID_MODELS: dict[str, BertConfig] = {
-    "bert-tiny": BERT_TINY, "bert-base": BERT_BASE,
-    "bert-large": BERT_LARGE, "c1": C1, "c2": C2, "c3": C3,
-}
-
-_PRECISIONS = {"fp32": Precision.FP32, "mixed": Precision.MIXED,
-               "fp16": Precision.MIXED}
 
 #: Upper bound on points per ``POST /grid`` — a single request must not
 #: stamp an unbounded KernelTable.
@@ -171,7 +161,8 @@ class ProfilingService:
     def parse_grid_spec(self, spec: dict
                         ) -> tuple[BertConfig, list[TrainingConfig]]:
         """Validate a ``POST /grid`` body; raises ``ValueError`` on junk."""
-        from repro.experiments.sweeps import cross_product
+        from repro.experiments.sweeps import (GRID_MODELS, cross_product,
+                                              parse_grid_axes)
 
         if not isinstance(spec, dict):
             raise ValueError("grid spec must be a JSON object")
@@ -184,18 +175,9 @@ class ProfilingService:
         if model_name not in GRID_MODELS:
             raise ValueError(f"unknown model {model_name!r}; valid: "
                              f"{', '.join(sorted(GRID_MODELS))}")
-        try:
-            batches = [int(b) for b in spec.get("batch_sizes", (32,))]
-            lengths = [int(n) for n in spec.get("seq_lens", (128,))]
-            precisions = [_PRECISIONS[str(p).lower()]
-                          for p in spec.get("precisions", ("fp32",))]
-        except (KeyError, TypeError, ValueError):
-            raise ValueError("batch_sizes/seq_lens must be integer lists, "
-                             "precisions from fp32,mixed") from None
-        if not (batches and lengths and precisions):
-            raise ValueError("empty grid axis")
-        if min(batches) <= 0 or min(lengths) <= 0:
-            raise ValueError("batch sizes and seq lens must be positive")
+        batches, lengths, precisions = parse_grid_axes(
+            spec.get("batch_sizes", (32,)), spec.get("seq_lens", (128,)),
+            spec.get("precisions", ("fp32",)))
         total = len(batches) * len(lengths) * len(precisions)
         if total > MAX_GRID_POINTS:
             raise ValueError(f"grid of {total} points exceeds the "

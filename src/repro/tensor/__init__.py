@@ -1,13 +1,12 @@
 """NumPy reverse-mode autograd tensor library (the executable substrate)."""
 
-from repro.tensor import functional, lazy, recording, schedule
-from repro.tensor.lazy import LazyOp, is_lazy, lazy_mode
+from repro.tensor import functional, recording
 from repro.tensor.module import (Dropout, Embedding, LayerNorm, Linear,
                                  Module, Parameter)
 from repro.tensor.tensor import Tensor, no_grad, ones, tensor, zeros
 
 __all__ = [
-    "Dropout", "Embedding", "LayerNorm", "LazyOp", "Linear", "Module",
-    "Parameter", "Tensor", "functional", "is_lazy", "lazy", "lazy_mode",
-    "no_grad", "ones", "recording", "schedule", "tensor", "zeros",
+    "Dropout", "Embedding", "LayerNorm", "Linear", "Module", "Parameter",
+    "Tensor", "functional", "no_grad", "ones", "recording", "tensor",
+    "zeros",
 ]

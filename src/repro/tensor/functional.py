@@ -3,8 +3,7 @@
 Softmax, LayerNorm, GeLU, dropout, embedding lookup and the losses BERT
 needs.  Where numerical stability matters (softmax, log-softmax) the ops
 are implemented as dedicated primitives rather than compositions.  Every
-primitive goes through :meth:`Tensor._op`, so the same code builds lazy
-graph nodes under :func:`repro.tensor.lazy.lazy_mode`.
+primitive goes through :meth:`Tensor._op`, so the op recorder sees it.
 """
 
 from __future__ import annotations
@@ -28,11 +27,8 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     def backward(grad: Tensor) -> None:
         if x.requires_grad:
             x._accumulate(Tensor._op(
-                "softmax_bwd", (grad, out), grad_compute, None,
-                shape=np.broadcast_shapes(grad.shape, out.shape),
-                dtype=np.result_type(grad.dtype, out.dtype)))
-    out = Tensor._op("softmax", (x,), compute, backward,
-                     shape=x.shape, dtype=x.dtype)
+                "softmax_bwd", (grad, out), grad_compute))
+    out = Tensor._op("softmax", (x,), compute, backward)
     return out
 
 
@@ -50,11 +46,8 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     def backward(grad: Tensor) -> None:
         if x.requires_grad:
             x._accumulate(Tensor._op(
-                "log_softmax_bwd", (grad, out), grad_compute, None,
-                shape=np.broadcast_shapes(grad.shape, out.shape),
-                dtype=np.result_type(grad.dtype, out.dtype)))
-    out = Tensor._op("log_softmax", (x,), compute, backward,
-                     shape=x.shape, dtype=x.dtype)
+                "log_softmax_bwd", (grad, out), grad_compute))
+    out = Tensor._op("log_softmax", (x,), compute, backward)
     return out
 
 
@@ -88,7 +81,6 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator,
 def embedding(table: Tensor, indices: np.ndarray) -> Tensor:
     """Row gather from an embedding table with scatter-add backward."""
     indices = np.asarray(indices)
-    table_shape = table.shape
 
     def grad_compute(g: np.ndarray, t: np.ndarray) -> np.ndarray:
         full = np.zeros_like(t)
@@ -98,13 +90,9 @@ def embedding(table: Tensor, indices: np.ndarray) -> Tensor:
     def backward(grad: Tensor) -> None:
         if table.requires_grad:
             table._accumulate(Tensor._op(
-                "scatter_add", (grad, table), grad_compute, None,
-                shape=table_shape, dtype=table.dtype))
-    return Tensor._op(
-        "gather", (table,), lambda t: t[indices], backward,
-        shape=tuple(indices.shape) + tuple(table_shape[1:]),
-        dtype=table.dtype,
-        record_shapes=(table_shape, tuple(indices.shape)))
+                "scatter_add", (grad, table), grad_compute))
+    return Tensor._op("gather", (table,), lambda t: t[indices], backward,
+                      record_shapes=(table.shape, indices.shape))
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray,

@@ -6,10 +6,10 @@ claim honest, the tensor engine reports every executed op here; tests run
 the real NumPy model under :func:`record` capture and compare the observed
 matmul shapes *and dtypes* against the analytic trace.
 
-Recording observes **execution**, not graph construction: the eager path
-records as each op computes, and the lazy path records from
-:func:`repro.tensor.schedule.execute` when the scheduler realizes a node —
-so a capture around ``loss.data`` sees the same stream either way.
+Every op records as it executes, from the one chokepoint
+:meth:`~repro.tensor.tensor.Tensor._op`; backward-pass ops (the two
+matmuls of each GEMM's gradient included) are tensor ops too, so a
+capture around ``loss.backward()`` sees them.
 
 Sinks are registered under integer tokens (monotonic, O(1) detach) so
 captures nest safely: detaching an outer capture while an inner one is

@@ -1,4 +1,4 @@
-"""A small reverse-mode autograd engine over NumPy, lazy-graph capable.
+"""A small reverse-mode autograd engine over NumPy.
 
 This is the executable substrate of the reproduction: enough of a tensor
 library to express and *train* BERT end-to-end (matmul and batched matmul,
@@ -7,21 +7,14 @@ checked against finite differences in the test suite.
 
 Design notes:
 
-* every op flows through one chokepoint, :meth:`Tensor._op`.  In the
-  default eager mode it executes the NumPy kernel immediately
-  (realize-on-construction — the golden oracle); under
-  :func:`repro.tensor.lazy.lazy_mode` it appends a
-  :class:`~repro.tensor.lazy.LazyOp` node instead, and the scheduler
-  (:mod:`repro.tensor.schedule`) executes the graph on demand when
-  ``.data`` is read.  Both paths run the *same* ``compute`` closures, so
-  results are bit-identical;
+* every op flows through one chokepoint, :meth:`Tensor._op`, which runs
+  the NumPy kernel immediately and reports it to the op recorder;
 * every differentiable op appends a node to an implicit tape via parent
   links; :meth:`Tensor.backward` runs a topological sweep.  The vector-
-  Jacobian products are themselves expressed as tensor ops, so in lazy
-  mode ``backward()`` extends the graph (a lazy backward pass) instead of
-  forcing realization;
+  Jacobian products are themselves expressed as tensor ops, so backward
+  kernels (the two matmuls of every GEMM's gradient) are recorded too;
 * broadcasting is handled by summing gradients over broadcast axes
-  (:func:`_unbroadcast`);
+  (:meth:`Tensor._accumulate`);
 * an optional op recorder (:mod:`repro.tensor.recording`) observes every
   executed op so tests can cross-validate the analytic kernel trace
   against the shapes and dtypes the model actually executes.
@@ -31,12 +24,11 @@ from __future__ import annotations
 
 import contextvars
 from contextlib import contextmanager
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
-from repro.tensor import lazy, recording
-from repro.tensor.lazy import LazyOp
+from repro.tensor import recording
 
 _GRAD_ENABLED: contextvars.ContextVar[bool] = contextvars.ContextVar(
     "repro_tensor_grad", default=True)
@@ -52,20 +44,6 @@ def no_grad():
         _GRAD_ENABLED.reset(token)
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Reduce ``grad`` back to ``shape`` by summing broadcast axes."""
-    if grad.shape == shape:
-        return grad
-    # Sum leading axes added by broadcasting.
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    # Sum axes that were size-1 in the original shape.
-    for axis, dim in enumerate(shape):
-        if dim == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad
-
-
 def _as_array(value, dtype=None) -> np.ndarray:
     array = np.asarray(value)
     if dtype is not None:
@@ -75,71 +53,33 @@ def _as_array(value, dtype=None) -> np.ndarray:
     return array
 
 
-def _reduced_shape(shape: tuple[int, ...], axis, keepdims: bool):
-    """Output shape of a sum/mean/max over ``axis``."""
-    if axis is None:
-        return tuple(1 for _ in shape) if keepdims else ()
-    axes = (axis,) if isinstance(axis, int) else tuple(axis)
-    axes = tuple(a % len(shape) for a in axes)
-    if keepdims:
-        return tuple(1 if i in axes else d for i, d in enumerate(shape))
-    return tuple(d for i, d in enumerate(shape) if i not in axes)
-
-
-def _matmul_shape(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Output shape of ``np.matmul`` on operands shaped ``a`` and ``b``."""
-    if len(a) == 1 and len(b) == 1:
-        return ()
-    if len(a) == 1:
-        return tuple(np.broadcast_shapes(a[:0], b[:-2])) + (b[-1],)
-    if len(b) == 1:
-        return tuple(np.broadcast_shapes(a[:-2], b[1:][:0])) + (a[-2],)
-    batch = np.broadcast_shapes(a[:-2], b[:-2])
-    return tuple(batch) + (a[-2], b[-1])
-
-
-def _reshape_shape(size: int, shape: tuple[int, ...]) -> tuple[int, ...]:
-    """Resolve a ``-1`` placeholder against the total element count."""
-    if -1 not in shape:
-        return tuple(shape)
-    known = 1
-    for dim in shape:
-        if dim != -1:
-            known *= dim
-    return tuple(size // max(1, known) if dim == -1 else dim
-                 for dim in shape)
-
-
 class Tensor:
-    """A NumPy array with reverse-mode autograd and an optional lazy graph.
+    """A NumPy array with reverse-mode autograd.
 
     Attributes:
-        data: the underlying :class:`numpy.ndarray` (reading it realizes
-            any pending lazy graph).
+        data: the underlying :class:`numpy.ndarray`.
         requires_grad: whether gradients flow to this tensor.
         grad: accumulated gradient after :meth:`backward`, or ``None``.
         name: optional label for debugging and parameter registration.
     """
 
-    __slots__ = ("_data", "_lazy", "requires_grad", "_grad", "name",
-                 "_backward_fn", "_parents", "__weakref__")
+    __slots__ = ("data", "requires_grad", "_grad", "name",
+                 "_backward_fn", "_parents")
 
     def __init__(self, data, *, requires_grad: bool = False,
                  name: str | None = None, dtype=None):
-        self._data = _as_array(data, dtype)
-        self._lazy: LazyOp | None = None
+        self.data = _as_array(data, dtype)
         self.requires_grad = bool(requires_grad)
         self._grad: Tensor | None = None
         self.name = name
         self._backward_fn: Callable[["Tensor"], None] | None = None
         self._parents: tuple[Tensor, ...] = ()
 
-    # ---------------------------------------------------------- construction
     @classmethod
-    def _blank(cls) -> "Tensor":
+    def _wrap(cls, array: np.ndarray) -> "Tensor":
+        """Front an already-computed array (no cast, no copy)."""
         out = object.__new__(cls)
-        out._data = None
-        out._lazy = None
+        out.data = array
         out.requires_grad = False
         out._grad = None
         out.name = None
@@ -147,47 +87,7 @@ class Tensor:
         out._parents = ()
         return out
 
-    @classmethod
-    def _wrap(cls, array: np.ndarray) -> "Tensor":
-        """Front an already-computed array (no cast, no copy)."""
-        out = cls._blank()
-        out._data = array
-        return out
-
-    @classmethod
-    def _from_node(cls, node: LazyOp) -> "Tensor":
-        """Front an unrealized graph node."""
-        out = cls._blank()
-        out._lazy = node
-        node.set_owner(out)
-        return out
-
     # ------------------------------------------------------------ properties
-    @property
-    def data(self) -> np.ndarray:
-        if self._data is None:
-            from repro.tensor import schedule
-            schedule.realize_tensors(self)
-        return self._data
-
-    @data.setter
-    def data(self, value) -> None:
-        # Assignments (optimizer updates, load_state_dict) replace the
-        # buffer; drop the stale graph node so future ops re-wrap it.
-        self._data = value
-        self._lazy = None
-
-    def _set_realized(self, array: np.ndarray) -> None:
-        """Scheduler callback: attach the executed output array."""
-        self._data = array
-
-    def _node(self) -> LazyOp:
-        """This tensor as a graph node (wrapping realized data if needed)."""
-        if self._lazy is None:
-            self._lazy = lazy.buffer(self._data)
-            self._lazy.set_owner(self)
-        return self._lazy
-
     @property
     def grad(self) -> np.ndarray | None:
         return None if self._grad is None else self._grad.data
@@ -203,93 +103,60 @@ class Tensor:
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return self._data.shape if self._data is not None else self._lazy.shape
+        return self.data.shape
 
     @property
     def ndim(self) -> int:
-        return len(self.shape)
+        return self.data.ndim
 
     @property
     def size(self) -> int:
-        return int(np.prod(self.shape, dtype=np.int64)) if self.shape else 1
+        return self.data.size
 
     @property
     def dtype(self):
-        return (self._data.dtype if self._data is not None
-                else np.dtype(self._lazy.dtype))
-
-    @property
-    def is_realized(self) -> bool:
-        """Whether the value is computed (always true on the eager path)."""
-        return self._data is not None
+        return self.data.dtype
 
     def __repr__(self) -> str:
         grad_flag = ", requires_grad=True" if self.requires_grad else ""
         label = f", name={self.name!r}" if self.name else ""
-        state = "" if self.is_realized else ", lazy"
-        return f"Tensor(shape={self.shape}{grad_flag}{label}{state})"
+        return f"Tensor(shape={self.shape}{grad_flag}{label})"
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0]) if self.size == 1 else float(self.data)
 
     def numpy(self) -> np.ndarray:
-        """The underlying array (not a copy; realizes if lazy)."""
+        """The underlying array (not a copy)."""
         return self.data
 
     def detach(self) -> "Tensor":
-        """A tensor sharing data but cut from the graph (realizes)."""
+        """A tensor sharing data but cut from the graph."""
         return Tensor(self.data, requires_grad=False, name=self.name)
-
-    def realize(self) -> "Tensor":
-        """Force execution of any pending graph behind this tensor."""
-        if self._data is None:
-            from repro.tensor import schedule
-            schedule.realize_tensors(self)
-        return self
 
     # --------------------------------------------------------- graph plumbing
     @staticmethod
     def _op(kind: str, parents: tuple["Tensor", ...], compute: Callable,
             backward_fn: Callable[["Tensor"], None] | None = None, *,
-            shape, dtype, record_shapes=None) -> "Tensor":
+            record_shapes=None) -> "Tensor":
         """The single chokepoint every tensor op flows through.
 
-        Eager mode runs ``compute`` now and records the executed op; lazy
-        mode appends a graph node carrying the same ``compute`` for the
-        scheduler.  ``shape``/``dtype`` are the inferred output metadata
-        (authoritative in lazy mode; eager mode uses the actual array).
+        Runs ``compute`` on the parents' arrays, reports the executed op
+        to the recorder (operand shapes default to the parents' shapes;
+        ``record_shapes`` overrides them) and links the output into the
+        autograd tape when any parent requires grad.
         """
-        if lazy.is_lazy():
-            node = LazyOp(kind, tuple(p._node() for p in parents),
-                          shape, np.dtype(dtype), compute,
-                          record_shapes=record_shapes)
-            out = Tensor._from_node(node)
-        else:
-            arrays = [p._data if p._data is not None else p.data
-                      for p in parents]
-            out_data = compute(*arrays)
-            shapes = (record_shapes if record_shapes is not None
-                      else tuple(a.shape for a in arrays))
-            recording.record(kind, *shapes, dtype=out_data.dtype,
-                             out_shape=out_data.shape)
-            out = Tensor._wrap(out_data)
+        arrays = [p.data for p in parents]
+        out_data = compute(*arrays)
+        shapes = (record_shapes if record_shapes is not None
+                  else tuple(a.shape for a in arrays))
+        recording.record(kind, *shapes, dtype=out_data.dtype,
+                         out_shape=out_data.shape)
+        out = Tensor._wrap(out_data)
         if (backward_fn is not None and _GRAD_ENABLED.get()
                 and any(p.requires_grad for p in parents)):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._backward_fn = backward_fn
-        return out
-
-    @staticmethod
-    def _make(data: np.ndarray, parents: Iterable["Tensor"],
-              backward_fn: Callable[[np.ndarray], None]) -> "Tensor":
-        """Eager-compat shim for old-style ops (ndarray-valued vjp)."""
-        parents = tuple(parents)
-        out = Tensor(data)
-        if _GRAD_ENABLED.get() and any(p.requires_grad for p in parents):
-            out.requires_grad = True
-            out._parents = parents
-            out._backward_fn = lambda grad: backward_fn(grad.data)
         return out
 
     def _cast_grad(self) -> "Tensor":
@@ -299,7 +166,7 @@ class Tensor:
                 self._accumulate(grad)
         return Tensor._op("cast", (self,),
                           lambda a: a.astype(np.float64, copy=False),
-                          backward, shape=self.shape, dtype=np.float64)
+                          backward)
 
     def _accumulate(self, grad) -> None:
         if not isinstance(grad, Tensor):
@@ -319,11 +186,7 @@ class Tensor:
             self._grad = self._grad + grad
 
     def backward(self, grad=None) -> None:
-        """Backpropagate from this tensor.
-
-        In lazy mode this *builds* the backward graph — gradients realize
-        on first ``.grad`` access.  Eagerly it computes them immediately,
-        numerically identical either way.
+        """Backpropagate from this tensor, computing gradients immediately.
 
         Args:
             grad: upstream gradient; defaults to ones (and must be provided
@@ -380,10 +243,7 @@ class Tensor:
                 self._accumulate(grad)
             if other.requires_grad:
                 other._accumulate(grad)
-        return Tensor._op(
-            "add", (self, other), lambda a, b: a + b, backward,
-            shape=np.broadcast_shapes(self.shape, other.shape),
-            dtype=np.result_type(self.dtype, other.dtype))
+        return Tensor._op("add", (self, other), lambda a, b: a + b, backward)
 
     __radd__ = __add__
 
@@ -391,8 +251,7 @@ class Tensor:
         def backward(grad: "Tensor") -> None:
             if self.requires_grad:
                 self._accumulate(-grad)
-        return Tensor._op("neg", (self,), lambda a: -a, backward,
-                          shape=self.shape, dtype=self.dtype)
+        return Tensor._op("neg", (self,), lambda a: -a, backward)
 
     def __sub__(self, other) -> "Tensor":
         return self + (-self._coerce(other))
@@ -408,10 +267,7 @@ class Tensor:
                 self._accumulate(grad * other)
             if other.requires_grad:
                 other._accumulate(grad * self)
-        return Tensor._op(
-            "mul", (self, other), lambda a, b: a * b, backward,
-            shape=np.broadcast_shapes(self.shape, other.shape),
-            dtype=np.result_type(self.dtype, other.dtype))
+        return Tensor._op("mul", (self, other), lambda a, b: a * b, backward)
 
     __rmul__ = __mul__
 
@@ -423,10 +279,7 @@ class Tensor:
                 self._accumulate(grad / other)
             if other.requires_grad:
                 other._accumulate(-grad * self / (other ** 2))
-        return Tensor._op(
-            "div", (self, other), lambda a, b: a / b, backward,
-            shape=np.broadcast_shapes(self.shape, other.shape),
-            dtype=np.result_type(self.dtype, other.dtype))
+        return Tensor._op("div", (self, other), lambda a, b: a / b, backward)
 
     def __rtruediv__(self, other) -> "Tensor":
         return self._coerce(other) / self
@@ -438,10 +291,7 @@ class Tensor:
         def backward(grad: "Tensor") -> None:
             if self.requires_grad:
                 self._accumulate(grad * exponent * self ** (exponent - 1))
-        return Tensor._op(
-            "pow", (self,), lambda a: a ** exponent, backward,
-            shape=self.shape, dtype=np.result_type(self.dtype, exponent),
-            record_shapes=(self.shape,))
+        return Tensor._op("pow", (self,), lambda a: a ** exponent, backward)
 
     # ---------------------------------------------------------- matmul & co.
     def matmul(self, other: "Tensor") -> "Tensor":
@@ -452,25 +302,12 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(Tensor._op(
                     "matmul_bwd_a", (grad, other),
-                    lambda g, o: np.matmul(g, np.swapaxes(o, -1, -2)),
-                    None,
-                    shape=_matmul_shape(grad.shape,
-                                        other.shape[:-2] + (other.shape[-1],
-                                                            other.shape[-2])),
-                    dtype=np.result_type(grad.dtype, other.dtype)))
+                    lambda g, o: np.matmul(g, np.swapaxes(o, -1, -2))))
             if other.requires_grad:
                 other._accumulate(Tensor._op(
                     "matmul_bwd_b", (self, grad),
-                    lambda s, g: np.matmul(np.swapaxes(s, -1, -2), g),
-                    None,
-                    shape=_matmul_shape(self.shape[:-2] + (self.shape[-1],
-                                                           self.shape[-2]),
-                                        grad.shape),
-                    dtype=np.result_type(self.dtype, grad.dtype)))
-        return Tensor._op(
-            "matmul", (self, other), np.matmul, backward,
-            shape=_matmul_shape(self.shape, other.shape),
-            dtype=np.result_type(self.dtype, other.dtype))
+                    lambda s, g: np.matmul(np.swapaxes(s, -1, -2), g)))
+        return Tensor._op("matmul", (self, other), np.matmul, backward)
 
     __matmul__ = matmul
 
@@ -479,31 +316,27 @@ class Tensor:
         def backward(grad: "Tensor") -> None:
             if self.requires_grad:
                 self._accumulate(grad * out)
-        out = Tensor._op("exp", (self,), np.exp, backward,
-                         shape=self.shape, dtype=self.dtype)
+        out = Tensor._op("exp", (self,), np.exp, backward)
         return out
 
     def log(self) -> "Tensor":
         def backward(grad: "Tensor") -> None:
             if self.requires_grad:
                 self._accumulate(grad / self)
-        return Tensor._op("log", (self,), np.log, backward,
-                          shape=self.shape, dtype=self.dtype)
+        return Tensor._op("log", (self,), np.log, backward)
 
     def sqrt(self) -> "Tensor":
         def backward(grad: "Tensor") -> None:
             if self.requires_grad:
                 self._accumulate(grad * 0.5 / out)
-        out = Tensor._op("sqrt", (self,), np.sqrt, backward,
-                         shape=self.shape, dtype=self.dtype)
+        out = Tensor._op("sqrt", (self,), np.sqrt, backward)
         return out
 
     def tanh(self) -> "Tensor":
         def backward(grad: "Tensor") -> None:
             if self.requires_grad:
                 self._accumulate(grad * (1.0 - out ** 2))
-        out = Tensor._op("tanh", (self,), np.tanh, backward,
-                         shape=self.shape, dtype=self.dtype)
+        out = Tensor._op("tanh", (self,), np.tanh, backward)
         return out
 
     def erf(self) -> "Tensor":
@@ -513,15 +346,11 @@ class Tensor:
             if self.requires_grad:
                 pdf = 2.0 / np.sqrt(np.pi) * (-(self ** 2)).exp()
                 self._accumulate(grad * pdf)
-        return Tensor._op("erf", (self,), _erf, backward, shape=self.shape,
-                          dtype=np.result_type(self.dtype, np.float32))
+        return Tensor._op("erf", (self,), _erf, backward)
 
     # ------------------------------------------------------------- reductions
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         shape = self.shape
-
-        def compute(a: np.ndarray) -> np.ndarray:
-            return a.sum(axis=axis, keepdims=keepdims)
 
         def expand(g: np.ndarray) -> np.ndarray:
             g = _as_array(g)
@@ -530,16 +359,11 @@ class Tensor:
             return np.broadcast_to(g, shape)
 
         def backward(grad: "Tensor") -> None:
-            if not self.requires_grad:
-                return
-            grad_dtype = (grad.dtype if grad.dtype in (np.float32, np.float64)
-                          else np.dtype(np.float64))
-            self._accumulate(Tensor._op(
-                "sum_bwd", (grad,), expand, None,
-                shape=shape, dtype=grad_dtype))
-        return Tensor._op("sum", (self,), compute, backward,
-                          shape=_reduced_shape(shape, axis, keepdims),
-                          dtype=self.dtype)
+            if self.requires_grad:
+                self._accumulate(Tensor._op("sum_bwd", (grad,), expand))
+        return Tensor._op("sum", (self,),
+                          lambda a: a.sum(axis=axis, keepdims=keepdims),
+                          backward)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         shape = self.shape
@@ -549,11 +373,6 @@ class Tensor:
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
     def max(self, axis: int, keepdims: bool = False) -> "Tensor":
-        shape = self.shape
-
-        def compute(a: np.ndarray) -> np.ndarray:
-            return a.max(axis=axis, keepdims=keepdims)
-
         def grad_compute(g: np.ndarray, a: np.ndarray,
                          o: np.ndarray) -> np.ndarray:
             g = _as_array(g)
@@ -566,14 +385,12 @@ class Tensor:
             return mask * g
 
         def backward(grad: "Tensor") -> None:
-            if not self.requires_grad:
-                return
-            self._accumulate(Tensor._op(
-                "max_bwd", (grad, self, out), grad_compute, None,
-                shape=shape, dtype=np.float64))
-        out = Tensor._op("max", (self,), compute, backward,
-                         shape=_reduced_shape(shape, axis, keepdims),
-                         dtype=self.dtype)
+            if self.requires_grad:
+                self._accumulate(Tensor._op(
+                    "max_bwd", (grad, self, out), grad_compute))
+        out = Tensor._op("max", (self,),
+                         lambda a: a.max(axis=axis, keepdims=keepdims),
+                         backward)
         return out
 
     # -------------------------------------------------------------- shape ops
@@ -584,26 +401,19 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(grad.reshape(*in_shape))
         return Tensor._op("reshape", (self,),
-                          lambda a: a.reshape(shape), backward,
-                          shape=_reshape_shape(self.size, shape),
-                          dtype=self.dtype)
+                          lambda a: a.reshape(shape), backward)
 
     def transpose(self, *axes: int) -> "Tensor":
         axes = axes or tuple(reversed(range(self.ndim)))
         inverse = np.argsort(axes)
-        in_shape = self.shape
 
         def backward(grad: "Tensor") -> None:
             if self.requires_grad:
                 self._accumulate(grad.transpose(*inverse))
         return Tensor._op("transpose", (self,),
-                          lambda a: a.transpose(axes), backward,
-                          shape=tuple(in_shape[a] for a in axes),
-                          dtype=self.dtype)
+                          lambda a: a.transpose(axes), backward)
 
     def __getitem__(self, index) -> "Tensor":
-        shape = self.shape
-
         def grad_compute(g: np.ndarray, a: np.ndarray) -> np.ndarray:
             full = np.zeros_like(a)
             np.add.at(full, index, g)
@@ -612,14 +422,8 @@ class Tensor:
         def backward(grad: "Tensor") -> None:
             if self.requires_grad:
                 self._accumulate(Tensor._op(
-                    "getitem_bwd", (grad, self), grad_compute, None,
-                    shape=shape, dtype=self.dtype))
-        # Infer the output shape without materializing anything big: index
-        # a zero-stride broadcast view and look at the result's shape.
-        stub = np.broadcast_to(np.zeros(1, dtype=np.bool_), shape)[index]
-        return Tensor._op("getitem", (self,), lambda a: a[index], backward,
-                          shape=stub.shape, dtype=self.dtype,
-                          record_shapes=(shape,))
+                    "getitem_bwd", (grad, self), grad_compute))
+        return Tensor._op("getitem", (self,), lambda a: a[index], backward)
 
 
 def tensor(data, *, requires_grad: bool = False, dtype=None,

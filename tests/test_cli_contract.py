@@ -230,6 +230,14 @@ class TestGridCommand:
         assert main(["grid", "--precisions", "fp13"]) == 2
         assert "bad grid axis" in capsys.readouterr().err
 
+    def test_grid_rejects_nonpositive_batch_in_one_line(self, capsys):
+        assert main(["grid", "--batch-sizes", "0", "--seq-lens", "128"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "must be positive" in captured.err
+        assert "Traceback" not in captured.err
+
 
 class TestCacheCommand:
     def test_info_and_clear(self, tmp_path, monkeypatch, capsys):

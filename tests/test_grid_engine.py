@@ -182,25 +182,6 @@ def test_grid_sweep_isolates_failing_point_in_process():
         assert survivor["total_time_s"] > 0
 
 
-def test_grid_sweep_isolates_failing_point_across_workers():
-    points = [TINY_GRID[0], _bad_point(), TINY_GRID[1], TINY_GRID[2]]
-    rows = sweeps.grid_sweep(BERT_TINY, points, jobs=2)
-    assert len(rows) == 4
-    assert "error" in rows[1]
-    assert "ValueError" in rows[1]["error"]
-    for index in (0, 2, 3):
-        assert "error" not in rows[index]
-        assert rows[index]["label"] == points[index].label
-
-
-def test_grid_sweep_metrics_skip_error_rows():
-    points = [TINY_GRID[0], _bad_point()]
-    rows = sweeps.grid_sweep(BERT_TINY, points, mi100(),
-                             metrics=lambda row: {"t": row["total_time_s"]})
-    assert set(rows[0]) == {"t"}
-    assert "error" in rows[1]  # untouched by the metrics projection
-
-
 # ------------------------------------------------------------- CSV bug fixes
 def test_flatten_expands_tuples_into_indexed_columns():
     flat = sweeps._flatten({"shape": (3, 5), "name": "x",
