@@ -67,7 +67,7 @@ OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_pass_pipeline.json"
 
 
 def _run_legacy(base, transform) -> tuple[float, int]:
-    trace = Trace.from_table(base.model, base.training, base.table)
+    trace = Trace(base.model, base.training, base.table)
     t0 = time.perf_counter()
     trace.kernels  # materialize: what list transforms cost in this repo
     out = transform(trace)  # re-columnarizes: the stack consumes tables
@@ -76,7 +76,7 @@ def _run_legacy(base, transform) -> tuple[float, int]:
 
 
 def _run_columnar(base, manager: PassManager) -> tuple[float, int]:
-    trace = Trace.from_table(base.model, base.training, base.table)
+    trace = Trace(base.model, base.training, base.table)
     t0 = time.perf_counter()
     out = manager.run(trace)
     out.table

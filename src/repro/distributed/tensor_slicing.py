@@ -70,7 +70,7 @@ def build_sliced_iteration_trace(model: BertConfig, training: TrainingConfig,
             model, training, slicing=ways,
             inventory=sliced_parameter_inventory(model, ways)))
         spans.annotate(kernels=len(table))
-    return Trace.from_table(model, training, table)
+    return Trace(model, training, table)
 
 
 def tensor_slicing_communication(model: BertConfig, training: TrainingConfig,

@@ -1,22 +1,13 @@
-"""Per-figure/table experiment modules and the registry."""
+"""Per-figure/table experiment modules and the registry.
 
-from repro.experiments import (energy_study, fig3, fig4, fig6, fig7, fig8,
-                               fig9, fig11, fig12, fused_attention_study,
-                               nmc_study, optimized_stack, packing_study,
-                               pipeline_study, robustness, scaling_trends,
-                               sec4, sec7_modes, sweeps, takeaways,
-                               transfer_study, windowed_study, zero_study)
-
-__all__ = ["energy_study", "fig3", "fig4", "fig6", "fig7", "fig8", "fig9",
-           "fig11", "fig12", "fused_attention_study", "nmc_study",
-           "optimized_stack", "packing_study", "pipeline_study",
-           "robustness", "scaling_trends", "sec4", "sec7_modes", "sweeps",
-           "takeaways", "transfer_study", "windowed_study", "zero_study"]
+Modules load on first import (``from repro.experiments import fig3``), so
+one module, or the grid tables of :mod:`repro.experiments.sweeps`, does
+not pay for the rest.
+"""
 
 
 def __getattr__(name):
-    # registry imports every experiment module; load it lazily so
-    # `from repro.experiments import fig3` does not pay for the rest.
+    # The registry imports every experiment module; load it on first use.
     if name in ("REGISTRY", "Experiment", "run_experiment", "run_all"):
         from repro.experiments import registry
         return getattr(registry, name)

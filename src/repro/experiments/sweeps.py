@@ -17,9 +17,7 @@ from typing import Iterable
 
 from repro.config import (BERT_BASE, BERT_LARGE, BERT_TINY, C1, C2, C3,
                           BertConfig, Precision, TrainingConfig)
-from repro.experiments.common import run_point
 from repro.hw.device import DeviceModel
-from repro.profiler.breakdown import summarize
 
 #: Architectures a grid sweep can name (``repro grid --model``, ``POST
 #: /grid``'s ``model``).
@@ -124,6 +122,10 @@ def _error_row(training: TrainingConfig, error: Exception
 def _sweep_row(model: BertConfig, training: TrainingConfig,
                device: DeviceModel | None) -> dict[str, object]:
     """Summary dict of one sweep point, profiled on its own."""
+    # Lazy: the CLI parser imports this module for the grid tables.
+    from repro.experiments.common import run_point
+    from repro.profiler.breakdown import summarize
+
     _, profile = run_point(model, training, device)
     return {**_point_columns(training), **summarize(profile)}
 

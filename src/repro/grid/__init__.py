@@ -3,11 +3,11 @@
 Stamps a whole sweep grid — many ``(model, B, n, dtype)`` operating
 points — into **one** stacked :class:`~repro.trace.kernel_table.
 KernelTable` with a per-row point index, and prices the entire grid with
-a single :func:`repro.hw.timing.kernel_times` call, so one ``np.unique``
-over (shape, dtype) pairs evaluates every point's GEMMs in one batched
-tile/wave-model pass.  Per-point results are bit-exact against the
-:func:`repro.experiments.common.run_point` loop (the golden oracle the
-test suite pins them to).
+a single :func:`repro.hw.timing.kernel_times` call.  A point is a grid of
+one: families go through the builder's own assembler and per-point pass
+pipeline (:func:`repro.trace.bert_trace.layout_table`,
+:func:`repro.trace.passes.point_pipeline`), so per-point results are
+bit-exact against the :func:`repro.experiments.common.run_point` loop.
 
 Layering: this package sits with :mod:`repro.trace` / :mod:`repro.hw`,
 below :mod:`repro.experiments` — the sweep/figure modules call into it.

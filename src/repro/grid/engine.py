@@ -1,11 +1,12 @@
 """Grid traces: whole sweep grids profiled as one stacked KernelTable.
 
 :func:`build_grid_trace` groups points into stamp families
-(:func:`~repro.grid.lanes.family_key`), stamps each family's template once
-with lane-vectorized emitters, applies any per-point trace rewrites
-(activation checkpointing, user pass pipelines) on the point's own row
-slice, and concatenates everything into one table with per-point row
-ranges.  :func:`profile_grid` then prices the whole grid with a **single**
+(:func:`~repro.grid.lanes.family_key`), lays each family out once through
+the builder's own :func:`~repro.trace.bert_trace.layout_table` over
+lane-vectorized emitters, runs each point's
+:func:`~repro.trace.passes.point_pipeline` on its own row slice, and
+concatenates everything into one table with per-point row ranges.
+:func:`profile_grid` then prices the whole grid with a **single**
 :func:`~repro.hw.timing.kernel_times` call — one ``np.unique`` over
 (GEMM shape, dtype) pairs covers every point — and hands back per-point
 :class:`~repro.profiler.profiler.Profile` views that are bit-exact
@@ -19,21 +20,21 @@ grid_key`), per-point breakdown rows positionally aligned with the input.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from repro.config import BertConfig, TrainingConfig
-from repro.grid.lanes import family_key
-from repro.grid.stamp import stamp_family
+from repro.grid.lanes import LaneTraining, family_key
 from repro.hw.device import DeviceModel, mi100
 from repro.hw.timing import kernel_times
 from repro.obs import metrics, spans
 from repro.profiler.profiler import Profile
 from repro.runner.cache import POINT_KERNELS, POINT_RESOLUTIONS, get_cache
+from repro.trace.bert_trace import layout_table, pretraining_sections
 from repro.trace.builder import Trace
 from repro.trace.kernel_table import KernelTable
-from repro.trace.passes import PassManager
+from repro.trace.passes import PassManager, point_pipeline
 
 _GRIDS = metrics.counter(
     "grid_engine.grids", "whole grids profiled through the batched engine")
@@ -96,41 +97,22 @@ class GridTrace:
     def point_table(self, index: int) -> KernelTable:
         """One point's rows as a pool-sharing KernelTable view."""
         start, stop = self.point_rows(index)
-        return self.table.slice_rows(start, stop)
+        return self.table.take(slice(start, stop))
 
     def point_trace(self, index: int) -> Trace:
         """One point's rows wrapped as a regular columnar Trace."""
         point = self.points[index]
-        return Trace.from_table(point.model, point.training,
-                                self.point_table(index))
-
-
-def _transform_point(table: KernelTable, model: BertConfig,
-                     training: TrainingConfig,
-                     passes: PassManager | None) -> KernelTable:
-    """Apply the rewrites run_point's build path would, on one point's rows.
-
-    Trace passes see one iteration at a time — running them on the stacked
-    table would let window/pairing logic leak across point boundaries.
-    """
-    if training.activation_checkpointing:
-        # Lazy: repro.memoryplan imports repro.trace at module scope.
-        from repro.memoryplan.checkpointing import CheckpointingPass
-        table = PassManager((CheckpointingPass(),)).run_table(
-            table, model, training)
-    if passes is not None and passes.passes:
-        table = passes.run_table(table, model, training)
-    return table
+        return Trace(point.model, point.training, self.point_table(index))
 
 
 def build_grid_trace(points: Iterable, *,
                      passes: PassManager | None = None) -> GridTrace:
     """Stamp a whole grid into one stacked KernelTable.
 
-    Points are grouped by :func:`family_key`; each family is stamped once
-    via lane-vectorized emitters regardless of how many points it holds.
-    Row ranges come back in *input* order even though stamping proceeds
-    family by family.
+    Each family is laid out once, however many points it holds.  Passes
+    see one point's rows at a time, so window and pairing logic cannot
+    leak across point boundaries.  Row ranges come back in *input* order
+    even though stamping proceeds family by family.
     """
     points = _normalize(points)
     with spans.span("grid.build", points=len(points)):
@@ -147,33 +129,28 @@ def build_grid_trace(points: Iterable, *,
             model = key[0]
             with spans.span("grid.stamp", model=model.name,
                             points=len(trainings)):
-                table, rows_per_point = stamp_family(model, trainings)
+                table = layout_table(model.num_layers, pretraining_sections(
+                    model, LaneTraining(trainings)))
                 spans.annotate(kernels=len(table))
-            needs_rewrite = (trainings[0].activation_checkpointing
-                             or (passes is not None and passes.passes))
-            if needs_rewrite:
-                for j, (index, training) in enumerate(zip(indices,
-                                                          trainings)):
-                    sub = _transform_point(
-                        table.slice_rows(j * rows_per_point,
-                                         (j + 1) * rows_per_point),
-                        model, training, passes)
-                    pieces.append(sub)
-                    layout.append((index, len(sub)))
-            else:
+            rows_per_point = len(table) // len(trainings)
+            # A family shares its checkpointing flag, hence its pipeline.
+            pipeline = point_pipeline(trainings[0], passes)
+            if not pipeline.passes:
                 pieces.append(table)
                 layout.extend((index, rows_per_point) for index in indices)
+                continue
+            for j, (index, training) in enumerate(zip(indices, trainings)):
+                rows = slice(j * rows_per_point, (j + 1) * rows_per_point)
+                sub = pipeline.run_table(table.take(rows), model, training)
+                pieces.append(sub)
+                layout.append((index, len(sub)))
 
         stacked = pieces[0] if len(pieces) == 1 else KernelTable.concat(pieces)
-        starts = np.empty(len(points), dtype=np.int64)
-        stops = np.empty(len(points), dtype=np.int64)
-        point_index = np.empty(len(stacked), dtype=np.int32)
-        offset = 0
-        for index, count in layout:
-            starts[index] = offset
-            stops[index] = offset + count
-            point_index[offset:offset + count] = index
-            offset += count
+        order, counts = (np.array(column) for column in zip(*layout))
+        ends = np.cumsum(counts)
+        starts, stops = np.empty((2, len(points)), dtype=np.int64)
+        starts[order], stops[order] = ends - counts, ends
+        point_index = np.repeat(order.astype(np.int32), counts)
         spans.annotate(kernels=len(stacked), families=len(families))
     return GridTrace(points, stacked, point_index, starts, stops)
 
@@ -212,10 +189,6 @@ class GridProfile:
         start, stop = self.trace.point_rows(index)
         return float(np.sum(self.times[start:stop]))
 
-    def totals(self) -> np.ndarray:
-        """Per-point iteration times, input order."""
-        return np.array([self.point_total(i) for i in range(len(self))])
-
 
 def profile_grid(points: Iterable, device: DeviceModel | None = None, *,
                  passes: PassManager | None = None) -> GridProfile:
@@ -234,8 +207,7 @@ def profile_grid(points: Iterable, device: DeviceModel | None = None, *,
 
 
 def grid_summaries(points: Iterable, device: DeviceModel | None = None, *,
-                   passes: PassManager | None = None,
-                   use_cache: bool = True) -> list[dict]:
+                   passes: PassManager | None = None) -> list[dict]:
     """Per-point breakdown rows for a whole grid, disk-cached as one entry.
 
     Rows are :func:`repro.profiler.breakdown.summarize` dicts,
@@ -253,18 +225,14 @@ def grid_summaries(points: Iterable, device: DeviceModel | None = None, *,
     cache = get_cache()
     key = cache.grid_key(((p.model, p.training) for p in points), device,
                          pipeline=pipeline)
-    if use_cache:
-        payload = cache.get_payload(key)
-        if payload is not None:
-            POINT_RESOLUTIONS.inc(len(payload["kernels"]), result="hit")
-            POINT_KERNELS.inc(sum(payload["kernels"]))
-            return [dict(row) for row in payload["rows"]]
+    payload = cache.get_payload(key)
+    if payload is not None:
+        POINT_RESOLUTIONS.inc(len(payload["kernels"]), result="hit")
+        POINT_KERNELS.inc(sum(payload["kernels"]))
+        return [dict(row) for row in payload["rows"]]
 
     profile = profile_grid(points, device, passes=passes)
     rows = [summarize(profile.point_profile(i)) for i in range(len(points))]
-    if use_cache:
-        kernels = [stop - start for start, stop in
-                   zip(profile.trace.starts.tolist(),
-                       profile.trace.stops.tolist())]
-        cache.put_payload(key, {"rows": rows, "kernels": kernels})
+    kernels = (profile.trace.stops - profile.trace.starts).tolist()
+    cache.put_payload(key, {"rows": rows, "kernels": kernels})
     return [dict(row) for row in rows]

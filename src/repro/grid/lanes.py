@@ -48,9 +48,9 @@ def family_key(model: BertConfig, training: TrainingConfig) -> tuple:
 class LaneTraining:
     """Duck-typed :class:`TrainingConfig` whose sizes are lane arrays.
 
-    Structural fields (precision, optimizer, fusing, checkpointing) come
-    from the first point — the caller guarantees all points share them
-    (one :func:`family_key` family).  Size fields are ``(P,)`` ``int64``
+    Structural fields (precision, optimizer, fusing) come from the first
+    point — the caller guarantees all points share them (one
+    :func:`family_key` family).  Size fields are ``(P,)`` ``int64``
     arrays, one lane per point, in the order given.
     """
 
@@ -67,10 +67,6 @@ class LaneTraining:
         self.precision = first.precision
         self.optimizer = first.optimizer
         self.fuse_optimizer = first.fuse_optimizer
-        self.activation_checkpointing = first.activation_checkpointing
-
-    def __len__(self) -> int:
-        return len(self.batch_size)
 
     @property
     def tokens_per_iteration(self) -> np.ndarray:
@@ -88,8 +84,3 @@ class LaneTraining:
         tokens = self.tokens_per_iteration
         rounded = np.rint(tokens * self.masked_fraction).astype(np.int64)
         return np.maximum(1, rounded)
-
-    @property
-    def label(self) -> str:
-        """Synthetic label; emitters never read it, spans may."""
-        return f"lanes[{len(self)}]"

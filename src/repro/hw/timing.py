@@ -19,9 +19,9 @@ GEMM tile-efficiency and achieved-bandwidth models over a whole columnar
 times per ``(shape, dtype, device)`` since a trace contains only a few
 dozen distinct shapes.  Both :func:`trace_time` and
 :func:`repro.profiler.profiler.profile_trace` are thin wrappers over it,
-so the two can no longer drift apart.  The scalar :func:`kernel_time`
-remains for single-kernel queries and as the reference implementation the
-golden equivalence test checks the batched path against.
+so the two can no longer drift apart.  No production path prices one
+kernel at a time: the scalar :func:`kernel_time` is kept only as the
+reference the golden equivalence tests check the batched path against.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ from typing import Iterable
 import numpy as np
 
 from repro.hw.device import DeviceModel
-from repro.hw.gemm_model import batch_gemm_times, gemm_time
+from repro.hw.gemm_model import (batch_gemm_times, batch_shape_efficiency,
+                                 gemm_time)
 from repro.obs import metrics, spans
 from repro.ops.base import DType, Kernel, OpClass
 from repro.trace.kernel_table import ACCESS_PATTERNS, DTYPES, KernelTable
@@ -115,8 +116,8 @@ def _gemm_rows_times(table: KernelTable, rows: np.ndarray,
 
     Pure GEMMs (kernel flops match the shape's) are memoized per
     ``(shape, dtype, device)`` and evaluated through the batched tile/wave
-    model; fused GEMM records (flops beyond the anchor shape) fall back to
-    the scalar path row by row.
+    model; fused GEMM records (flops beyond the anchor shape) take their
+    efficiency from the anchor shape and their costs from their own row.
     """
     memo = _device_gemm_memo(device)
     missing_shape = rows[table.gemm_code[rows] < 0]
@@ -126,8 +127,21 @@ def _gemm_rows_times(table: KernelTable, rows: np.ndarray,
 
     shape_flops = np.array([s.flops for s in table.gemms], dtype=np.int64)
     pure = table.flops[rows] == shape_flops[table.gemm_code[rows]]
-    for row in rows[~pure]:
-        out[row] = kernel_time(table.kernel(int(row)), device)
+    fused = rows[~pure]
+    if len(fused):
+        # kernel_time's fused branch, vectorized in the same order.
+        peak = np.array([device.gemm_engine(DTYPES[code]).effective_peak
+                         for code in table.dtype[fused].tolist()])
+        efficiency = batch_shape_efficiency(
+            [table.gemms[code] for code in table.gemm_code[fused].tolist()],
+            device)
+        compute_s = table.flops[fused] / (peak * efficiency)
+        bytes_total = table.bytes_read[fused] + table.bytes_written[fused]
+        ceiling = device.gemm_mem_efficiency * device.peak_bandwidth
+        ramp = bytes_total / (bytes_total + device.bw_saturation_bytes)
+        memory_s = bytes_total / (ceiling * np.maximum(ramp, 1e-9))
+        out[fused] = (np.maximum(compute_s, memory_s)
+                      + device.kernel_launch_overhead_s)
 
     pure_rows = rows[pure]
     if not len(pure_rows):

@@ -39,6 +39,7 @@ from repro.ops.reduction import layernorm_kernels, reduction, softmax_kernels
 from repro.trace.builder import Trace
 from repro.trace.kernel_table import KernelTable
 from repro.trace.parameters import bert_parameter_inventory
+from repro.trace.passes import point_pipeline
 
 
 def _activation_dtype(training: TrainingConfig) -> DType:
@@ -637,11 +638,15 @@ def iteration_layout(num_layers: int, sections: Sequence[Sequence[Kernel]]
 
 def layout_table(num_layers: int,
                  sections: Sequence[Sequence[Kernel]]) -> KernelTable:
-    """One iteration's table: the template pooled once, then taken by
-    :func:`iteration_layout`'s row ids and stamped with its layers."""
+    """The one assembler of iteration tables, for one point or P lanes:
+    the template pooled once (P point-major copies for lane-valued
+    sections), each copy taken by :func:`iteration_layout`'s row ids and
+    stamped with its layers."""
     template, ids, layer = iteration_layout(num_layers, sections)
-    return KernelTable.from_kernels(template).take(ids).with_columns(
-        layer=layer)
+    table = KernelTable.from_kernels(template)
+    points = len(table) // len(template)
+    rows = (np.arange(points)[:, None] * len(template) + ids).ravel()
+    return table.take(rows).with_columns(layer=np.tile(layer, points))
 
 
 def build_iteration_trace(model: BertConfig,
@@ -651,19 +656,15 @@ def build_iteration_trace(model: BertConfig,
     Order: embedding FWD, encoder layers FWD (0..N-1), output head FWD +
     loss, output head BWD, encoder layers BWD (N-1..0), embedding BWD,
     optimizer update (:func:`layout_table`).  Activation checkpointing,
-    when enabled, is applied as a trace transform by
-    :mod:`repro.memoryplan.checkpointing`.
+    when enabled, is applied as a trace transform by the point's
+    :func:`~repro.trace.passes.point_pipeline`.
     """
     with spans.span("trace.build_iteration", model=model.name,
                     point=training.label):
         table = layout_table(model.num_layers,
                              pretraining_sections(model, training))
-        if training.activation_checkpointing:
-            from repro.memoryplan.checkpointing import CheckpointingPass
-            from repro.trace.passes import PassManager
-            table = PassManager((CheckpointingPass(),)).run_table(
-                table, model, training)
-        trace = Trace.from_table(model, training, table)
+        table = point_pipeline(training).run_table(table, model, training)
+        trace = Trace(model, training, table)
         spans.annotate(kernels=len(trace))
     return trace
 

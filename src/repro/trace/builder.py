@@ -42,12 +42,6 @@ class Trace:
         self._kernels: tuple[Kernel, ...] | None = None
         self._totals: tuple[int, int] | None = None
 
-    @classmethod
-    def from_table(cls, model: BertConfig, training: TrainingConfig,
-                   table: KernelTable) -> "Trace":
-        """A trace view over an existing (immutable) columnar table."""
-        return cls(model, training, table)
-
     # -------------------------------------------------------- representations
     @property
     def table(self) -> KernelTable:

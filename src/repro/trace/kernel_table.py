@@ -9,7 +9,7 @@ dataclass objects, so the three stages become array operations:
 * **generation** pools one iteration template and replicates its encoder
   layer across the remaining identical layers with :meth:`KernelTable.take`
   (``repro.trace.bert_trace.layout_table``) instead of re-walking the model
-  per layer;
+  per layer, once for all the points of a lane-valued grid family;
 * **timing** (:func:`repro.hw.timing.kernel_times`) batches the GEMM
   tile-efficiency and achieved-bandwidth models over whole columns;
 * **aggregation** (``select`` / ``time_of`` / breakdowns) becomes masked
@@ -41,12 +41,14 @@ golden tests comparing against the legacy list transforms stay bit-exact.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from repro.ops.base import (AccessPattern, Component, DType, Kernel, OpClass,
                             Phase, Region)
+from repro.ops.gemm import GemmShape
 
 # ---------------------------------------------------------------------------
 # Enum code tables.  Codes are positions in these tuples; they are stable
@@ -94,6 +96,13 @@ def code_of(member) -> int:
         if isinstance(member, enum_type):
             return codes[member]
     raise TypeError(f"no code table for {type(member).__name__}")
+
+
+#: Per-row columns whose values never vary by lane, and the cost columns
+#: that may (see :meth:`KernelTable.from_kernels`).
+_STATIC_COLUMNS = ("name_code", "op_class", "phase", "component", "region",
+                   "dtype", "access", "layer", "fusion_code")
+_COST_COLUMNS = ("flops", "bytes_read", "bytes_written", "n_elements")
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -157,14 +166,17 @@ class KernelTable:
     # ------------------------------------------------------------ construction
     @classmethod
     def from_kernels(cls, kernels: Iterable[Kernel]) -> "KernelTable":
-        """Build a table from a kernel sequence (pooling repeated values)."""
+        """Build a table from a kernel sequence (pooling repeated values).
+
+        Cost fields and GEMM dimensions may be ``(P,)`` lane arrays, one
+        lane per grid point (a :class:`~repro.grid.lanes.LaneTraining`
+        emitter walk).  The table then stacks the sequence once per lane,
+        point-major, with GEMM shapes pooled by value across all lanes.
+        """
         kernels = list(kernels)
         name_pool: dict[str, int] = {}
-        gemm_pool: dict[object, int] = {}
         fusion_pool: dict[str, int] = {}
-        columns = {key: [] for key in cls.__slots__
-                   if key not in ("names", "gemms", "fusion_groups",
-                                  "provenance", "provenance_names")}
+        columns = {key: [] for key in _STATIC_COLUMNS + _COST_COLUMNS}
         for k in kernels:
             columns["name_code"].append(
                 name_pool.setdefault(k.name, len(name_pool)))
@@ -180,14 +192,34 @@ class KernelTable:
             columns["n_elements"].append(k.n_elements)
             columns["layer"].append(
                 -1 if k.layer_index is None else k.layer_index)
-            columns["gemm_code"].append(
-                -1 if k.gemm is None
-                else gemm_pool.setdefault(k.gemm, len(gemm_pool)))
             columns["fusion_code"].append(
                 -1 if k.fusion_group is None
                 else fusion_pool.setdefault(k.fusion_group, len(fusion_pool)))
-        return cls(names=tuple(name_pool), gemms=tuple(gemm_pool),
-                   fusion_groups=tuple(fusion_pool), **columns)
+        shapes = [k.gemm for k in kernels]
+        lanes = max((len(value) for key in _COST_COLUMNS
+                     for value in columns[key]
+                     if isinstance(value, np.ndarray)), default=0)
+        if lanes:
+            # Point p owns rows [p * len(kernels), (p + 1) * len(kernels)).
+            # Codes tile as int32, not int64: the copies grow with P.
+            for key in _STATIC_COLUMNS:
+                columns[key] = np.tile(np.array(columns[key], np.int32),
+                                       lanes)
+            for key in _COST_COLUMNS:
+                matrix = np.empty((len(kernels), lanes), dtype=np.int64)
+                for row, value in enumerate(columns[key]):
+                    matrix[row] = value  # scalars broadcast across lanes
+                columns[key] = matrix.T.ravel()
+            gemm_code, gemms = _pool_lane_gemms(shapes, lanes)
+        else:
+            gemm_pool: dict[object, int] = {}
+            gemm_code = [-1 if shape is None
+                         else gemm_pool.setdefault(shape, len(gemm_pool))
+                         for shape in shapes]
+            gemms = tuple(gemm_pool)
+        return cls(names=tuple(name_pool), gemms=gemms,
+                   fusion_groups=tuple(fusion_pool), gemm_code=gemm_code,
+                   **columns)
 
     @classmethod
     def concat(cls, tables: Sequence["KernelTable"]) -> "KernelTable":
@@ -225,7 +257,7 @@ class KernelTable:
         """A new table of the given rows (pools are shared, not re-deduped).
 
         ``indices`` may be an integer index array, a boolean mask, or a
-        slice.
+        slice (its arrays are views, so a row range costs O(1)).
         """
         def g(attr: str) -> np.ndarray:
             return getattr(self, attr)[indices]
@@ -261,13 +293,6 @@ class KernelTable:
         """A new table of the rows where ``mask`` is True (order kept)."""
         return self.take(mask)
 
-    def slice_rows(self, start: int, stop: int) -> "KernelTable":
-        """A new table over the contiguous row range ``[start, stop)``.
-
-        Arrays are sliced as views, so this is O(1) in row count.
-        """
-        return self.take(slice(start, stop))
-
     def splice(self, positions, segments: Sequence["KernelTable"], *,
                replace: bool = False) -> "KernelTable":
         """Insert each segment immediately before the matching row.
@@ -288,10 +313,10 @@ class KernelTable:
                 raise ValueError(
                     "splice positions must be strictly increasing row "
                     f"indices, got {positions}")
-            pieces.append(self.slice_rows(previous, position))
+            pieces.append(self.take(slice(previous, position)))
             pieces.append(segment)
             previous = position + 1 if replace else position
-        pieces.append(self.slice_rows(previous, len(self)))
+        pieces.append(self.take(slice(previous, len(self))))
         return type(self).concat(pieces)
 
     def rewrite_rows(self, rows, *, provenance: str | None = None,
@@ -457,6 +482,33 @@ class KernelTable:
             if isinstance(value, np.ndarray):
                 value = _frozen(value)
             setattr(self, slot, value)
+
+
+def _pool_lane_gemms(shapes: list, lanes: int
+                     ) -> tuple[np.ndarray, tuple[GemmShape, ...]]:
+    """Point-major GEMM codes and the pool of every lane's distinct shape.
+
+    Pooled records are rebuilt from Python ints, so they hash and compare
+    equal to scalar-built shapes.
+    """
+    rows = [row for row, shape in enumerate(shapes) if shape is not None]
+    codes = np.full((len(shapes), lanes), -1, dtype=np.int32)
+    fields = [field.name for field in dataclasses.fields(GemmShape)]
+    dims = np.empty((len(rows), lanes, len(fields)), dtype=np.int64)
+    for j, row in enumerate(rows):
+        for column, name in enumerate(fields):
+            dims[j, :, column] = getattr(shapes[row], name)
+    # np.unique(axis=0)'s row order, without its slow structured sort.
+    flat = dims.reshape(-1, len(fields))
+    order = np.lexsort(flat.T[::-1])
+    ordered = flat[order]
+    first = np.ones(len(flat), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    codes[rows] = (np.cumsum(first) - 1)[np.argsort(order)].reshape(
+        len(rows), lanes)
+    pool = tuple(GemmShape(m, n, k, batch, bool(ta), bool(tb), bool(acc))
+                 for m, n, k, batch, ta, tb, acc in ordered[first].tolist())
+    return codes.T.ravel(), pool
 
 
 def _remap(codes: np.ndarray, pool: tuple, merged: dict) -> np.ndarray:

@@ -147,10 +147,24 @@ class PassManager:
     def run(self, trace: Trace) -> Trace:
         """Apply the pipeline to a trace, returning a new trace view."""
         table = self.run_table(trace.table, trace.model, trace.training)
-        return Trace.from_table(trace.model, trace.training, table)
+        return Trace(trace.model, trace.training, table)
 
     def __repr__(self) -> str:
         return f"PassManager([{self.signature}])"
+
+
+def point_pipeline(training: TrainingConfig,
+                   passes: PassManager | None = None) -> PassManager:
+    """One point's rewrites: checkpointing if ``training`` enables it,
+    then ``passes``.  The builder and the grid engine both run this."""
+    # Lazy: repro.memoryplan imports repro.trace at module scope.
+    from repro.memoryplan.checkpointing import CheckpointingPass
+
+    rewrites = ((CheckpointingPass(),) if training.activation_checkpointing
+                else ())
+    if passes is None:
+        return PassManager(rewrites)
+    return PassManager(rewrites + passes.passes, debug=passes.debug)
 
 
 def _validate_after(table: KernelTable, model: BertConfig,
@@ -158,7 +172,7 @@ def _validate_after(table: KernelTable, model: BertConfig,
     """Structural invariant check pinned to the pass that just ran."""
     from repro.trace.validate import validate_trace
 
-    report = validate_trace(Trace.from_table(model, training, table),
+    report = validate_trace(Trace(model, training, table),
                             training_iteration=False)
     if not report.ok:
         raise ValueError(

@@ -2,15 +2,19 @@
 
 A defensive checker for generated traces: structural properties every
 well-formed training-iteration trace must satisfy.  Used by the test suite
-and available to users who build custom traces.
+and available to users who build custom traces.  The checks read the
+trace's table columns; only rows that fail one become kernel objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.ops.base import Component, Phase
 from repro.trace.builder import Trace
+from repro.trace.kernel_table import PHASES, KernelTable, code_of
 
 
 @dataclass
@@ -53,8 +57,16 @@ def validate_trace(trace: Trace, *, training_iteration: bool = True
         * layer indices are contiguous from zero.
     """
     report = ValidationReport()
-
-    for kernel in trace.kernels:
+    table = trace.table
+    anchor = np.array([shape.flops for shape in table.gemms] + [0],
+                      dtype=np.int64)[table.gemm_code]
+    suspect = ((table.is_gemm & ((table.gemm_code < 0)
+                                 | (table.flops != anchor)))
+               | ((table.bytes_total == 0) & (table.flops == 0))
+               | ((table.component == code_of(Component.TRANSFORMER))
+                  & (table.layer < 0)))
+    # Only the rows a check flags become kernel objects.
+    for kernel in table.kernels_at(np.flatnonzero(suspect)):
         if kernel.op_class.is_gemm:
             if kernel.gemm is None:
                 report.errors.append(f"{kernel.name}: GEMM without shape")
@@ -74,39 +86,39 @@ def validate_trace(trace: Trace, *, training_iteration: bool = True
             report.errors.append(
                 f"{kernel.name}: encoder kernel without layer index")
 
-    layers = sorted({k.layer_index for k in trace.kernels
-                     if k.layer_index is not None})
+    layers = np.unique(table.layer[table.layer >= 0]).tolist()
     if layers and layers != list(range(layers[-1] + 1)):
         report.errors.append(f"non-contiguous layer indices: {layers}")
 
     if training_iteration:
-        _check_phase_order(trace, report)
-        _check_backward_ratio(trace, report)
+        _check_phase_order(table, report)
+        _check_backward_ratio(table, report)
     return report
 
 
-def _check_phase_order(trace: Trace, report: ValidationReport) -> None:
+def _check_phase_order(table: KernelTable, report: ValidationReport) -> None:
     """FWD kernels must precede BWD, which must precede OPT."""
-    rank = {Phase.FORWARD: 0, Phase.BACKWARD: 1, Phase.OPTIMIZER: 2,
-            Phase.COMMUNICATION: 2}
-    last_rank = 0
-    for kernel in trace.kernels:
-        r = rank[kernel.phase]
-        if r < last_rank:
-            report.errors.append(
-                f"{kernel.name}: phase {kernel.phase.value} appears after "
-                "a later phase")
-            return
-        last_rank = r
+    # Phase codes run FWD < BWD < OPT < COMM; COMM ranks with OPT.
+    rank = np.minimum(table.phase, code_of(Phase.OPTIMIZER))
+    drops = np.flatnonzero(np.diff(rank) < 0)
+    if len(drops):
+        row = drops[0] + 1
+        report.errors.append(
+            f"{table.names[table.name_code[row]]}: phase "
+            f"{PHASES[table.phase[row]].value} appears after a later phase")
 
 
-def _check_backward_ratio(trace: Trace, report: ValidationReport) -> None:
+def _check_backward_ratio(table: KernelTable,
+                          report: ValidationReport) -> None:
     """Encoder backward GEMM FLOPs must be ~2x forward (Sec. 7)."""
+    replayed = np.array([name.startswith("recompute.")
+                         for name in table.names], dtype=bool)
+    encoder = (table.is_gemm & ~replayed[table.name_code]
+               & (table.component == code_of(Component.TRANSFORMER)))
+
     def gemm_flops(phase: Phase) -> int:
-        return sum(k.flops for k in trace.kernels
-                   if k.op_class.is_gemm and k.phase is phase
-                   and k.component is Component.TRANSFORMER
-                   and not k.name.startswith("recompute."))
+        return int(table.flops[encoder
+                               & (table.phase == code_of(phase))].sum())
 
     fwd = gemm_flops(Phase.FORWARD)
     bwd = gemm_flops(Phase.BACKWARD)

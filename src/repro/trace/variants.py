@@ -49,7 +49,7 @@ def build_inference_trace(model: BertConfig,
         _strip_dropout(embedding_forward_kernels(model, training)),
         _strip_dropout(transformer_layer_forward_kernels(model, training)),
         head, [], []])
-    return Trace.from_table(model, training, table)
+    return Trace(model, training, table)
 
 
 def finetuning_head_forward_kernels(model: BertConfig,
@@ -119,7 +119,7 @@ def build_finetuning_trace(model: BertConfig, training: TrainingConfig,
         finetuning_head_forward_kernels(model, training, num_labels)
         + finetuning_head_backward_kernels(model, training, num_labels))
     table = layout_table(model.num_layers, sections)
-    return Trace.from_table(model, training, table)
+    return Trace(model, training, table)
 
 
 def _strip_dropout(kernels: list[Kernel]) -> list[Kernel]:

@@ -7,9 +7,14 @@ real figures.
 
 import json
 import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
 from repro.experiments import registry as registry_module
 from repro.experiments.registry import Experiment
@@ -307,3 +312,18 @@ class TestTraceCommand:
     def test_unknown_pass_exits_2(self, capsys):
         assert main(["trace", self.POINT, "--passes", "nope"]) == 2
         assert "unknown pass 'nope'" in capsys.readouterr().err
+
+
+class TestStartup:
+    def test_parser_loads_no_experiment_module(self):
+        # A fresh interpreter: this process has long imported everything.
+        probe = ("import sys\n"
+                 "from repro.cli import _build_parser\n"
+                 "_build_parser()\n"
+                 "print('repro.experiments.common' in sys.modules)\n")
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        out = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
