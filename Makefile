@@ -16,16 +16,22 @@ experiments:
 	python -m repro run all
 
 # Tier-1 gate: the full test suite, a parallel end-to-end smoke of
-# every registered experiment (exercises the runner, cache and manifest),
-# a validated Perfetto export (exercises the observability layer), a
-# live-server telemetry smoke (scrapes /metrics, validates the Prometheus
-# exposition, round-trips a trace through the flight recorder), and a
-# chaos smoke (seeded fault injection: runner outputs byte-identical
-# under faults, a faulted serve storm degrades to stale bytes or 503/504
-# only).
+# every registered experiment on a fresh cache (exercises the runner,
+# cache and manifest), its warm replay from that cache with byte-identical
+# stdout (the cache-hit path, which loads no engine code), a validated
+# Perfetto export (exercises the observability layer), a live-server
+# telemetry smoke (scrapes /metrics, validates the Prometheus exposition,
+# round-trips a trace through the flight recorder), and a chaos smoke
+# (seeded fault injection: runner outputs byte-identical under faults, a
+# faulted serve storm degrades to stale bytes or 503/504 only).
 verify:
 	PYTHONPATH=src python -m pytest tests/ -x -q
-	PYTHONPATH=src python -m repro run all --jobs 2
+	smoke=$$(mktemp -d) && \
+	  REPRO_CACHE_DIR=$$smoke/cache PYTHONPATH=src \
+	    python -m repro run all --jobs 2 > $$smoke/cold.out && \
+	  REPRO_CACHE_DIR=$$smoke/cache PYTHONPATH=src \
+	    python -m repro run all --jobs 1 > $$smoke/warm.out && \
+	  cmp $$smoke/cold.out $$smoke/warm.out && rm -rf $$smoke
 	PYTHONPATH=src python scripts/check_perfetto.py perfetto-smoke
 	PYTHONPATH=src python scripts/check_prometheus.py prometheus-smoke
 	PYTHONPATH=src python scripts/check_chaos.py chaos-smoke

@@ -7,7 +7,8 @@ not pay for the rest.
 
 
 def __getattr__(name):
-    # The registry imports every experiment module; load it on first use.
+    # Load the registry on first use; it imports no experiment module
+    # until that experiment runs.
     if name in ("REGISTRY", "Experiment", "run_experiment", "run_all"):
         from repro.experiments import registry
         return getattr(registry, name)

@@ -1,20 +1,17 @@
 """Experiment registry: one entry per paper table/figure.
 
 Maps experiment ids to ``(run, render)`` pairs so examples, benchmarks and
-the command line can regenerate any result uniformly.
+the command line can regenerate any result uniformly.  Each entry names
+its module under :mod:`repro.experiments`; the module (and the engine it
+pulls in) is imported on the first call of ``run`` or ``render``, so
+``repro list`` and a cache-hit ``repro run`` never load it.
 """
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
 from typing import Callable
-
-from repro.experiments import (energy_study, fig3, fig4, fig6, fig7, fig8,
-                               fig9, fig11, fig12, fused_attention_study,
-                               nmc_study, optimized_stack, packing_study,
-                               pipeline_study, robustness, scaling_trends,
-                               sec4, sec7_modes, takeaways, transfer_study,
-                               windowed_study, zero_study)
 
 
 @dataclass(frozen=True)
@@ -34,59 +31,82 @@ class Experiment:
     render: Callable[[object], str]
 
 
+@dataclass(frozen=True)
+class _Deferred:
+    """``repro.experiments.<module>.<name>``, imported on first call."""
+
+    module: str
+    name: str
+
+    def resolve(self) -> Callable:
+        """The target function (imports its module if not yet loaded)."""
+        return getattr(
+            importlib.import_module(f"repro.experiments.{self.module}"),
+            self.name)
+
+    def __call__(self, *args):
+        return self.resolve()(*args)
+
+
+def _lazy(experiment_id: str, description: str, module: str) -> Experiment:
+    return Experiment(experiment_id, description,
+                      _Deferred(module, "run"), _Deferred(module, "render"))
+
+
 REGISTRY: dict[str, Experiment] = {
     exp.experiment_id: exp for exp in (
-        Experiment("fig3", "High-level runtime breakdown of pre-training",
-                   fig3.run, fig3.render),
-        Experiment("fig4", "Hierarchical Transformer-layer breakdown",
-                   fig4.run, fig4.render),
-        Experiment("fig6", "Arithmetic intensity of training GEMMs",
-                   fig6.run, fig6.render),
-        Experiment("fig7", "Op-group intensity and bandwidth demand",
-                   fig7.run, fig7.render),
-        Experiment("fig8", "Input-size (B, n) sweep",
-                   fig8.run, fig8.render),
-        Experiment("fig9", "Layer-size (d_model) sweep",
-                   fig9.run, fig9.render),
-        Experiment("sec4", "Activation checkpointing overhead",
-                   sec4.run, sec4.render),
-        Experiment("fig11", "Multi-device per-GPU breakdown",
-                   fig11.run, fig11.render),
-        Experiment("fig12", "Kernel and GEMM fusion impact",
-                   fig12.run, fig12.render),
-        Experiment("nmc", "Near-memory compute for LAMB",
-                   nmc_study.run, nmc_study.render),
-        Experiment("table1", "Takeaway verification",
-                   takeaways.run, takeaways.render),
-        Experiment("sec7", "Inference and fine-tuning profiles",
-                   sec7_modes.run, sec7_modes.render),
-        Experiment("zero", "ZeRO optimizer-state partitioning (extension)",
-                   zero_study.run, zero_study.render),
-        Experiment("windowed", "Windowed attention vs sequence length "
-                   "(extension)", windowed_study.run,
-                   windowed_study.render),
-        Experiment("energy", "Iteration energy accounting (extension)",
-                   energy_study.run, energy_study.render),
-        Experiment("pipeline", "Pipeline vs tensor parallelism "
-                   "(extension)", pipeline_study.run,
-                   pipeline_study.render),
-        Experiment("fused-attention", "Kernel-fused attention vs eager "
-                   "(extension)", fused_attention_study.run,
-                   fused_attention_study.render),
-        Experiment("transfer", "Cross-device transferability (Sec. 7)",
-                   transfer_study.run, transfer_study.render),
-        Experiment("optimized", "Sec. 6 optimizations stacked (capstone)",
-                   optimized_stack.run, optimized_stack.render),
-        Experiment("robustness", "Conclusions under device-model "
-                   "perturbation", robustness.run, robustness.render),
-        Experiment("scaling", "Future-Transformer scaling trends "
-                   "(extension)", scaling_trends.run,
-                   scaling_trends.render),
-        Experiment("packing", "Phase-2 sequence-packing savings "
-                   "(extension)", packing_study.run,
-                   packing_study.render),
+        _lazy("fig3", "High-level runtime breakdown of pre-training",
+              "fig3"),
+        _lazy("fig4", "Hierarchical Transformer-layer breakdown", "fig4"),
+        _lazy("fig6", "Arithmetic intensity of training GEMMs", "fig6"),
+        _lazy("fig7", "Op-group intensity and bandwidth demand", "fig7"),
+        _lazy("fig8", "Input-size (B, n) sweep", "fig8"),
+        _lazy("fig9", "Layer-size (d_model) sweep", "fig9"),
+        _lazy("sec4", "Activation checkpointing overhead", "sec4"),
+        _lazy("fig11", "Multi-device per-GPU breakdown", "fig11"),
+        _lazy("fig12", "Kernel and GEMM fusion impact", "fig12"),
+        _lazy("nmc", "Near-memory compute for LAMB", "nmc_study"),
+        _lazy("table1", "Takeaway verification", "takeaways"),
+        _lazy("sec7", "Inference and fine-tuning profiles", "sec7_modes"),
+        _lazy("zero", "ZeRO optimizer-state partitioning (extension)",
+              "zero_study"),
+        _lazy("windowed", "Windowed attention vs sequence length "
+              "(extension)", "windowed_study"),
+        _lazy("energy", "Iteration energy accounting (extension)",
+              "energy_study"),
+        _lazy("pipeline", "Pipeline vs tensor parallelism (extension)",
+              "pipeline_study"),
+        _lazy("fused-attention", "Kernel-fused attention vs eager "
+              "(extension)", "fused_attention_study"),
+        _lazy("transfer", "Cross-device transferability (Sec. 7)",
+              "transfer_study"),
+        _lazy("optimized", "Sec. 6 optimizations stacked (capstone)",
+              "optimized_stack"),
+        _lazy("robustness", "Conclusions under device-model perturbation",
+              "robustness"),
+        _lazy("scaling", "Future-Transformer scaling trends (extension)",
+              "scaling_trends"),
+        _lazy("packing", "Phase-2 sequence-packing savings (extension)",
+              "packing_study"),
     )
 }
+
+
+def preload(experiment_ids) -> None:
+    """Import the modules behind ``experiment_ids`` now.
+
+    The executor calls this before it forks ``--jobs N`` workers, so they
+    inherit the loaded engine instead of each importing it.  An entry
+    whose module fails to import is skipped: its own run reports the
+    error, isolated like any other experiment failure.
+    """
+    for experiment_id in experiment_ids:
+        run = getattr(REGISTRY.get(experiment_id), "run", None)
+        if isinstance(run, _Deferred):
+            try:
+                run.resolve()
+            except Exception:
+                pass
 
 
 def run_experiment(experiment_id: str) -> str:

@@ -13,11 +13,13 @@ import csv
 import dataclasses
 import io
 import itertools
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from repro.config import (BERT_BASE, BERT_LARGE, BERT_TINY, C1, C2, C3,
                           BertConfig, Precision, TrainingConfig)
-from repro.hw.device import DeviceModel
+
+if TYPE_CHECKING:  # annotation only: the CLI parser imports this module
+    from repro.hw.device import DeviceModel
 
 #: Architectures a grid sweep can name (``repro grid --model``, ``POST
 #: /grid``'s ``model``).

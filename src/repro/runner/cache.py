@@ -67,13 +67,16 @@ import zlib
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro.config import BertConfig, TrainingConfig
 from repro.faults import sites as fault_sites
-from repro.hw.device import DeviceModel
 from repro.obs import metrics, spans
-from repro.profiler.profiler import Profile
-from repro.trace.builder import Trace
+
+if TYPE_CHECKING:  # annotations only: a cache hit loads no engine code
+    from repro.hw.device import DeviceModel
+    from repro.profiler.profiler import Profile
+    from repro.trace.builder import Trace
 
 #: Registry view of the cache counters CacheStats also tracks, labeled
 #: ``result=hit|miss|eviction`` so ``repro stats`` can derive hit rates.

@@ -262,6 +262,9 @@ def run_experiments(experiment_ids: list[str], jobs: int = 1,
                         retry)
                 for eid in experiment_ids]
 
+    from repro.experiments.registry import preload
+
+    preload(experiment_ids)  # forked workers inherit the engine
     results: dict[str, ExperimentResult] = {}
     with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
         futures = {pool.submit(run_one, eid, use_result_cache,

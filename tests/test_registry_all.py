@@ -1,8 +1,36 @@
 """End-to-end smoke: every registered experiment runs and renders."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.experiments import REGISTRY, run_experiment
+
+
+@pytest.mark.parametrize("experiment_id", list(REGISTRY))
+def test_entry_module_imports_and_exposes_run_and_render(experiment_id):
+    # Entries name their module and import it on first call; resolving
+    # here makes a misspelt module name fail this test, not `run all`.
+    experiment = REGISTRY[experiment_id]
+    assert callable(experiment.run.resolve())
+    assert callable(experiment.render.resolve())
+
+
+def test_registry_import_loads_no_experiment_module():
+    # A fresh interpreter: this process has long imported everything.
+    probe = ("import sys\n"
+             "import repro.experiments.registry\n"
+             "print(sorted(name for name in sys.modules\n"
+             "             if name.startswith('repro.experiments.')))\n")
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "['repro.experiments.registry']"
 
 
 @pytest.mark.parametrize("experiment_id", sorted(REGISTRY))
