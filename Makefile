@@ -1,5 +1,5 @@
 # Convenience targets. Everything works offline (NumPy and SciPy are the
-# runtime dependencies; pytest/pytest-benchmark/hypothesis for tests).
+# runtime dependencies; pytest/hypothesis for tests).
 
 .PHONY: install test bench experiments examples lint verify all
 
@@ -9,8 +9,10 @@ install:
 test:
 	pytest tests/
 
+# The one benchmark: cold/warm `repro run all` and the served flows,
+# driven from outside (see perfbench/README.md and BENCHMARK.json).
 bench:
-	pytest benchmarks/ --benchmark-only -s
+	python3 perfbench/run.py --workload all --seed 1 --seconds 40
 
 experiments:
 	python -m repro run all

@@ -35,10 +35,10 @@ from repro.memoryplan.checkpointing import CheckpointingPass
 from repro.trace.bert_trace import build_iteration_trace
 from repro.trace.builder import Trace
 from repro.trace.passes import PassManager
-from repro.trace.reference import (reference_apply_checkpointing,
-                                   reference_apply_fused_attention,
-                                   reference_apply_windowed_attention,
-                                   reference_fuse_elementwise_chains)
+from repro.trace.reference import (reference_checkpointing,
+                                   reference_fuse_elementwise,
+                                   reference_fused_attention,
+                                   reference_windowed_attention)
 
 #: Minimum acceptable combined (all pipelines) speedup.
 MIN_SPEEDUP = 2.0
@@ -49,16 +49,16 @@ TRAINING = training_point(1, 32, Precision.FP32)
 
 PIPELINES = {
     "optimized": (
-        lambda trace: reference_apply_fused_attention(
-            reference_fuse_elementwise_chains(trace)),
+        lambda trace: reference_fused_attention(
+            reference_fuse_elementwise(trace)),
         PassManager((ElementwiseChainFusionPass(), FusedAttentionPass())),
     ),
     "checkpointing": (
-        reference_apply_checkpointing,
+        reference_checkpointing,
         PassManager((CheckpointingPass(),)),
     ),
     "windowed": (
-        reference_apply_windowed_attention,
+        reference_windowed_attention,
         PassManager((WindowedAttentionPass(),)),
     ),
 }

@@ -21,6 +21,7 @@ from repro.profiler.profiler import Profile, profile_trace
 from repro.report.tables import format_percent, format_table
 from repro.trace.bert_trace import iteration_trace
 from repro.trace.builder import Trace
+from repro.trace.passes import PassManager
 from repro.trace.validate import validate_trace
 
 
@@ -144,28 +145,26 @@ def _gemm_classes(profile: Profile) -> list[GemmClassSummary]:
 def characterize(model: BertConfig,
                  training: TrainingConfig | None = None,
                  device: DeviceModel | None = None,
-                 transforms=()) -> Characterization:
+                 passes: PassManager | None = None) -> Characterization:
     """Characterize one operating point end to end.
 
     Args:
         model: architecture configuration.
         training: operating point; defaults to Ph1-B32-FP32.
         device: device model; defaults to the MI100-like preset.
-        transforms: trace transforms applied in order before profiling
-            (e.g. ``repro.fusion.fuse_elementwise_chains``,
-            ``repro.fusion.apply_fused_attention``) — characterize the
-            optimized variant of the workload.
+        passes: trace passes applied before profiling (e.g.
+            ``build_pipeline("fuse_elementwise,fused_attention")``), the
+            same type :func:`repro.experiments.common.run_point` takes —
+            characterize the optimized variant of the workload.
     """
     training = training or TrainingConfig(batch_size=32, seq_len=128,
                                           precision=Precision.FP32)
     device = device or mi100()
     trace = iteration_trace(model, training)
-    for transform in transforms:
-        trace = transform(trace)
-    # Transforms may legitimately break training-only invariants (fused
-    # backward recomputation changes the BWD/FWD FLOP ratio).
-    validate_trace(trace,
-                   training_iteration=not transforms).raise_if_invalid()
+    validate_trace(trace).raise_if_invalid()
+    if passes is not None:
+        # The manager validates the structure after every pass.
+        trace = passes.run(trace)
     profile = profile_trace(trace, device)
     stats = summarize(profile)
     return Characterization(

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from repro.config import (BERT_LARGE, BertConfig, Precision, TrainingConfig,
                           training_point)
 from repro.experiments.common import default_device
-from repro.fusion.passes import fuse_elementwise_chains
 from repro.hw.device import DeviceModel
 from repro.hw.energy import (EnergySpec, default_energy_spec,
                              iteration_energy, trace_energy)
@@ -23,6 +22,7 @@ from repro.ops.base import Component
 from repro.profiler.profiler import profile_trace
 from repro.report.tables import format_percent, format_table
 from repro.trace.bert_trace import iteration_trace
+from repro.trace.passes import build_pipeline
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,8 @@ def run_one(training: TrainingConfig, model: BertConfig = BERT_LARGE,
     profile = profile_trace(trace, device)
     report = iteration_energy(profile, spec)
 
-    fused_dynamic = trace_energy(fuse_elementwise_chains(trace), spec)
+    fused_dynamic = trace_energy(
+        build_pipeline("fuse_elementwise").run(trace), spec)
 
     optimizer = trace.table.select(
         trace.table.mask(component=Component.OPTIMIZER))

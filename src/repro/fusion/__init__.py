@@ -1,19 +1,15 @@
 """Kernel- and GEMM-fusion modeling (Sec. 6.1)."""
 
-from repro.fusion.attention_fusion import (FusedAttentionPass,
-                                           apply_fused_attention)
-from repro.fusion.windowed_transform import (WindowedAttentionPass,
-                                             apply_windowed_attention)
+from repro.fusion.attention_fusion import FusedAttentionPass
+from repro.fusion.windowed_transform import WindowedAttentionPass
 from repro.fusion.gemm_fusion import (GemmFusionResult, fused_qkv_shapes,
                                       fusion_sweep, qkv_fusion_comparison)
 from repro.fusion.passes import (ElementwiseChainFusionPass, FusionImpact,
-                                 fuse_chain, fuse_elementwise_chains,
-                                 fusion_impact)
+                                 fuse_chain, fusion_impact)
 
 __all__ = [
     "ElementwiseChainFusionPass", "FusedAttentionPass", "FusionImpact",
-    "GemmFusionResult", "WindowedAttentionPass", "apply_fused_attention",
-    "apply_windowed_attention", "fuse_chain",
-    "fuse_elementwise_chains", "fused_qkv_shapes", "fusion_impact",
-    "fusion_sweep", "qkv_fusion_comparison",
+    "GemmFusionResult", "WindowedAttentionPass", "fuse_chain",
+    "fused_qkv_shapes", "fusion_impact", "fusion_sweep",
+    "qkv_fusion_comparison",
 ]

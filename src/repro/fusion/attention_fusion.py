@@ -10,7 +10,7 @@ attention-op row of each (layer, phase) becomes a marker that is
 batch-rewritten in place from the fused-kernel template, and the remaining
 attention-op rows are dropped with one boolean-mask select.  The original
 per-kernel scan survives as
-:func:`repro.trace.reference.reference_apply_fused_attention`.
+:func:`repro.trace.reference.reference_fused_attention`.
 """
 
 from __future__ import annotations
@@ -20,9 +20,8 @@ import numpy as np
 from repro.ops.base import Kernel, Phase, Region
 from repro.ops.fused_attention import (fused_attention_backward_kernel,
                                        fused_attention_forward_kernel)
-from repro.trace.builder import Trace
 from repro.trace.kernel_table import (PHASES, KernelTable, code_of)
-from repro.trace.passes import PassContext, PassManager, TracePass
+from repro.trace.passes import PassContext, TracePass
 
 
 def _attention_markers(table: KernelTable
@@ -110,11 +109,6 @@ class FusedAttentionPass(TracePass):
             n_elements=pick("n_elements"),
             gemm_code=np.int32(gemm_code), gemms=tuple(gemms),
             fusion_code=np.int32(-1))
-
-
-def apply_fused_attention(trace: Trace) -> Trace:
-    """Rewrite a trace with kernel-fused attention per layer/direction."""
-    return PassManager((FusedAttentionPass(),)).run(trace)
 
 
 def _is_attention_op(kernel: Kernel) -> bool:

@@ -18,7 +18,7 @@ fusing them would not reduce memory traffic.
 are found by run-length grouping over the ``(fusion_code, phase, layer)``
 code columns and collapsed with ``reduceat`` aggregations — no per-kernel
 Python scan.  The original scan survives as
-:func:`repro.trace.reference.reference_fuse_elementwise_chains`, the
+:func:`repro.trace.reference.reference_fuse_elementwise`, the
 oracle the pass is pinned against bit-exactly.
 """
 
@@ -30,10 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.ops.base import Kernel, OpClass
-from repro.trace.builder import Trace
 from repro.trace.kernel_table import (DTYPE_BYTES, PHASES, KernelTable,
                                       code_of)
-from repro.trace.passes import PassContext, PassManager, TracePass
+from repro.trace.passes import PassContext, TracePass
 
 
 def fuse_chain(kernels: list[Kernel]) -> Kernel:
@@ -152,11 +151,6 @@ class ElementwiseChainFusionPass(TracePass):
             bytes_read=bytes_read[fused],
             bytes_written=bytes_written[fused],
             n_elements=n_elements[fused])
-
-
-def fuse_elementwise_chains(trace: Trace) -> Trace:
-    """Fuse every consecutive same-group elementwise chain in a trace."""
-    return PassManager((ElementwiseChainFusionPass(),)).run(trace)
 
 
 def _ratio(before: float, after: float, what: str) -> float:

@@ -12,7 +12,7 @@ rest are dropped with one boolean-mask select, and the per-phase windowed
 kernel block — built once as a :class:`KernelTable` and stamped with
 each marker's layer — replaces each marker via :meth:`~repro.trace.kernel_table.KernelTable.splice` with
 ``replace=True``.  The original per-kernel scan survives as
-:func:`repro.trace.reference.reference_apply_windowed_attention`.
+:func:`repro.trace.reference.reference_windowed_attention`.
 """
 
 from __future__ import annotations
@@ -22,9 +22,8 @@ import numpy as np
 from repro.ops.base import Phase
 from repro.ops.windowed_attention import (WindowConfig,
                                           windowed_attention_op_kernels)
-from repro.trace.builder import Trace
 from repro.trace.kernel_table import KernelTable, code_of
-from repro.trace.passes import PassContext, PassManager, TracePass
+from repro.trace.passes import PassContext, TracePass
 
 
 class WindowedAttentionPass(TracePass):
@@ -74,9 +73,3 @@ class WindowedAttentionPass(TracePass):
             segments.append(segment.with_columns(
                 layer=np.full(len(segment), out.layer[position])))
         return out.splice(positions, segments, replace=True)
-
-
-def apply_windowed_attention(trace: Trace,
-                             window: WindowConfig | None = None) -> Trace:
-    """Rewrite a trace with block-local attention per encoder layer."""
-    return PassManager((WindowedAttentionPass(window),)).run(trace)

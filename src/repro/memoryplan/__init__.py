@@ -1,7 +1,6 @@
 """Activation checkpointing and memory-footprint planning (Sec. 4)."""
 
 from repro.memoryplan.checkpointing import (CheckpointingPass,
-                                            apply_checkpointing,
                                             checkpoint_segments,
                                             recompute_overhead)
 from repro.memoryplan.footprint import (MemoryFootprint,
@@ -9,7 +8,7 @@ from repro.memoryplan.footprint import (MemoryFootprint,
                                         max_batch_size, training_footprint)
 
 __all__ = [
-    "CheckpointingPass", "MemoryFootprint", "apply_checkpointing", "checkpoint_segments",
+    "CheckpointingPass", "MemoryFootprint", "checkpoint_segments",
     "layer_activation_bytes", "max_batch_size", "recompute_overhead",
     "training_footprint",
 ]

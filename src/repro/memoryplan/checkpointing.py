@@ -18,7 +18,7 @@ is effectively executed twice.
 each segment is built by a pool-level ``recompute.`` rename over the
 segment's forward rows and inserted with one :meth:`KernelTable.splice` at
 the segment's first backward row.  The original per-kernel scan survives
-as :func:`repro.trace.reference.reference_apply_checkpointing`.
+as :func:`repro.trace.reference.reference_checkpointing`.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 from repro.ops.base import Component, Phase
 from repro.trace.builder import Trace
 from repro.trace.kernel_table import KernelTable, code_of
-from repro.trace.passes import PassContext, PassManager, TracePass
+from repro.trace.passes import PassContext, TracePass
 
 
 def checkpoint_segments(num_layers: int,
@@ -134,12 +134,6 @@ class CheckpointingPass(TracePass):
                 phase=np.full(len(rows), backward_code, dtype=np.int8))
             replays.append(replay.stamped(self.name))
         return table.splice(positions, replays)
-
-
-def apply_checkpointing(trace: Trace,
-                        num_checkpoints: int | None = None) -> Trace:
-    """Insert segment-replay recomputation into an iteration trace."""
-    return PassManager((CheckpointingPass(num_checkpoints),)).run(trace)
 
 
 def recompute_overhead(trace: Trace, checkpointed: Trace) -> float:

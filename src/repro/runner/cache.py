@@ -44,8 +44,7 @@ before the pickle ever reaches the unpickler.  A bad entry is moved to
 counted (``stats.corrupt`` and the ``result=corrupt`` label of
 ``result_cache.requests``), and reported as a miss, so the caller
 recomputes and rewrites a clean entry instead of crashing the run.
-Unframed entries from older versions still load (and still quarantine
-when their pickle is unreadable).
+An entry without the frame is corrupt like any other.
 
 The cache directory defaults to ``~/.cache/repro-bert`` and can be moved
 with the ``REPRO_CACHE_DIR`` environment variable or
@@ -319,17 +318,12 @@ class ResultCache:
                 self._record_corrupt(path)
                 return None
             data = fault_sites.corrupt_bytes("cache.corrupt", data)
-            if data.startswith(ENTRY_MAGIC):
-                if len(data) < _HEADER.size:
-                    self._record_corrupt(path)
-                    return None
-                _, checksum = _HEADER.unpack_from(data)
-                body = data[_HEADER.size:]
-                if zlib.crc32(body) != checksum:
-                    self._record_corrupt(path)
-                    return None
-            else:
-                body = data  # unframed entry from an older version
+            body = data[_HEADER.size:]
+            if (len(data) < _HEADER.size
+                    or _HEADER.unpack_from(data) != (
+                        ENTRY_MAGIC, zlib.crc32(body))):
+                self._record_corrupt(path)
+                return None
             try:
                 payload = pickle.loads(body)
             except Exception:

@@ -13,10 +13,9 @@ What the manager adds around each pass:
 * an obs span (``pass.<name>`` with ``rows_in``/``rows_out``) nested under
   ``pass_pipeline.run``, plus a ``pass_pipeline.passes`` counter labeled by
   pass name, so `repro spans` / `repro stats` attribute rewrite cost;
-* optional **debug validation**: with ``debug=True`` (or the
-  ``REPRO_PASS_DEBUG`` environment variable set) the structural invariants
-  of :func:`repro.trace.validate.validate_trace` run after every pass, so
-  a bad rewrite fails at the pass that produced it rather than deep inside
+* **validation after every pass**: the structural invariants of
+  :func:`repro.trace.validate.validate_trace` run after each pass, so a
+  bad rewrite fails at the pass that produced it rather than deep inside
   profiling.  Training-phase ordering checks are skipped: passes like
   checkpointing legitimately interleave recompute rows, and fused
   attention's backward recomputation breaks the 2x GEMM-FLOP ratio;
@@ -36,7 +35,6 @@ The registry at the bottom (:func:`available_passes` /
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -44,9 +42,6 @@ from repro.config import BertConfig, TrainingConfig
 from repro.obs import metrics, spans
 from repro.trace.builder import Trace
 from repro.trace.kernel_table import KernelTable
-
-#: Environment variable enabling after-every-pass invariant validation.
-DEBUG_ENV = "REPRO_PASS_DEBUG"
 
 _PASS_RUNS = metrics.counter(
     "pass_pipeline.passes", "pass executions by pass name")
@@ -61,12 +56,10 @@ class PassContext:
     Attributes:
         model: model configuration of the trace being rewritten.
         training: training operating point of the trace.
-        debug: whether the manager validates after each pass.
     """
 
     model: BertConfig
     training: TrainingConfig
-    debug: bool = False
 
 
 class TracePass:
@@ -107,17 +100,10 @@ class PassManager:
 
     Attributes:
         passes: the configured passes, in application order.
-        debug: validate invariants after every pass (defaults to the
-            ``REPRO_PASS_DEBUG`` environment variable).
     """
 
-    def __init__(self, passes: Iterable[TracePass] = (), *,
-                 debug: bool | None = None):
+    def __init__(self, passes: Iterable[TracePass] = ()):
         self.passes = tuple(passes)
-        if debug is None:
-            debug = os.environ.get(DEBUG_ENV, "").lower() not in (
-                "", "0", "false")
-        self.debug = debug
 
     @property
     def signature(self) -> str:
@@ -127,9 +113,9 @@ class PassManager:
     def run_table(self, table: KernelTable, model: BertConfig,
                   training: TrainingConfig) -> KernelTable:
         """Apply every pass to ``table`` and return the rewritten table."""
-        ctx = PassContext(model=model, training=training, debug=self.debug)
         if not self.passes:
             return table
+        ctx = PassContext(model=model, training=training)
         with spans.span("pass_pipeline.run", passes=len(self.passes),
                         signature=self.signature, kernels=len(table)):
             _PIPELINE_RUNS.inc()
@@ -139,8 +125,7 @@ class PassManager:
                     table = trace_pass.apply(table, ctx)
                     spans.annotate(rows_out=len(table))
                 _PASS_RUNS.inc(**{"pass": trace_pass.name})
-                if self.debug:
-                    _validate_after(table, model, training, trace_pass)
+                _validate_after(table, model, training, trace_pass)
             spans.annotate(kernels_out=len(table))
         return table
 
@@ -162,9 +147,8 @@ def point_pipeline(training: TrainingConfig,
 
     rewrites = ((CheckpointingPass(),) if training.activation_checkpointing
                 else ())
-    if passes is None:
-        return PassManager(rewrites)
-    return PassManager(rewrites + passes.passes, debug=passes.debug)
+    extra = passes.passes if passes is not None else ()
+    return PassManager(rewrites + extra)
 
 
 def _validate_after(table: KernelTable, model: BertConfig,
@@ -226,7 +210,7 @@ def available_passes() -> dict[str, tuple[str, PassFactory]]:
     }
 
 
-def build_pipeline(spec: str, *, debug: bool | None = None) -> PassManager:
+def build_pipeline(spec: str) -> PassManager:
     """Parse ``"name[:arg],name..."`` into a configured :class:`PassManager`.
 
     Raises:
@@ -243,4 +227,4 @@ def build_pipeline(spec: str, *, debug: bool | None = None) -> PassManager:
                 f"unknown pass {name!r}; available: "
                 + ", ".join(sorted(registry)))
         passes.append(registry[name][1](arg or None))
-    return PassManager(passes, debug=debug)
+    return PassManager(passes)

@@ -17,11 +17,9 @@ oracle that claim is checked against:
   :func:`repro.hw.timing.kernel_time`;
 * :func:`reference_summarize` computes the headline fractions by predicate
   scans over the record list;
-* :func:`reference_fuse_elementwise_chains`,
-  :func:`reference_apply_checkpointing`,
-  :func:`reference_apply_fused_attention`,
-  :func:`reference_apply_windowed_attention` and
-  :func:`reference_sliced_iteration_trace` are the original list-scan
+* :func:`reference_fuse_elementwise`, :func:`reference_checkpointing`,
+  :func:`reference_fused_attention`, :func:`reference_windowed_attention`
+  and :func:`reference_sliced_iteration_trace` are the original list-scan
   trace transforms, kept as the oracles the vectorized passes of
   :mod:`repro.trace.passes` (and the modules they live in) are pinned
   against.
@@ -91,7 +89,7 @@ def reference_iteration_trace(model: BertConfig,
     if training.activation_checkpointing:
         # The legacy list-scan transform, so the oracle stays independent
         # of the columnar CheckpointingPass it is checked against.
-        trace = reference_apply_checkpointing(trace)
+        trace = reference_checkpointing(trace)
     return trace
 
 
@@ -199,7 +197,7 @@ def _chain_key(kernel: Kernel) -> tuple | None:
     return (kernel.fusion_group, kernel.phase, kernel.layer_index)
 
 
-def reference_fuse_elementwise_chains(trace: Trace) -> Trace:
+def reference_fuse_elementwise(trace: Trace) -> Trace:
     """Sequential scan-and-flush elementwise-chain fusion."""
     from repro.fusion.passes import fuse_chain
 
@@ -239,9 +237,8 @@ def _as_recompute(kernel: Kernel) -> Kernel:
                                phase=Phase.BACKWARD)
 
 
-def reference_apply_checkpointing(trace: Trace,
-                                  num_checkpoints: int | None = None
-                                  ) -> Trace:
+def reference_checkpointing(trace: Trace,
+                            num_checkpoints: int | None = None) -> Trace:
     """Per-kernel scan inserting segment-replay recomputation."""
     from repro.memoryplan.checkpointing import checkpoint_segments
     from repro.ops.base import Phase
@@ -288,7 +285,7 @@ def _is_attention_op(kernel: Kernel) -> bool:
                                   Region.ATTENTION_SMDSM))
 
 
-def reference_apply_fused_attention(trace: Trace) -> Trace:
+def reference_fused_attention(trace: Trace) -> Trace:
     """Per-kernel scan swapping eager attention ops for fused kernels."""
     from repro.ops.base import Phase
     from repro.ops.fused_attention import (fused_attention_backward_kernel,
@@ -321,8 +318,7 @@ def reference_apply_fused_attention(trace: Trace) -> Trace:
     return trace.replaced(rewritten)
 
 
-def reference_apply_windowed_attention(trace: Trace,
-                                       window=None) -> Trace:
+def reference_windowed_attention(trace: Trace, window=None) -> Trace:
     """Per-kernel scan swapping dense attention for block-local kernels."""
     from repro.ops.base import Phase
     from repro.ops.windowed_attention import (WindowConfig,

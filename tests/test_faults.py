@@ -186,13 +186,15 @@ class TestCacheQuarantine:
         assert cache.stats.corrupt == 1
         assert not path.exists()  # moved aside, not left to re-fail
 
-    def test_legacy_unframed_entries_still_load(self, tmp_path):
+    def test_unframed_entries_are_quarantined(self, tmp_path):
         cache = ResultCache(tmp_path)
         key = "cafebabe" * 8
         cache.put_payload(key, {"output": "z"})
         path = next(p for p in tmp_path.glob("*/*.pkl"))
-        path.write_bytes(pickle.dumps({"output": "z"}))  # pre-CRC format
-        assert cache.get_payload(key) == {"output": "z"}
+        path.write_bytes(pickle.dumps({"output": "z"}))  # valid, unframed
+        assert cache.get_payload(key) is None
+        assert cache.stats.corrupt == 1
+        assert not path.exists()
 
 
 LINK = LinkSpec(name="test", bandwidth_gbps=100.0, latency_us=1.0)

@@ -3,13 +3,12 @@
 import pytest
 
 from repro.config import BERT_LARGE, Precision, training_point
-from repro.fusion import (fuse_chain, fuse_elementwise_chains,
-                          fused_qkv_shapes, fusion_impact,
+from repro.fusion import (fuse_chain, fused_qkv_shapes, fusion_impact,
                           qkv_fusion_comparison)
 from repro.hw import mi100
 from repro.ops.base import Component, DType, Phase
 from repro.ops.elementwise import gelu_kernels
-from repro.trace import build_iteration_trace
+from repro.trace import build_iteration_trace, build_pipeline
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +49,7 @@ class TestChainFusion:
     def test_trace_level_fusion_reduces_kernels_not_flops(self):
         trace = build_iteration_trace(BERT_LARGE,
                                       training_point(1, 32, Precision.FP32))
-        fused = fuse_elementwise_chains(trace)
+        fused = build_pipeline("fuse_elementwise").run(trace)
         assert len(fused) < 0.75 * len(trace)
         assert fused.total_flops == trace.total_flops
         assert fused.total_bytes < trace.total_bytes
@@ -58,13 +57,13 @@ class TestChainFusion:
     def test_gemms_never_fused(self):
         trace = build_iteration_trace(BERT_LARGE,
                                       training_point(1, 32, Precision.FP32))
-        fused = fuse_elementwise_chains(trace)
+        fused = build_pipeline("fuse_elementwise").run(trace)
         assert len(fused.gemms()) == len(trace.gemms())
 
     def test_fusion_respects_layer_boundaries(self):
         trace = build_iteration_trace(BERT_LARGE,
                                       training_point(1, 32, Precision.FP32))
-        fused = fuse_elementwise_chains(trace)
+        fused = build_pipeline("fuse_elementwise").run(trace)
         for k in fused.kernels:
             if k.name.startswith("fused."):
                 assert k.layer_index is not None or k.component in (
@@ -75,7 +74,7 @@ class TestChainFusion:
         from repro.profiler import profile_trace
         trace = build_iteration_trace(BERT_LARGE,
                                       training_point(1, 32, Precision.FP32))
-        fused = fuse_elementwise_chains(trace)
+        fused = build_pipeline("fuse_elementwise").run(trace)
         assert (profile_trace(fused.kernels, device).total_time
                 < profile_trace(trace.kernels, device).total_time)
 

@@ -6,11 +6,11 @@ import pytest
 
 from repro.config import (BERT_LARGE, BERT_TINY, Precision, TrainingConfig,
                           training_point)
-from repro.memoryplan import (apply_checkpointing, checkpoint_segments,
-                              layer_activation_bytes, max_batch_size,
-                              recompute_overhead, training_footprint)
+from repro.memoryplan import (checkpoint_segments, layer_activation_bytes,
+                              max_batch_size, recompute_overhead,
+                              training_footprint)
 from repro.ops.base import Component, Phase
-from repro.trace import build_iteration_trace
+from repro.trace import build_iteration_trace, build_pipeline
 
 
 class TestSegments:
@@ -41,7 +41,7 @@ class TestCheckpointTransform:
     def traces(self):
         training = training_point(1, 32, Precision.FP32)
         base = build_iteration_trace(BERT_LARGE, training)
-        return base, apply_checkpointing(base, 4)
+        return base, build_pipeline("checkpointing:4").run(base)
 
     def test_kernel_overhead_near_paper_band(self, traces):
         base, ckpt = traces
@@ -90,7 +90,7 @@ class TestCheckpointTransform:
                                      TrainingConfig(batch_size=2, seq_len=16))
         empty = base.replaced([k for k in base.kernels
                                if k.component is Component.OPTIMIZER])
-        assert len(apply_checkpointing(empty)) == len(empty)
+        assert len(build_pipeline("checkpointing").run(empty)) == len(empty)
 
 
 class TestFootprint:

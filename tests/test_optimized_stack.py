@@ -4,11 +4,10 @@ import pytest
 
 from repro.config import BERT_LARGE, Precision, training_point
 from repro.experiments import optimized_stack
-from repro.fusion import apply_fused_attention, fuse_elementwise_chains
 from repro.hw import mi100
 from repro.ops.base import Region
 from repro.profiler import profile_trace
-from repro.trace import build_iteration_trace, validate_trace
+from repro.trace import build_iteration_trace, build_pipeline, validate_trace
 
 
 @pytest.fixture(scope="module")
@@ -20,7 +19,7 @@ def base_trace():
 class TestAttentionFusionTransform:
     @pytest.fixture(scope="class")
     def fused(self, base_trace):
-        return apply_fused_attention(base_trace)
+        return build_pipeline("fused_attention").run(base_trace)
 
     def test_two_fused_kernels_per_layer(self, fused):
         fused_kernels = [k for k in fused.kernels
@@ -59,7 +58,8 @@ class TestAttentionFusionTransform:
         assert report.ok, report.errors
 
     def test_composes_with_elementwise_fusion(self, base_trace):
-        both = apply_fused_attention(fuse_elementwise_chains(base_trace))
+        both = build_pipeline("fuse_elementwise,fused_attention").run(
+            base_trace)
         assert len(both) < len(base_trace)
 
 

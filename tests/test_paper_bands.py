@@ -7,8 +7,11 @@ the *shapes* (orderings, trends, who wins) are asserted tightly.
 
 import pytest
 
+from repro.config import BERT_LARGE, Precision, training_point
 from repro.experiments import (fig3, fig4, fig6, fig7, fig8, fig9, fig11,
-                               fig12, nmc_study, sec4, takeaways)
+                               fig12, nmc_study, pipeline_study, sec4,
+                               takeaways, zero_study)
+from repro.trace import transformer_gemm_shapes
 
 
 class TestFig3Bands:
@@ -114,13 +117,15 @@ class TestFig6Bands:
         assert score.intensity < 20.0
 
     def test_attention_bgemms_memory_bound(self, records):
-        # Takeaway 6.
-        for op in ("attn_score", "attn_output"):
-            assert self._by(records, op, "fwd").memory_bound
+        # Takeaway 6, in every pass.
+        for r in records:
+            if r.operation in ("attn_score", "attn_output"):
+                assert r.memory_bound, (r.operation, r.pass_name)
 
     def test_fc_gemms_compute_bound(self, records):
-        for op in ("fc1", "fc2"):
-            assert not self._by(records, op, "fwd").memory_bound
+        for r in records:
+            if r.operation in ("fc1", "fc2"):
+                assert not r.memory_bound, (r.operation, r.pass_name)
 
     def test_every_gemm_labeled(self, records):
         assert len(records) == 15  # 5 operations x 3 passes
@@ -138,7 +143,8 @@ class TestFig7Bands:
             assert groups[label].intensity < 1.0, label
 
     def test_memory_bound_groups_demand_high_bandwidth(self, groups):
-        for label in ("LAMBStage1", "GeLU", "DR+RC+LN", "EW multiply"):
+        for label in ("LAMBStage1", "LAMBStage2", "Scale+Mask+DR+SM",
+                      "GeLU", "DR+RC+LN", "EW multiply"):
             assert groups[label].normalized_bandwidth > 0.5, label
 
     def test_fc_gemms_demand_little_bandwidth(self, groups):
@@ -328,3 +334,38 @@ class TestTable1:
         # All 13 takeaways plus the NMC and fusion headlines.
         assert {f"T{i}" for i in range(1, 14)} <= ids
         assert "NMC" in ids and "FUS" in ids
+
+
+class TestTable2Shapes:
+    @pytest.fixture(scope="class")
+    def forward(self):
+        shapes = transformer_gemm_shapes(
+            BERT_LARGE, training_point(1, 32, Precision.FP32))
+        return {op: passes["fwd"].label for op, passes in shapes.items()}
+
+    def test_forward_labels_match_paper_formulas(self, forward):
+        # Table 2b at Ph1-B32: d=1024, d_ff=4096, nB=32*128, B*h=512.
+        d, dff, nB = 1024, 4096, 32 * 128
+        assert forward["linear"] == f"NN,{d},{nB},{d}"
+        assert forward["fc1"] == f"NN,{dff},{nB},{d}"
+        assert forward["fc2"] == f"NN,{d},{nB},{dff}"
+        assert forward["attn_score"] == "NT,128,128,64,[512]"
+        assert forward["attn_output"] == "NN,64,128,128,[512]"
+
+
+class TestZeroBands:
+    def test_zero_trades_optimizer_time_for_communication(self):
+        for plain, zero, state_bytes in zero_study.run():
+            assert (zero.optimizer_fraction
+                    < 0.5 * plain.optimizer_fraction), zero.devices
+            assert (zero.communication_fraction
+                    > plain.communication_fraction), zero.devices
+            # Two FP32 moments of ~336M parameters, sharded (+10%).
+            assert state_bytes < 2 * 336_000_000 * 4 / zero.devices * 1.1
+
+
+class TestPipelineBands:
+    def test_pipeline_bubble_bounded(self):
+        for ts, pp in pipeline_study.run():
+            assert ts.devices == pp.devices
+            assert pp.fraction("pipeline_bubble") < 0.25, pp.devices

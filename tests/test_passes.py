@@ -22,11 +22,11 @@ from repro.ops.base import Component
 from repro.ops.windowed_attention import WindowConfig
 from repro.trace import (PassManager, TracePass, available_passes,
                          build_iteration_trace, build_pipeline)
-from repro.trace.reference import (reference_apply_checkpointing,
-                                   reference_apply_fused_attention,
-                                   reference_apply_windowed_attention,
-                                   reference_fuse_elementwise_chains,
-                                   reference_sliced_iteration_trace)
+from repro.trace.reference import (reference_checkpointing,
+                                   reference_fuse_elementwise,
+                                   reference_fused_attention,
+                                   reference_sliced_iteration_trace,
+                                   reference_windowed_attention)
 
 TINY = training_point(1, 2, Precision.FP32)
 LARGE = training_point(2, 4, Precision.MIXED)
@@ -48,31 +48,31 @@ class TestGoldenEquivalence:
     def test_fuse_elementwise(self, tiny_trace, large_trace):
         for trace in (tiny_trace, large_trace):
             got = PassManager((ElementwiseChainFusionPass(),)).run(trace)
-            want = reference_fuse_elementwise_chains(trace)
+            want = reference_fuse_elementwise(trace)
             assert got.kernels == want.kernels
 
     def test_checkpointing(self, tiny_trace, large_trace):
         for trace in (tiny_trace, large_trace):
             got = PassManager((CheckpointingPass(),)).run(trace)
-            assert got.kernels == reference_apply_checkpointing(trace).kernels
+            assert got.kernels == reference_checkpointing(trace).kernels
         explicit = PassManager((CheckpointingPass(4),)).run(large_trace)
-        want = reference_apply_checkpointing(large_trace, 4)
+        want = reference_checkpointing(large_trace, 4)
         assert explicit.kernels == want.kernels
 
     def test_fused_attention(self, tiny_trace, large_trace):
         for trace in (tiny_trace, large_trace):
             got = PassManager((FusedAttentionPass(),)).run(trace)
-            want = reference_apply_fused_attention(trace)
+            want = reference_fused_attention(trace)
             assert got.kernels == want.kernels
 
     def test_windowed_attention(self, tiny_trace, large_trace):
         for trace in (tiny_trace, large_trace):
             got = PassManager((WindowedAttentionPass(),)).run(trace)
-            want = reference_apply_windowed_attention(trace)
+            want = reference_windowed_attention(trace)
             assert got.kernels == want.kernels
         window = WindowConfig(block=32, window_blocks=5)
         got = PassManager((WindowedAttentionPass(window),)).run(large_trace)
-        want = reference_apply_windowed_attention(large_trace, window)
+        want = reference_windowed_attention(large_trace, window)
         assert got.kernels == want.kernels
 
     def test_sliced_build(self):
@@ -87,8 +87,8 @@ class TestComposition:
         pipeline = PassManager(
             (ElementwiseChainFusionPass(), CheckpointingPass()))
         got = pipeline.run(tiny_trace)
-        want = reference_apply_checkpointing(
-            reference_fuse_elementwise_chains(tiny_trace))
+        want = reference_checkpointing(
+            reference_fuse_elementwise(tiny_trace))
         assert got.kernels == want.kernels
 
     def test_order_matters_for_kernel_counts(self, tiny_trace):
@@ -178,23 +178,19 @@ class _BrokenPass(TracePass):
 
 
 class TestDebugValidation:
+    """The manager validates the trace after every pass, always."""
+
     def test_debug_mode_validates_after_each_pass(self, tiny_trace):
-        manager = PassManager((_BrokenPass(),), debug=True)
+        manager = PassManager((_BrokenPass(),))
         with pytest.raises(ValueError, match="broken"):
             manager.run(tiny_trace)
 
     def test_real_passes_survive_debug_mode(self, tiny_trace):
         manager = PassManager(
             (ElementwiseChainFusionPass(), FusedAttentionPass(),
-             CheckpointingPass(), OptimizerShardPass(4)), debug=True)
+             CheckpointingPass(), OptimizerShardPass(4)))
         out = manager.run(tiny_trace)
         assert len(out) > 0
-
-    def test_debug_defaults_from_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PASS_DEBUG", "1")
-        assert PassManager(()).debug
-        monkeypatch.setenv("REPRO_PASS_DEBUG", "0")
-        assert not PassManager(()).debug
 
 
 class TestDistributedAndNmcPasses:

@@ -140,11 +140,12 @@ def test_region_breakdown_equivalence():
 
 def test_kernel_times_matches_scalar_rowwise():
     """kernel_times == [kernel_time(k) for k] including fused-GEMM rows."""
-    from repro.fusion.attention_fusion import apply_fused_attention
+    from repro.trace import build_pipeline
 
     trace = build_iteration_trace(BERT_TINY,
                                   training_point(1, 4, Precision.FP32))
-    fused = apply_fused_attention(trace)  # produces fused-GEMM records
+    # fused_attention produces fused-GEMM records.
+    fused = build_pipeline("fused_attention").run(trace)
     device = mi100()
     batched = kernel_times(fused, device)
     scalar = np.array([kernel_time(k, device) for k in fused.kernels])

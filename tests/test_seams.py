@@ -167,24 +167,21 @@ class TestReportSeams:
 class TestCharacterizeTransforms:
     def test_optimized_characterization_is_faster(self):
         from repro.core import characterize
-        from repro.fusion import (apply_fused_attention,
-                                  fuse_elementwise_chains)
+        from repro.trace import build_pipeline
         base = characterize(BERT_TINY,
                             TrainingConfig(batch_size=2, seq_len=16))
         optimized = characterize(
             BERT_TINY, TrainingConfig(batch_size=2, seq_len=16),
-            transforms=(fuse_elementwise_chains, apply_fused_attention))
+            passes=build_pipeline("fuse_elementwise,fused_attention"))
         assert optimized.iteration_s < base.iteration_s
         assert len(optimized.trace) < len(base.trace)
 
     def test_windowed_transform_replaces_attention_ops(self):
-        from repro.fusion import apply_windowed_attention
-        from repro.ops import WindowConfig
-        from repro.trace import build_iteration_trace
+        from repro.trace import build_iteration_trace, build_pipeline
         trace = build_iteration_trace(
             BERT_LARGE, training_point(2, 4, Precision.FP32))
-        windowed = apply_windowed_attention(
-            trace, WindowConfig(block=64, window_blocks=3))
+        # block=64 with the default window_blocks=3.
+        windowed = build_pipeline("windowed_attention:64").run(trace)
         names = {k.name for k in windowed.kernels}
         assert any(n.startswith("windowed.") for n in names)
         assert not any(n.startswith("attention.score") for n in names)
@@ -192,13 +189,12 @@ class TestCharacterizeTransforms:
         assert any("linear_q" in n for n in names)
 
     def test_windowed_trace_cheaper_at_long_sequences(self):
-        from repro.fusion import apply_windowed_attention
         from repro.hw import mi100
         from repro.profiler import profile_trace
-        from repro.trace import build_iteration_trace
+        from repro.trace import build_iteration_trace, build_pipeline
         trace = build_iteration_trace(
             BERT_LARGE, training_point(2, 4, Precision.FP32))
-        windowed = apply_windowed_attention(trace)
+        windowed = build_pipeline("windowed_attention").run(trace)
         device = mi100()
         assert (profile_trace(windowed.kernels, device).total_time
                 < profile_trace(trace.kernels, device).total_time)
