@@ -36,10 +36,10 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.experiments.common import clear_memo
 from repro.faults import sites
 from repro.runner.cache import ResultCache, reset_cache
 from repro.serve.service import ProfilingService
+from repro.trace.bert_trace import clear_iteration_traces
 
 #: Floor enforced by CI: inactive hooks may slow a leg by at most this.
 MAX_OVERHEAD_PCT = 2.0
@@ -151,7 +151,7 @@ def bench_render_leg(hooks: dict) -> dict:
 
 def run() -> dict:
     sites.deactivate()
-    clear_memo()
+    clear_iteration_traces()
     try:
         hooks = measure_hooks()
         with tempfile.TemporaryDirectory(prefix="bench-chaos-") as root:
@@ -160,7 +160,7 @@ def run() -> dict:
     finally:
         sites.deactivate()
         reset_cache()
-        clear_memo()
+        clear_iteration_traces()
     return {
         "hook_surcharge_ns": hooks,
         "cache": cache,

@@ -7,9 +7,11 @@ x {FP32, mixed}) two ways:
   grid stamped into a single KernelTable and timed in one batched
   tile/wave-model evaluation;
 * **loop**: the golden-oracle :func:`repro.experiments.common.run_point`
-  loop over the same points, cold per repeat (fresh in-process memo,
-  fresh throwaway cache directory, fresh device so the GEMM memo starts
-  empty — exactly what a first sweep over a new grid pays).
+  loop over the same points, cold per repeat (fresh iteration-trace
+  memo, fresh device so the GEMM memo starts empty — exactly what a
+  first sweep over a new grid pays).  Each point is built and priced;
+  nothing is written to disk, and the throwaway cache directory only
+  isolates the loop from the user's cache.
 
 A handful of sampled points are cross-checked for bit-identical totals,
 so the benchmark cannot silently compare against a diverged fast path.
@@ -31,10 +33,11 @@ import time
 from pathlib import Path
 
 from repro.config import BERT_LARGE, Precision, TrainingConfig
-from repro.experiments.common import clear_memo, run_point
+from repro.experiments.common import run_point
 from repro.grid.engine import grid_points, profile_grid
 from repro.hw.device import mi100
 from repro.runner.cache import configure_cache, reset_cache
+from repro.trace.bert_trace import clear_iteration_traces
 
 #: Minimum acceptable grid-vs-loop speedup on the full grid.
 MIN_SPEEDUP = 10.0
@@ -79,7 +82,7 @@ def _time_loop(points) -> float:
     best = float("inf")
     for _ in range(LOOP_REPEATS):
         with tempfile.TemporaryDirectory(prefix="bench-grid-") as root:
-            clear_memo()
+            clear_iteration_traces()
             configure_cache(root)
             device = mi100()
             start = time.perf_counter()
@@ -87,7 +90,7 @@ def _time_loop(points) -> float:
                 run_point(BERT_LARGE, training, device)
             best = min(best, time.perf_counter() - start)
     reset_cache()
-    clear_memo()
+    clear_iteration_traces()
     return best
 
 
@@ -97,7 +100,7 @@ def _check_equivalence(points) -> None:
     profile = profile_grid(grid_points(BERT_LARGE, points), device)
     stride = max(1, len(points) // 7)
     with tempfile.TemporaryDirectory(prefix="bench-grid-eq-") as root:
-        clear_memo()
+        clear_iteration_traces()
         configure_cache(root)
         for index in range(0, len(points), stride):
             _, oracle = run_point(BERT_LARGE, points[index], device)
@@ -108,7 +111,7 @@ def _check_equivalence(points) -> None:
                     f"({points[index].label}): {grid_total!r} != "
                     f"{oracle.total_time!r}")
     reset_cache()
-    clear_memo()
+    clear_iteration_traces()
 
 
 def run() -> dict:

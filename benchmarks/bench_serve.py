@@ -34,12 +34,12 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.experiments.common import clear_memo
 from repro.hw.device import mi100
 from repro.obs import metrics
 from repro.runner.cache import configure_cache, reset_cache
 from repro.serve import App, HotCache, ProfilingService, create_server, \
     server_address
+from repro.trace.bert_trace import clear_iteration_traces
 
 #: Floors enforced by CI.
 MIN_HOT_RPS = 1000.0
@@ -114,7 +114,7 @@ def _quantile(values: list, q: float) -> float:
 
 def _fresh_caches(root: Path, tag: str) -> None:
     """Point the engine at an empty disk cache and clear the memo."""
-    clear_memo()
+    clear_iteration_traces()
     configure_cache(root / f"cache-{tag}")
 
 
@@ -236,7 +236,7 @@ async def _bench(root: Path) -> dict:
         await server.wait_closed()
         app.close()
         reset_cache()
-        clear_memo()
+        clear_iteration_traces()
 
 
 def run() -> dict:

@@ -36,11 +36,11 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.experiments.common import clear_memo
 from repro.faults import sites
 from repro.faults.plan import FaultPlan
 from repro.runner.cache import configure_cache, get_cache, reset_cache
 from repro.runner.executor import run_experiments
+from repro.trace.bert_trace import clear_iteration_traces
 
 #: Runner-leg experiments (small and fast; the invariant is per-byte).
 IDS = ["fig4", "sec4", "fig6", "fig3"]
@@ -61,7 +61,7 @@ MIN_AVAILABILITY = 0.90
 
 def _fresh(root: Path, tag: str) -> None:
     configure_cache(root / f"cache-{tag}")
-    clear_memo()
+    clear_iteration_traces()
 
 
 def check_runner(root: Path) -> dict:
@@ -96,7 +96,7 @@ def check_runner(root: Path) -> dict:
     # Warm replay under total read corruption: every cached entry is
     # quarantined and recomputed — bytes still must not move.
     sites.activate(FaultPlan.parse("cache.corrupt:1", seed=RUNNER_SEED))
-    clear_memo()
+    clear_iteration_traces()
     replay = run_experiments(IDS)
     sites.deactivate()
     if not all(r.ok for r in replay):
@@ -218,7 +218,7 @@ def main() -> int:
     finally:
         sites.deactivate()
         reset_cache()
-        clear_memo()
+        clear_iteration_traces()
         (out / "chaos-summary.json").write_text(
             json.dumps(summary, indent=2) + "\n")
     print(f"wrote {out / 'chaos-summary.json'}")

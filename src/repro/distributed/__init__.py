@@ -6,7 +6,7 @@ from repro.distributed.data_parallel import (data_parallel_timeline,
                                              exposed_dp_communication,
                                              single_device_timeline)
 from repro.distributed.hybrid import hybrid_timeline
-from repro.distributed.network import ETH100, PCIE4, XGMI, LinkSpec
+from repro.distributed.network import PCIE4, XGMI, LinkSpec
 from repro.distributed.passes import OptimizerShardPass
 from repro.distributed.planner import (ParallelLayout, evaluate_layout,
                                        plan, render_plan)
@@ -34,7 +34,7 @@ __all__ = [
     "simulate_hierarchical_allreduce", "simulate_ring_allreduce",
     "simulate_tree_allreduce", "zero_dp_timeline",
     "zero_memory_per_device",
-    "ALLREDUCES_PER_LAYER", "BUCKET_ORDER", "DeviceTimeline", "ETH100",
+    "ALLREDUCES_PER_LAYER", "BUCKET_ORDER", "DeviceTimeline",
     "LinkSpec", "PCIE4", "XGMI", "allgather_time", "broadcast_time",
     "build_sliced_iteration_trace", "compute_buckets",
     "data_parallel_timeline", "exposed_dp_communication", "hybrid_timeline",

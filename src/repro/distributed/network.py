@@ -53,6 +53,3 @@ PCIE4 = LinkSpec(name="pcie4-x16", bandwidth_gbps=26.0, latency_us=5.0)
 
 #: An xGMI/Infinity-Fabric-class intra-node link, for what-if studies.
 XGMI = LinkSpec(name="xgmi", bandwidth_gbps=75.0, latency_us=2.0)
-
-#: A 100 Gb/s NIC-class inter-node link.
-ETH100 = LinkSpec(name="eth-100g", bandwidth_gbps=12.0, latency_us=15.0)

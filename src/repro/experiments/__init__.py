@@ -9,7 +9,7 @@ not pay for the rest.
 def __getattr__(name):
     # Load the registry on first use; it imports no experiment module
     # until that experiment runs.
-    if name in ("REGISTRY", "Experiment", "run_experiment", "run_all"):
+    if name in ("REGISTRY", "Experiment"):
         from repro.experiments import registry
         return getattr(registry, name)
     raise AttributeError(name)

@@ -14,14 +14,12 @@ from dataclasses import dataclass
 
 from repro.config import (BERT_LARGE, BertConfig, Precision, TrainingConfig,
                           training_point)
-from repro.experiments.common import default_device
+from repro.experiments.common import default_device, run_point
 from repro.hw.device import DeviceModel
 from repro.hw.energy import (EnergySpec, default_energy_spec,
                              iteration_energy, trace_energy)
 from repro.ops.base import Component
-from repro.profiler.profiler import profile_trace
 from repro.report.tables import format_percent, format_table
-from repro.trace.bert_trace import iteration_trace
 from repro.trace.passes import build_pipeline
 
 
@@ -60,8 +58,7 @@ def run_one(training: TrainingConfig, model: BertConfig = BERT_LARGE,
     """Energy accounting at one operating point."""
     device = device or default_device()
     spec = spec or default_energy_spec()
-    trace = iteration_trace(model, training)
-    profile = profile_trace(trace, device)
+    trace, profile = run_point(model, training, device)
     report = iteration_energy(profile, spec)
 
     fused_dynamic = trace_energy(

@@ -8,9 +8,8 @@ training iteration and reports the waterfall — where the remaining time
 goes after each step, and the compound speedup.
 
 Each stage is a :class:`~repro.trace.passes.PassManager` pipeline run
-through :func:`~repro.experiments.common.run_point`, so stage results are
-disk-cached under their pipeline signature and the rewrites stay columnar
-end to end.
+through :func:`~repro.experiments.common.run_point` over the shared
+iteration trace, so the rewrites stay columnar end to end.
 """
 
 from __future__ import annotations

@@ -108,31 +108,3 @@ def preload(experiment_ids) -> None:
             except Exception:
                 pass
 
-
-def run_experiment(experiment_id: str) -> str:
-    """Run one experiment and return its rendered report."""
-    if experiment_id not in REGISTRY:
-        raise KeyError(f"unknown experiment {experiment_id!r}; "
-                       f"known: {sorted(REGISTRY)}")
-    experiment = REGISTRY[experiment_id]
-    return experiment.render(experiment.run())
-
-
-def run_all(jobs: int = 1) -> dict[str, str]:
-    """Run every registered experiment; returns id -> rendered report.
-
-    Runs through :mod:`repro.runner.executor`, so every experiment
-    executes even if some fail; failures are collected and raised as one
-    ``RuntimeError`` at the end.
-    """
-    from repro.runner.executor import run_experiments
-
-    results = run_experiments(list(REGISTRY), jobs=jobs)
-    failures = [r for r in results if not r.ok]
-    if failures:
-        detail = "\n\n".join(f"{r.experiment_id}:\n{r.error}"
-                             for r in failures)
-        raise RuntimeError(
-            f"{len(failures)} experiment(s) failed: "
-            f"{[r.experiment_id for r in failures]}\n{detail}")
-    return {r.experiment_id: r.output for r in results}

@@ -20,14 +20,14 @@ import dataclasses
 from dataclasses import dataclass
 
 from repro.config import BERT_LARGE, BertConfig, Precision, training_point
+from repro.experiments.common import run_point
 from repro.hw.calibration import get_knobs, set_knobs
 from repro.hw.device import DeviceModel, mi100
 from repro.hw.gemm_model import gemm_time
 from repro.ops.base import DType, Region
 from repro.profiler.breakdown import region_breakdown, summarize
-from repro.profiler.profiler import profile_trace
 from repro.report.tables import format_table
-from repro.trace.bert_trace import iteration_trace, transformer_gemm_shapes
+from repro.trace.bert_trace import transformer_gemm_shapes
 
 #: Perturbations applied one knob at a time: (label, knob or field, factor).
 PERTURBATIONS: tuple[tuple[str, str, float], ...] = (
@@ -82,12 +82,10 @@ def _check_claims(device: DeviceModel, model: BertConfig) -> dict[str, bool]:
     ph1_b16 = training_point(1, 16, Precision.FP32)
 
     def stats(training):
-        trace = iteration_trace(model, training)
-        return summarize(profile_trace(trace, device))
+        return summarize(run_point(model, training, device)[1])
 
     def attention_ops_share(training):
-        trace = iteration_trace(model, training)
-        regions = region_breakdown(profile_trace(trace, device))
+        regions = region_breakdown(run_point(model, training, device)[1])
         return (regions[Region.ATTENTION_BGEMM].fraction
                 + regions[Region.ATTENTION_SMDSM].fraction)
 

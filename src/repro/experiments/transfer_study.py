@@ -20,12 +20,11 @@ from dataclasses import dataclass
 
 from repro.config import (BERT_LARGE, BertConfig, Precision, TrainingConfig,
                           training_point)
+from repro.experiments.common import run_point
 from repro.hw.device import DeviceModel, a100_like, mi100, v100_like
 from repro.ops.base import DType
 from repro.profiler.breakdown import summarize
-from repro.profiler.profiler import profile_trace
 from repro.report.tables import format_percent, format_table
-from repro.trace.bert_trace import iteration_trace
 
 
 @dataclass(frozen=True)
@@ -55,10 +54,9 @@ def run(model: BertConfig = BERT_LARGE,
     """Profile the same iteration on every device."""
     training = training or training_point(1, 32, Precision.FP32)
     devices = devices or (mi100(), v100_like(), a100_like())
-    trace = iteration_trace(model, training)
     rows = []
     for device in devices:
-        stats = summarize(profile_trace(trace, device))
+        stats = summarize(run_point(model, training, device)[1])
         rows.append(DeviceProfileRow(
             device_name=device.name,
             balance=device.machine_balance(DType.FP32),

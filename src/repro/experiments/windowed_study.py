@@ -13,15 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.config import BERT_LARGE, BertConfig, Precision, TrainingConfig
-from repro.experiments.common import default_device
+from repro.experiments.common import default_device, run_point
 from repro.hw.device import DeviceModel
 from repro.hw.timing import trace_time
 from repro.ops.base import Component, DType, Region
 from repro.ops.windowed_attention import (WindowConfig,
                                           windowed_attention_op_kernels)
-from repro.profiler.profiler import profile_trace
 from repro.report.tables import format_percent, format_table
-from repro.trace.bert_trace import iteration_trace
 
 
 @dataclass(frozen=True)
@@ -62,8 +60,7 @@ def run(model: BertConfig = BERT_LARGE,
         batch = max(1, tokens_budget // seq_len)
         training = TrainingConfig(batch_size=batch, seq_len=seq_len,
                                   precision=Precision.FP32)
-        trace = iteration_trace(model, training)
-        profile = profile_trace(trace, device)
+        _, profile = run_point(model, training, device)
         iteration = profile.total_time
         dense_attention = profile.time_of(
             component=Component.TRANSFORMER,

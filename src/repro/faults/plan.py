@@ -85,11 +85,6 @@ class FaultRule:
         if self.delay_s < 0:
             raise ValueError(f"{self.site}: negative delay")
 
-    @property
-    def fails(self) -> bool:
-        """A rule with no delay *fails* the occurrence instead."""
-        return self.delay_s == 0.0
-
     def spec(self) -> str:
         """Canonical rule text (round-trips through :meth:`parse_rule`)."""
         if self.delay_s and self.rate == 1.0:
@@ -124,10 +119,6 @@ class FaultDecision:
     site: str
     index: int
     delay_s: float
-
-    @property
-    def fails(self) -> bool:
-        return self.delay_s == 0.0
 
 
 class FaultPlan:

@@ -56,10 +56,6 @@ class LambOffloadResult:
         return self.lamb_gpu_optimistic_s / self.lamb_nmc_s
 
     @property
-    def lamb_speedup_vs_actual(self) -> float:
-        return self.lamb_gpu_actual_s / self.lamb_nmc_s
-
-    @property
     def end_to_end_improvement(self) -> float:
         """Fractional iteration-time reduction (the 5-22% band)."""
         return 1.0 - self.iteration_nmc_s / self.iteration_baseline_s

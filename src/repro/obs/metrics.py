@@ -6,7 +6,8 @@ executor) report into process-wide metrics, and the run manifest stores a
 snapshot so ``repro stats`` can render hit rates after the fact.  The
 manifest's per-experiment ``cache_hits``/``cache_misses``/``kernels``/
 ``points`` columns are read from the ``run_point.*`` counters of each
-experiment's snapshot diff.
+experiment's snapshot diff: a ``run_point`` call always counts as a
+miss (computed), and hits come only from cached grid summaries.
 
 Model (a deliberately small subset of the Prometheus vocabulary):
 
@@ -107,10 +108,6 @@ RESERVOIR_SIZE = 512
 
 #: The quantiles every histogram summary reports.
 QUANTILES = (("p50", 0.50), ("p90", 0.90), ("p99", 0.99))
-
-#: Snapshot keys carried by a histogram summary, in render order.
-HISTOGRAM_FIELDS = ("count", "sum", "min", "max") + \
-    tuple(name for name, _ in QUANTILES)
 
 
 def _quantile(ordered: list[float], q: float) -> float:
@@ -313,8 +310,8 @@ def hit_rates(snapshot: dict[str, dict]) -> dict[str, float]:
     """Derived ``<metric>.hit_rate`` summaries from result-labeled counters.
 
     Any counter with ``result=hit`` / ``result=miss`` series (the result
-    cache, the in-process ``run_point`` memo, the GEMM-time memo) yields a
-    rate; metrics without traffic are omitted.
+    cache, the ``run_point`` resolutions, the iteration-trace and
+    GEMM-time memos) yields a rate; metrics without traffic are omitted.
     """
     rates: dict[str, float] = {}
     for name, entry in snapshot.items():

@@ -49,11 +49,6 @@ class KernelProfile:
         """Bytes per second actually sustained."""
         return self.kernel.bytes_total / self.time_s if self.time_s else 0.0
 
-    @property
-    def achieved_flops(self) -> float:
-        """FLOP/s actually sustained."""
-        return self.kernel.flops / self.time_s if self.time_s else 0.0
-
 
 class Profile:
     """Profiled execution of a whole iteration trace.
@@ -111,7 +106,7 @@ class Profile:
 
     # --------------------------------------------------------------- pickling
     def __getstate__(self) -> dict:
-        # The compact columnar form, so cache entries stay small.
+        # The compact columnar form, so a pickled profile stays small.
         return {"device": self.device, "table": self._table,
                 "times": self._times}
 

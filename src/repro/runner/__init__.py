@@ -4,9 +4,9 @@ The paper's evaluation is a battery of per-figure experiments; this package
 makes replaying that battery fast and trustworthy:
 
 * :mod:`repro.runner.cache` — a content-addressed, disk-backed cache of
-  ``(Trace, Profile)`` pairs keyed on the model/training configs, the
-  device fingerprint and the code version, shared by every experiment and
-  surviving across invocations;
+  experiment outputs and grid summaries, keyed on one digest of the
+  package source (plus the configs and device fingerprint for grids),
+  shared by every process and surviving across invocations;
 * :mod:`repro.runner.executor` — runs a batch of registered experiments,
   optionally across processes, with per-experiment isolation so one
   failure cannot abort the batch;

@@ -1,21 +1,26 @@
-"""Content-addressed, disk-backed trace/profile cache.
+"""Content-addressed, disk-backed cache of finished results.
 
-Several figures evaluate the same operating points, and a
-``functools.lru_cache`` memo died with the process.  This cache survives
-it.  Entries are pickled ``(Trace, Profile)`` pairs — frozen views,
-serialized in their compact columnar form (``KernelTable`` arrays plus a
-times array; see ``Trace.__getstate__``/``Profile.__getstate__``) rather
-than as per-kernel object graphs, so entries are small and loads stay
-lazy — stored under a key that is a SHA-256 over
+Two kinds of entry live here, both pickled dicts:
 
-* the :class:`~repro.config.BertConfig` fields,
-* the :class:`~repro.config.TrainingConfig` fields,
-* the device fingerprint (every parameter of the
-  :class:`~repro.hw.device.DeviceModel`), and
-* the code version (a digest of the source files that determine traces
-  and profiles),
+* **experiment outputs** (:meth:`ResultCache.experiment_key`): one
+  registered experiment's rendered report and band verdicts, so an
+  unchanged tree replays ``repro run all`` from disk;
+* **grid summaries** (:meth:`ResultCache.grid_key`): the per-point
+  breakdown rows of one whole profiling grid, so a repeated sweep is one
+  disk read instead of one build per point.
 
-so a change to any of them simply misses instead of serving stale data.
+Single operating points are not cached on disk: rebuilding one costs a
+few milliseconds, and within a process the shared ``iteration_trace``
+memo already serves every reader.  :meth:`ResultCache.key` still
+addresses a point (model, training, device), because the profiling
+server keys its hot cache and request coalescer on it.
+
+Every key is a SHA-256 that includes :func:`code_fingerprint`, one digest
+of every ``.py`` file of the package, so an edit anywhere in the source
+simply misses instead of serving stale data.  Point and grid keys add
+the :class:`~repro.config.BertConfig` and
+:class:`~repro.config.TrainingConfig` fields and the device fingerprint
+(every parameter of the :class:`~repro.hw.device.DeviceModel`).
 
 Every operating point resolved by
 :func:`~repro.experiments.common.run_point` or priced by the grid engine
@@ -38,7 +43,7 @@ concurrent threads cannot lose increments.
 
 Integrity: every entry is framed as ``RBC1 + CRC32(body) + body`` so a
 corrupt or truncated entry — torn by a crash, bit-rotted on disk, or
-injected by the ``cache.corrupt`` fault site — is *detected* on ``get``
+injected by the ``cache.corrupt`` fault site — is *detected* on read
 before the pickle ever reaches the unpickler.  A bad entry is moved to
 ``<root>/corrupt/`` (quarantined for post-mortem rather than deleted),
 counted (``stats.corrupt`` and the ``result=corrupt`` label of
@@ -74,8 +79,6 @@ from repro.obs import metrics, spans
 
 if TYPE_CHECKING:  # annotations only: a cache hit loads no engine code
     from repro.hw.device import DeviceModel
-    from repro.profiler.profiler import Profile
-    from repro.trace.builder import Trace
 
 #: Registry view of the cache counters CacheStats also tracks, labeled
 #: ``result=hit|miss|eviction`` so ``repro stats`` can derive hit rates.
@@ -93,13 +96,6 @@ _HEADER = struct.Struct(">4sI")
 
 #: Subdirectory (under the cache root) holding quarantined entries.
 QUARANTINE_DIR = "corrupt"
-
-#: Packages whose source determines a (trace, profile) result.  A change to
-#: any file under them rotates the cache key, so stale entries from an older
-#: code version can never be served.
-_CODE_FINGERPRINT_PARTS = ("config.py", "ops", "tensor", "trace", "hw",
-                           "profiler", "fusion", "memoryplan", "distributed",
-                           "nmc", "grid")
 
 
 def default_cache_dir() -> Path:
@@ -130,41 +126,29 @@ def _digest(payload) -> str:
 
 
 _code_fingerprint_cache: str | None = None
-_full_fingerprint_cache: str | None = None
 
 
-def _hash_sources(parts: tuple[str, ...]) -> str:
+def _hash_sources() -> str:
     package_root = Path(__file__).resolve().parent.parent
     sha = hashlib.sha256()
-    for part in parts:
-        path = package_root / part
-        files = sorted(path.rglob("*.py")) if path.is_dir() else [path]
-        for source in files:
-            sha.update(str(source.relative_to(package_root)).encode())
-            sha.update(source.read_bytes())
+    for source in sorted(package_root.rglob("*.py")):
+        sha.update(str(source.relative_to(package_root)).encode())
+        sha.update(source.read_bytes())
     return sha.hexdigest()
 
 
 def code_fingerprint() -> str:
-    """Digest of the source files that determine traces and profiles."""
+    """Digest of every ``.py`` file of the ``repro`` package.
+
+    Every result depends on some layer of the source (trace, device,
+    optimizer kernels, the experiment modules themselves), so every
+    cache key includes this one digest: touch any source file and every
+    entry misses.
+    """
     global _code_fingerprint_cache
     if _code_fingerprint_cache is None:
-        _code_fingerprint_cache = _hash_sources(_CODE_FINGERPRINT_PARTS)
+        _code_fingerprint_cache = _hash_sources()
     return _code_fingerprint_cache
-
-
-def full_code_fingerprint() -> str:
-    """Digest of the entire ``repro`` package source.
-
-    Experiment *results* depend on every layer (trace, device, fusion,
-    distributed models, the experiment modules themselves), so their
-    cache entries key on the whole package: touch any source file and
-    every cached result misses.
-    """
-    global _full_fingerprint_cache
-    if _full_fingerprint_cache is None:
-        _full_fingerprint_cache = _hash_sources((".",))
-    return _full_fingerprint_cache
 
 
 def device_fingerprint(device: DeviceModel) -> str:
@@ -204,7 +188,7 @@ POINT_KERNELS = metrics.counter(
 
 @dataclass
 class ResultCache:
-    """Disk-backed cache of ``(Trace, Profile)`` pairs.
+    """Disk-backed cache of experiment outputs and grid summaries.
 
     Attributes:
         root: directory holding the entries (created lazily).
@@ -220,24 +204,14 @@ class ResultCache:
                                   repr=False, compare=False)
 
     def key(self, model: BertConfig, training: TrainingConfig,
-            device: DeviceModel, *, pipeline: str = "") -> str:
-        """Content address of one operating point on one device.
-
-        ``pipeline`` is the :attr:`PassManager.signature` of the trace
-        rewrites applied after generation (empty = raw trace), so fused /
-        checkpointed / windowed variants of the same point get distinct
-        entries.  Omitting it keeps raw-point keys identical to before
-        the pass pipeline existed.
-        """
-        payload = {
+            device: DeviceModel) -> str:
+        """Content address of one operating point on one device."""
+        return _digest({
             "model": model,
             "training": training,
             "device": device_fingerprint(device),
             "code": code_fingerprint(),
-        }
-        if pipeline:
-            payload["pipeline"] = pipeline
-        return _digest(payload)
+        })
 
     def grid_key(self, points, device: DeviceModel, *,
                  pipeline: str = "") -> str:
@@ -263,7 +237,7 @@ class ResultCache:
         return _digest({
             "experiment": experiment_id,
             "description": description,
-            "code": full_code_fingerprint(),
+            "code": code_fingerprint(),
         })
 
     def _path(self, key: str) -> Path:
@@ -361,18 +335,6 @@ class ResultCache:
             if spans.get_tracer().enabled:  # stat only when traced
                 spans.annotate(bytes=path.stat().st_size)
 
-    def get(self, key: str) -> tuple[Trace, Profile] | None:
-        """Load a ``(Trace, Profile)`` entry; ``None`` on miss/corruption."""
-        payload = self.get_payload(key)
-        if payload is None:
-            return None
-        trace, profile = payload
-        return trace, profile
-
-    def put(self, key: str, trace: Trace, profile: Profile) -> None:
-        """Store a ``(Trace, Profile)`` entry atomically."""
-        self.put_payload(key, (trace, profile))
-
     # ------------------------------------------------------------ management
     def entries(self) -> list[Path]:
         """All entry files currently on disk."""
@@ -396,7 +358,7 @@ class ResultCache:
         return removed
 
 
-# The process-wide cache used by ``repro.experiments.common.run_point``.
+# The process-wide cache used by the executor, the grid engine and serve.
 _active: ResultCache | None = None
 
 

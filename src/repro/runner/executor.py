@@ -241,8 +241,9 @@ def run_experiments(experiment_ids: list[str], jobs: int = 1,
     Args:
         experiment_ids: registry ids to run (must all be registered).
         jobs: worker processes; 1 runs in-process.  Workers share the
-            disk cache (atomic writes), so a point computed by one worker
-            is a hit for the others on the next run.
+            disk cache (atomic writes), so an experiment or grid computed
+            by one worker is a hit for every process on the next run;
+            each worker builds the operating points it prices itself.
         use_result_cache: serve unchanged experiments from the result
             cache; pass ``False`` (CLI ``--fresh``) to force recompute.
         retry: transient-failure policy applied inside each experiment

@@ -1,10 +1,11 @@
 """In-process hot cache: a bytes-bounded LRU above the disk cache.
 
-The :class:`~repro.runner.cache.ResultCache` makes a repeated query
-cheap (one pickle load); this cache makes it *free*: fully rendered
-response bodies are kept in memory, keyed by the same content addresses
-the runner computes, so a hot ``GET /profile/<point>`` is a dict lookup
-plus a socket write — no unpickle, no re-summarize, no re-render.
+The shared iteration-trace memo makes a repeated point cheap (one
+pricing, no rebuild) and the :class:`~repro.runner.cache.ResultCache`
+makes a repeated grid one pickle load; this cache makes either *free*:
+fully rendered response bodies are kept in memory, keyed by the runner's
+content addresses, so a hot ``GET /profile/<point>`` is a dict lookup
+plus a socket write — no re-price, no re-summarize, no re-render.
 
 The bound is **bytes, not entries**: a Perfetto export of a BERT Large
 point is ~10^4x larger than a summary row, so an entry count would make

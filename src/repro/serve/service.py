@@ -6,12 +6,14 @@ the batched grid engine and the Chrome-trace exporter — behind a handful
 of *synchronous* compute methods that the async server dispatches onto
 its worker pool.  Two properties matter:
 
-* **Content-addressed keys.**  Every cacheable response is keyed by the
-  same :class:`~repro.runner.cache.ResultCache` addresses the runner
-  computes (model + training + device fingerprint + code version), so
-  the hot cache and the request coalescer agree with the disk cache on
-  what "identical query" means, and a code change rotates every layer
-  at once.
+* **Content-addressed keys.**  Every cacheable response is keyed by a
+  :class:`~repro.runner.cache.ResultCache` address (model + training +
+  device fingerprint + the digest of the whole package source): a point
+  route by :meth:`~repro.runner.cache.ResultCache.key`, a grid by
+  :meth:`~repro.runner.cache.ResultCache.grid_key`, the same address its
+  disk entry has.  The hot cache and the request coalescer agree on what
+  "identical query" means, and any code change rotates every layer at
+  once.
 
 * **Canonical rendering.**  Responses are rendered by
   :func:`render_json` exactly once and cached as bytes; the Perfetto
@@ -60,8 +62,8 @@ class ProfilingService:
     """Synchronous compute core served by :class:`~repro.serve.app.App`.
 
     Stateless apart from the frozen device model: all memoization lives
-    in the layers around it (hot cache, request coalescer, disk cache,
-    ``run_point``'s in-process memo).
+    in the layers around it (hot cache, request coalescer, the disk cache
+    of grid summaries, the shared ``iteration_trace`` memo).
     """
 
     def __init__(self, device: DeviceModel | None = None):

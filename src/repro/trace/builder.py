@@ -73,7 +73,7 @@ class Trace:
 
     # --------------------------------------------------------------- pickling
     def __getstate__(self) -> dict:
-        # Only the compact columnar form: the runner cache then stores a
+        # Only the compact columnar form: a pickled trace is then a
         # handful of arrays + pools instead of thousands of objects.
         return {"model": self.model, "training": self.training,
                 "table": self._table}

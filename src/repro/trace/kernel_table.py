@@ -27,8 +27,8 @@ Tables are **immutable**: every array is marked read-only at construction,
 and transforms (``concat``, ``take``, ``select``, ``splice``,
 ``rewrite_rows``) return new tables.  The per-:class:`Kernel` view is
 materialized lazily and only for the rows a caller actually asks for.  This
-immutability is what lets :func:`repro.experiments.common.run_point` hand
-the same trace and profile to every caller without defensive copies — and
+immutability is what lets :func:`repro.trace.bert_trace.iteration_trace`
+hand the same trace to every caller without defensive copies — and
 what makes the trace-rewrite passes of :mod:`repro.trace.passes` pure
 functions.
 
@@ -469,14 +469,6 @@ class KernelTable:
         return {slot: getattr(self, slot) for slot in self.__slots__}
 
     def __setstate__(self, state: dict) -> None:
-        # .get: tolerate pickles from before the provenance column (the
-        # cache's code fingerprint rotates keys on upgrade, but tolerance
-        # keeps manually saved tables loadable).
-        if "provenance" not in state:
-            state = dict(state,
-                         provenance=np.full(len(state["op_class"]), -1,
-                                            dtype=np.int16),
-                         provenance_names=())
         for slot in self.__slots__:
             value = state[slot]
             if isinstance(value, np.ndarray):

@@ -20,9 +20,9 @@ What the manager adds around each pass:
   checkpointing legitimately interleave recompute rows, and fused
   attention's backward recomputation breaks the 2x GEMM-FLOP ratio;
 * a stable pipeline **signature** (``"fuse_elementwise|checkpointing(num_
-  checkpoints=4)"``) that :func:`repro.experiments.common.run_point` keys
-  the runner cache on, so cached results distinguish fused / checkpointed
-  / windowed variants of the same operating point.
+  checkpoints=4)"``) that :meth:`repro.runner.cache.ResultCache.grid_key`
+  keys cached grid summaries on, so they distinguish fused / checkpointed
+  / windowed variants of the same grid.
 
 Each pass stamps the rows it produces with a provenance code (see
 ``KernelTable.provenance``), so a transformed table records which pass
@@ -67,7 +67,7 @@ class TracePass:
 
     Subclasses set :attr:`name`, override :meth:`apply`, and return their
     configuration from :meth:`params` (it becomes part of the pipeline
-    signature, and therefore of the runner cache key).  ``apply`` must not
+    signature, and therefore of the grid cache key).  ``apply`` must not
     mutate its input — :class:`KernelTable` arrays are read-only, so an
     accidental in-place write raises immediately.
     """

@@ -10,10 +10,10 @@ import contextlib
 
 import pytest
 
-from repro.experiments import common
 from repro.obs import metrics
 from repro.runner import cache
 from repro.runner.executor import _point_counters
+from repro.trace.bert_trace import clear_iteration_traces
 
 
 @pytest.fixture(autouse=True, scope="session")
@@ -23,11 +23,11 @@ def _isolated_runner_dirs(tmp_path_factory):
     mp.setenv(cache.CACHE_DIR_ENV, str(root / "cache"))
     mp.setenv("REPRO_RUNS_DIR", str(root / "runs"))
     cache.reset_cache()
-    getattr(common, "clear_memo", lambda: None)()
+    clear_iteration_traces()
     yield
     mp.undo()
     cache.reset_cache()
-    getattr(common, "clear_memo", lambda: None)()
+    clear_iteration_traces()
 
 
 @pytest.fixture

@@ -15,12 +15,12 @@ import os
 import pytest
 
 from repro import cli
-from repro.experiments import common
 from repro.faults import sites
 from repro.faults.plan import FaultPlan
 from repro.runner import cache as cache_module
 from repro.runner import manifest as manifest_module
 from repro.runner.executor import run_experiments
+from repro.trace.bert_trace import clear_iteration_traces
 
 #: Small, fast experiments — the invariant is about bytes, not scale.
 IDS = ["fig4", "sec4", "fig6"]
@@ -28,10 +28,6 @@ IDS = ["fig4", "sec4", "fig6"]
 #: ≥50% worker kills, ≥30% cache corruption, every compute slowed.
 CHAOS = "worker.kill:0.5,cache.corrupt:0.3,compute.slow:1ms"
 SEED = 11
-
-
-def _clear_memo():
-    getattr(common, "clear_memo", lambda: None)()
 
 
 @pytest.fixture(autouse=True)
@@ -43,13 +39,13 @@ def isolated(tmp_path, monkeypatch):
     monkeypatch.delenv(sites.FAULTS_SEED_ENV, raising=False)
     cache_module.reset_cache()
     sites.deactivate()
-    _clear_memo()
+    clear_iteration_traces()
     yield tmp_path
     os.environ.pop(sites.FAULTS_ENV, None)
     os.environ.pop(sites.FAULTS_SEED_ENV, None)
     cache_module.reset_cache()
     sites.deactivate()
-    _clear_memo()
+    clear_iteration_traces()
 
 
 def _outputs(results):
@@ -64,7 +60,7 @@ class TestChaosDeterminism:
         # New cache, chaos on: kills and corruption force retries and
         # recomputes, but completed outputs must not move by one byte.
         cache_module.configure_cache(isolated / "chaos-cache")
-        _clear_memo()
+        clear_iteration_traces()
         plan = FaultPlan.parse(CHAOS, seed=SEED)
         sites.activate(plan)
         faulted = run_experiments(IDS)
@@ -93,7 +89,7 @@ class TestChaosDeterminism:
         outputs = set()
         for seed in (1, 2, 3):
             cache_module.configure_cache(isolated / f"seed-{seed}")
-            _clear_memo()
+            clear_iteration_traces()
             sites.activate(FaultPlan.parse(CHAOS, seed=seed))
             results = run_experiments(IDS)
             assert all(r.ok for r in results)
@@ -140,7 +136,7 @@ class TestResume:
         clean = capsys.readouterr().out
 
         cache_module.configure_cache(isolated / "retry-cache")
-        _clear_memo()
+        clear_iteration_traces()
         assert cli.main(["run", "fig4", "--fresh",
                          "--faults", "worker.kill:1",
                          "--fault-seed", "3"]) == 1

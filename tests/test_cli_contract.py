@@ -18,6 +18,7 @@ import repro
 from repro.cli import main
 from repro.experiments import registry as registry_module
 from repro.experiments.registry import Experiment
+from repro.trace.bert_trace import clear_iteration_traces
 
 
 def _ok_run():
@@ -148,7 +149,6 @@ class TestManifest:
 class TestResultCache:
     def test_second_run_served_from_cache_with_identical_stdout(
             self, stub_registry, runs_dir, tmp_path, capsys):
-        from repro.experiments import common
         from repro.runner import cache as cache_module
 
         cache_module.configure_cache(tmp_path / "cache")
@@ -176,7 +176,7 @@ class TestResultCache:
             assert entry["experiment_cached"] == 0
         finally:
             cache_module.reset_cache()
-            getattr(common, "clear_memo", lambda: None)()
+            clear_iteration_traces()
 
     def test_failures_are_never_cached(self, stub_registry, runs_dir,
                                        capsys):
@@ -247,14 +247,13 @@ class TestGridCommand:
 class TestCacheCommand:
     def test_info_and_clear(self, tmp_path, monkeypatch, capsys):
         from repro.config import BERT_TINY, TrainingConfig
-        from repro.experiments import common
+        from repro.grid.engine import grid_points, grid_summaries
         from repro.runner import cache as cache_module
 
         cache_module.configure_cache(tmp_path / "cache")
-        common.clear_memo()
         try:
-            from repro.experiments.common import run_point
-            run_point(BERT_TINY, TrainingConfig(batch_size=2, seq_len=16))
+            grid_summaries(grid_points(
+                BERT_TINY, [TrainingConfig(batch_size=2, seq_len=16)]))
 
             assert main(["cache", "info"]) == 0
             out = capsys.readouterr().out
@@ -266,7 +265,6 @@ class TestCacheCommand:
             assert "entries: 0" in capsys.readouterr().out
         finally:
             cache_module.reset_cache()
-            common.clear_memo()
 
 
 class TestTraceCommand:

@@ -158,14 +158,15 @@ class TestSignatureAndRegistry:
         from repro.runner.cache import ResultCache
 
         cache = ResultCache()
-        raw = cache.key(BERT_TINY, TINY, mi100())
-        fused = cache.key(BERT_TINY, TINY, mi100(),
-                          pipeline="fuse_elementwise")
-        composed = cache.key(
-            BERT_TINY, TINY, mi100(),
+        points = [(BERT_TINY, TINY)]
+        raw = cache.grid_key(points, mi100())
+        fused = cache.grid_key(points, mi100(),
+                               pipeline="fuse_elementwise")
+        composed = cache.grid_key(
+            points, mi100(),
             pipeline="fuse_elementwise|checkpointing(num_checkpoints=4)")
         assert len({raw, fused, composed}) == 3
-        assert cache.key(BERT_TINY, TINY, mi100(), pipeline="") == raw
+        assert cache.grid_key(points, mi100(), pipeline="") == raw
 
 
 class _BrokenPass(TracePass):

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.experiments import REGISTRY, run_experiment
+from repro.experiments import REGISTRY
+from repro.runner.executor import run_one
 
 
 @pytest.mark.parametrize("experiment_id", list(REGISTRY))
@@ -35,7 +36,9 @@ def test_registry_import_loads_no_experiment_module():
 
 @pytest.mark.parametrize("experiment_id", sorted(REGISTRY))
 def test_experiment_runs_and_renders(experiment_id):
-    output = run_experiment(experiment_id)
+    result = run_one(experiment_id, use_result_cache=False)
+    assert result.ok, result.error
+    output = result.output
     assert isinstance(output, str)
     assert len(output.strip()) > 20
     # Rendered tables/bars always carry multiple lines.

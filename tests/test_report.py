@@ -66,18 +66,14 @@ class TestBars:
 
 class TestExperimentRegistry:
     def test_all_experiments_render(self):
-        from repro.experiments import REGISTRY, run_experiment
+        from repro.experiments import REGISTRY
+        from repro.runner.executor import run_one
         # Smoke-render the cheap experiments end to end.
         for eid in ("fig6", "fig12"):
-            out = run_experiment(eid)
+            out = run_one(eid, use_result_cache=False).output
             assert isinstance(out, str) and out
         # Every paper figure/table plus the extension studies.
         paper_ids = {"fig3", "fig4", "fig6", "fig7", "fig8", "fig9",
                      "sec4", "fig11", "fig12", "nmc", "table1"}
         assert paper_ids <= set(REGISTRY)
         assert len(REGISTRY) >= len(paper_ids) + 4
-
-    def test_unknown_experiment_rejected(self):
-        from repro.experiments import run_experiment
-        with pytest.raises(KeyError):
-            run_experiment("fig99")

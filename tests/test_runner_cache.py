@@ -3,42 +3,43 @@
 The aliasing tests are the regression guard for the seed's ``lru_cache``
 bug: memoized ``run_point`` handed every caller the same mutable
 ``Trace``/``Profile``, so mutating ``trace.kernels`` corrupted the cache
-for every later figure.  Callers still share one memoized pair, but it is
-immutable: ``trace.kernels`` and ``profile.records`` are tuples, so the
-mutation raises instead of corrupting the cache.
+for every later figure.  Callers still share one memoized trace, but it
+is immutable: ``trace.kernels`` and ``profile.records`` are tuples, so
+the mutation raises instead of corrupting the memo.
 """
 
 import dataclasses
 import pickle
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.config import BERT_TINY, TrainingConfig
-from repro.experiments import common
 from repro.experiments.common import run_point
 from repro.hw.device import mi100
 from repro.runner import cache as cache_module
 from repro.runner.cache import ResultCache
+from repro.trace.bert_trace import clear_iteration_traces
 
 TINY = TrainingConfig(batch_size=2, seq_len=16)
 DEVICE = mi100()
-
-
-def _clear_memo():
-    # getattr so the aliasing regression tests still *run* (and fail on
-    # their assertions) against the pre-fix lru_cache implementation,
-    # which has no memo to clear.
-    getattr(common, "clear_memo", lambda: None)()
 
 
 @pytest.fixture(autouse=True)
 def fresh_cache(tmp_path):
     """Per-test cache directory and empty in-process memo."""
     cache_module.configure_cache(tmp_path / "cache")
-    _clear_memo()
+    clear_iteration_traces()
     yield
     cache_module.reset_cache()
-    _clear_memo()
+    clear_iteration_traces()
+
+
+def _grid_summaries():
+    from repro.grid.engine import grid_points, grid_summaries
+
+    return grid_summaries(grid_points(BERT_TINY, [TINY]))
 
 
 class TestAliasingRegression:
@@ -64,8 +65,8 @@ class TestAliasingRegression:
 
     def test_callers_share_one_immutable_pair(self):
         trace_a, profile_a = run_point(BERT_TINY, TINY)
-        trace_b, profile_b = run_point(BERT_TINY, TINY)
-        assert trace_a is trace_b and profile_a is profile_b
+        trace_b, _ = run_point(BERT_TINY, TINY)
+        assert trace_a is trace_b
         assert isinstance(trace_a.kernels, tuple)
         assert isinstance(profile_a.records, tuple)
 
@@ -102,74 +103,104 @@ class TestContentAddressing:
         assert cache.key(BERT_TINY, TINY, DEVICE) != before
 
 
+class TestCodeFingerprint:
+    """One digest over every source file keys every entry, so an edit in
+    any package (``optim/`` included) misses instead of serving stale
+    results."""
+
+    def test_fingerprint_reads_every_package_source(self, monkeypatch):
+        read: list[Path] = []
+        original = Path.read_bytes
+
+        def recording(path):
+            read.append(path.resolve())
+            return original(path)
+
+        monkeypatch.setattr(cache_module, "_code_fingerprint_cache", None)
+        monkeypatch.setattr(Path, "read_bytes", recording)
+        cache_module.code_fingerprint()
+        monkeypatch.undo()
+
+        package_root = Path(repro.__file__).resolve().parent
+        sources = {p.resolve() for p in package_root.rglob("*.py")}
+        assert package_root / "optim" / "kernels.py" in sources
+        assert sources <= set(read)
+
+    def test_every_key_kind_rotates_with_the_fingerprint(self,
+                                                         monkeypatch):
+        cache = ResultCache()
+
+        def keys():
+            return (cache.experiment_key("fig3", "a description"),
+                    cache.grid_key([(BERT_TINY, TINY)], DEVICE),
+                    cache.key(BERT_TINY, TINY, DEVICE))
+
+        before = keys()
+        monkeypatch.setattr(cache_module, "_code_fingerprint_cache",
+                            "different-code-version")
+        after = keys()
+        assert all(old != new for old, new in zip(before, after))
+
+
 class TestDiskRoundTrip:
     def test_miss_then_hit(self, tmp_path):
         cache = ResultCache(root=tmp_path / "rt")
-        key = cache.key(BERT_TINY, TINY, DEVICE)
-        assert cache.get(key) is None
+        key = cache.experiment_key("fig3", "round trip")
+        assert cache.get_payload(key) is None
         assert cache.stats.misses == 1
 
-        trace, profile = run_point(BERT_TINY, TINY)
-        cache.put(key, trace, profile)
-        loaded = cache.get(key)
-        assert loaded is not None
+        payload = {"output": "table\n", "bands": None}
+        cache.put_payload(key, payload)
+        assert cache.get_payload(key) == payload
         assert cache.stats.hits == 1
-        loaded_trace, loaded_profile = loaded
-        assert len(loaded_trace.kernels) == len(trace.kernels)
-        assert loaded_profile.total_time == pytest.approx(
-            profile.total_time)
 
     def test_survives_across_instances(self, tmp_path):
         root = tmp_path / "persist"
         first = ResultCache(root=root)
-        key = first.key(BERT_TINY, TINY, DEVICE)
-        trace, profile = run_point(BERT_TINY, TINY)
-        first.put(key, trace, profile)
+        key = first.grid_key([(BERT_TINY, TINY)], DEVICE)
+        first.put_payload(key, {"rows": [{"gemm": 0.5}], "kernels": [7]})
 
         # A fresh instance (a later invocation) sees the entry.
         second = ResultCache(root=root)
-        assert second.get(key) is not None
+        assert second.get_payload(key) is not None
         assert second.stats.hits == 1
 
     def test_corrupted_entry_falls_back_to_recompute(self, point_counters):
         with point_counters() as first:
-            run_point(BERT_TINY, TINY)
+            rows = _grid_summaries()
         assert first["cache_misses"] == 1
 
         cache = cache_module.get_cache()
         [entry] = cache.entries()
         entry.write_bytes(b"not a pickle")
-        common.clear_memo()
 
         with point_counters() as second:
-            trace, _ = run_point(BERT_TINY, TINY)
+            assert _grid_summaries() == rows
         assert second["cache_misses"] == 1
         assert cache.stats.evictions == 1
-        assert len(trace.kernels) > 0
+        assert len(list((cache.root / cache_module.QUARANTINE_DIR)
+                        .iterdir())) == 1
         # The recompute rewrote the entry; it loads cleanly now.
-        common.clear_memo()
         with point_counters() as third:
-            run_point(BERT_TINY, TINY)
+            _grid_summaries()
         assert third["cache_hits"] == 1
 
     def test_truncated_pickle_falls_back(self, tmp_path):
         cache = ResultCache(root=tmp_path / "trunc")
-        key = cache.key(BERT_TINY, TINY, DEVICE)
-        trace, profile = run_point(BERT_TINY, TINY)
-        cache.put(key, trace, profile)
+        key = cache.experiment_key("fig3", "truncated")
+        cache.put_payload(key, {"output": "x" * 500, "bands": None})
         path = cache._path(key)
         path.write_bytes(path.read_bytes()[:64])
-        assert cache.get(key) is None
+        assert cache.get_payload(key) is None
         assert cache.stats.evictions == 1
 
     def test_clear_and_info(self, tmp_path):
         cache = ResultCache(root=tmp_path / "mgmt")
-        trace, profile = run_point(BERT_TINY, TINY)
         for batch in (2, 3):
-            key = cache.key(
-                BERT_TINY, dataclasses.replace(TINY, batch_size=batch),
+            key = cache.grid_key(
+                [(BERT_TINY, dataclasses.replace(TINY, batch_size=batch))],
                 DEVICE)
-            cache.put(key, trace, profile)
+            cache.put_payload(key, {"rows": [], "kernels": []})
         assert len(cache.entries()) == 2
         assert cache.size_bytes() > 0
         assert cache.clear() == 2
@@ -177,44 +208,9 @@ class TestDiskRoundTrip:
 
 
 class TestRunPointThroughCache:
-    def test_second_invocation_hits_disk(self, point_counters):
-        with point_counters() as first:
-            run_point(BERT_TINY, TINY)
-        assert (first["cache_hits"], first["cache_misses"]) == (0, 1)
-
-        common.clear_memo()  # simulate a new process, same cache dir
-        with point_counters() as second:
-            run_point(BERT_TINY, TINY)
-        assert (second["cache_hits"], second["cache_misses"]) == (1, 0)
-
-    def test_memo_hit_within_invocation(self, point_counters):
-        with point_counters() as counts:
-            run_point(BERT_TINY, TINY)
-            run_point(BERT_TINY, TINY)
-        assert counts["cache_hits"] == 1
-        assert counts["cache_misses"] == 1
-        assert counts["points"] == 2
-        assert counts["kernels"] > 0
-
-    def test_custom_device_is_cached_under_its_fingerprint(
-            self, point_counters):
-        tweaked = dataclasses.replace(DEVICE, name="tweaked",
-                                      mem_bandwidth_gbps=600.0)
-        _, profile_default = run_point(BERT_TINY, TINY)
-        _, profile_tweaked = run_point(BERT_TINY, TINY, tweaked)
-        assert profile_tweaked.total_time != pytest.approx(
-            profile_default.total_time)
-
-        common.clear_memo()
-        with point_counters() as counts:
-            _, again = run_point(BERT_TINY, TINY, tweaked)
-        assert counts["cache_hits"] == 1
-        assert again.total_time == pytest.approx(
-            profile_tweaked.total_time)
-
     def test_cached_results_identical_to_fresh(self):
         trace_fresh, profile_fresh = run_point(BERT_TINY, TINY)
-        common.clear_memo()
+        clear_iteration_traces()
         trace_cached, profile_cached = run_point(BERT_TINY, TINY)
         assert trace_cached.kernels == trace_fresh.kernels
         assert [r.time_s for r in profile_cached.records] == pytest.approx(

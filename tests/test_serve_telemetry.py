@@ -41,14 +41,14 @@ def app():
 def cold_engine(tmp_path, monkeypatch):
     """Point the disk cache at an empty directory and drop the memo, so
     the request under test actually computes (and opens engine spans)."""
-    from repro.experiments import common
     from repro.runner import cache
+    from repro.trace.bert_trace import clear_iteration_traces
 
     monkeypatch.setenv(cache.CACHE_DIR_ENV, str(tmp_path / "cache"))
     cache.reset_cache()
-    common.clear_memo()
+    clear_iteration_traces()
     yield
-    common.clear_memo()
+    clear_iteration_traces()
     monkeypatch.undo()
     cache.reset_cache()
 

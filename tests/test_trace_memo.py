@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 from repro.config import BERT_LARGE, BERT_TINY, Precision, training_point
-from repro.experiments.common import clear_memo, run_point
+from repro.experiments.common import run_point
 from repro.hw.device import mi100
 from repro.obs import metrics
-from repro.trace.bert_trace import build_iteration_trace, iteration_trace
+from repro.trace.bert_trace import (build_iteration_trace,
+                                    clear_iteration_traces, iteration_trace)
 from repro.trace.kernel_table import KernelTable
 
 POINT = (BERT_TINY, training_point(1, 4, Precision.FP32))
@@ -22,9 +23,9 @@ POINT = (BERT_TINY, training_point(1, 4, Precision.FP32))
 
 @pytest.fixture(autouse=True)
 def _fresh_memo():
-    clear_memo()
+    clear_iteration_traces()
     yield
-    clear_memo()
+    clear_iteration_traces()
 
 
 def _memo_lookups(before: dict) -> dict[str, float]:
@@ -60,9 +61,9 @@ def test_distinct_points_get_distinct_traces():
     assert iteration_trace(POINT[0], other).training == other
 
 
-def test_clear_memo_drops_memoized_traces():
+def test_clear_iteration_traces_drops_memoized_traces():
     first = iteration_trace(*POINT)
-    clear_memo()
+    clear_iteration_traces()
     second = iteration_trace(*POINT)
     assert second is not first
     assert second == first
@@ -86,14 +87,6 @@ def test_builder_returns_a_fresh_trace_every_call():
     assert _memo_lookups(before) == {"hit": 1, "miss": 0}
 
 
-def test_run_point_builds_through_the_memo(tmp_path, monkeypatch):
-    from repro.runner import cache
-
-    monkeypatch.setenv(cache.CACHE_DIR_ENV, str(tmp_path))
-    cache.reset_cache()
-    try:
-        trace, _ = run_point(*POINT, mi100())
-        assert trace is iteration_trace(*POINT)
-    finally:
-        monkeypatch.undo()
-        cache.reset_cache()
+def test_run_point_builds_through_the_memo():
+    trace, _ = run_point(*POINT, mi100())
+    assert trace is iteration_trace(*POINT)
