@@ -124,7 +124,11 @@ class DeviceModel:
         return ceiling * ramp
 
     def with_overrides(self, **kwargs) -> "DeviceModel":
-        """Copy with fields replaced (for what-if device studies, Sec. 7)."""
+        """Copy with fields replaced (for what-if device studies, Sec. 7).
+
+        Devices are never mutated in place: ``hw.timing``'s GEMM memo and
+        ``runner.cache.device_fingerprint`` are keyed by object identity.
+        """
         return replace(self, **kwargs)
 
 

@@ -414,22 +414,50 @@ def traced(name: str | None = None, category: str = "repro"):
     return decorate
 
 
+def _self_times(spans: list[Span]) -> list[float]:
+    """Each span's duration minus the part of it its child spans cover.
+
+    Children are found by ``parent_id`` and clipped to the parent's
+    interval; overlapping children (worker threads) count once.
+    """
+    children: dict[int, list[Span]] = {}
+    for record in spans:
+        children.setdefault(record.parent_id, []).append(record)
+    self_times = []
+    for record in spans:
+        covered, reach = 0.0, record.start_s
+        for child in sorted(children.get(record.span_id, ()),
+                            key=lambda child: child.start_s):
+            start = max(child.start_s, reach)
+            end = min(child.end_s, record.end_s)
+            if end > start:
+                covered += end - start
+                reach = end
+        self_times.append(record.duration_s - covered)
+    return self_times
+
+
 def aggregate_spans(spans: list[Span]) -> dict[str, dict[str, float]]:
     """Fold raw spans into the per-name summary stored in run manifests.
 
-    Returns ``{name: {count, total_s, max_s}}``; iteration order follows
-    first appearance, which is launch order for single-threaded runs.
+    Returns ``{name: {count, total_s, self_s, max_s}}``: ``total_s`` is
+    inclusive, ``self_s`` excludes the time child spans cover, so where
+    children do not overlap the ``self_s`` of every name sums to the wall
+    time of the root spans.  Iteration order follows first appearance,
+    which is launch order for single-threaded runs.
     """
     summary: dict[str, dict[str, float]] = {}
-    for record in spans:
+    for record, self_s in zip(spans, _self_times(spans)):
         entry = summary.setdefault(
-            record.name, {"count": 0, "total_s": 0.0, "max_s": 0.0})
+            record.name,
+            {"count": 0, "total_s": 0.0, "self_s": 0.0, "max_s": 0.0})
         entry["count"] += 1
         entry["total_s"] += record.duration_s
+        entry["self_s"] += self_s
         entry["max_s"] = max(entry["max_s"], record.duration_s)
     for entry in summary.values():
-        entry["total_s"] = round(entry["total_s"], 9)
-        entry["max_s"] = round(entry["max_s"], 9)
+        for stat in ("total_s", "self_s", "max_s"):
+            entry[stat] = round(entry[stat], 9)
     return summary
 
 
@@ -444,5 +472,8 @@ def merge_span_summaries(summaries: "list[dict[str, dict[str, float]]]"
             into["count"] += entry.get("count", 0)
             into["total_s"] = round(into["total_s"]
                                     + entry.get("total_s", 0.0), 9)
+            if "self_s" in entry:
+                into["self_s"] = round(into.get("self_s", 0.0)
+                                       + entry["self_s"], 9)
             into["max_s"] = max(into["max_s"], entry.get("max_s", 0.0))
     return merged

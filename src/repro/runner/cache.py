@@ -22,6 +22,15 @@ the :class:`~repro.config.BertConfig` and
 :class:`~repro.config.TrainingConfig` fields and the device fingerprint
 (every parameter of the :class:`~repro.hw.device.DeviceModel`).
 
+Hashing is paid once per frozen input, not once per key: each device
+object is digested once (:func:`device_fingerprint` memoizes by object
+identity, guarded by a weakref whose finalizer evicts the entry, like
+:mod:`repro.hw.timing`'s GEMM memo), and a grid key digests each
+distinct model object once.  Both memos rest on one invariant: a
+``DeviceModel`` is never mutated in place — ``with_overrides`` makes a
+copy, and a copy is a new object with its own entry.  No ``hash()`` or
+``id()`` reaches key material, so keys agree across processes.
+
 Every operating point resolved by
 :func:`~repro.experiments.common.run_point` or priced by the grid engine
 (:mod:`repro.grid.engine`) is counted, process-wide, in
@@ -60,6 +69,7 @@ directory) empties it.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -67,6 +77,7 @@ import pickle
 import struct
 import tempfile
 import threading
+import weakref
 import zlib
 from dataclasses import dataclass, field
 from enum import Enum
@@ -106,11 +117,25 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "repro-bert"
 
 
+@functools.cache
+def _field_names(cls: type) -> tuple[str, ...] | None:
+    """Field names of a dataclass type, ``None`` for any other type."""
+    if dataclasses.is_dataclass(cls):
+        return tuple(f.name for f in dataclasses.fields(cls))
+    return None
+
+
+#: Leaf types ``json.dumps`` writes as they are.
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
 def _jsonable(value):
     """Recursively convert configs/devices into JSON-stable structures."""
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {f.name: _jsonable(getattr(value, f.name))
-                for f in dataclasses.fields(value)}
+    if type(value) in _SCALARS:
+        return value
+    names = _field_names(type(value))
+    if names is not None:
+        return {name: _jsonable(getattr(value, name)) for name in names}
     if isinstance(value, Enum):
         return value.value
     if isinstance(value, dict):
@@ -120,8 +145,9 @@ def _jsonable(value):
     return value
 
 
-def _digest(payload) -> str:
-    text = json.dumps(_jsonable(payload), sort_keys=True, default=str)
+def _digest(canonical) -> str:
+    """SHA-256 of a payload already in :func:`_jsonable` form."""
+    text = json.dumps(canonical, sort_keys=True, default=str)
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -151,9 +177,27 @@ def code_fingerprint() -> str:
     return _code_fingerprint_cache
 
 
+# Devices are frozen but unhashable (dict-valued fields), so the memo is
+# keyed by id(device) and an entry is valid only while its weakref still
+# resolves to the *same* object; the finalizer evicts it on collection, so
+# id reuse can never alias two devices and the table stays bounded.
+_device_fingerprints: dict[int, tuple[weakref.ref, str]] = {}
+
+
 def device_fingerprint(device: DeviceModel) -> str:
-    """Digest of every performance parameter of ``device``."""
-    return _digest(device)
+    """Digest of every performance parameter of ``device``, computed once
+    per device object."""
+    key = id(device)
+    entry = _device_fingerprints.get(key)
+    if entry is not None and entry[0]() is device:
+        return entry[1]
+    fingerprint = _digest(_jsonable(device))
+
+    def _evict(_ref, key=key):
+        _device_fingerprints.pop(key, None)
+
+    _device_fingerprints[key] = (weakref.ref(device, _evict), fingerprint)
+    return fingerprint
 
 
 @dataclass
@@ -207,8 +251,8 @@ class ResultCache:
             device: DeviceModel) -> str:
         """Content address of one operating point on one device."""
         return _digest({
-            "model": model,
-            "training": training,
+            "model": _jsonable(model),
+            "training": _jsonable(training),
             "device": device_fingerprint(device),
             "code": code_fingerprint(),
         })
@@ -220,11 +264,20 @@ class ResultCache:
         ``points`` iterates ``(model, training)`` pairs; their *order* is
         part of the signature because the cached summary rows come back
         positionally.  One entry per grid keeps a 1000-point sweep at one
-        disk read instead of one per point.
+        disk read instead of one per point.  Each distinct model object
+        is digested once; the memo holds the object, so a generator that
+        builds a fresh model per point cannot alias two models by ``id``.
         """
+        models: dict[int, tuple[BertConfig, str]] = {}
+        grid = []
+        for model, training in points:
+            entry = models.get(id(model))
+            if entry is None:
+                entry = models[id(model)] = (model,
+                                             _digest(_jsonable(model)))
+            grid.append([entry[1], _jsonable(training)])
         payload = {
-            "grid": [{"model": model, "training": training}
-                     for model, training in points],
+            "grid": grid,
             "device": device_fingerprint(device),
             "code": code_fingerprint(),
         }

@@ -140,19 +140,20 @@ def render_spans(manifest: dict) -> str:
         return ("no spans recorded in this manifest "
                 "(run `repro run <experiment>` first)")
     ordered = sorted(span_summary.items(),
-                     key=lambda item: item[1].get("total_s", 0.0),
+                     key=lambda item: item[1].get("self_s", 0.0),
                      reverse=True)
     rows = [(name, entry.get("count", 0),
+             f"{entry.get('self_s', 0.0) * 1e3:.2f} ms",
              f"{entry.get('total_s', 0.0) * 1e3:.2f} ms",
              f"{entry.get('max_s', 0.0) * 1e3:.2f} ms")
             for name, entry in ordered]
-    table = format_table(("span", "count", "total", "max"), rows)
-    total_s = sum(e.get("total_s", 0.0) for e in span_summary.values())
+    table = format_table(("span", "count", "self", "total", "max"), rows)
+    self_s = sum(e.get("self_s", 0.0) for e in span_summary.values())
     return (f"spans of run {manifest.get('created_utc', '?')}  "
             f"command={manifest.get('command', '?')!r}\n\n{table}\n\n"
             f"{len(span_summary)} span names, "
             f"{sum(e.get('count', 0) for e in span_summary.values())} spans, "
-            f"{total_s * 1e3:.2f} ms total traced time")
+            f"{self_s * 1e3:.2f} ms total traced time (sum of self time)")
 
 
 def render_stats(manifest: dict) -> str:

@@ -61,20 +61,33 @@ def _entries_payload(entries) -> list[dict]:
 class ProfilingService:
     """Synchronous compute core served by :class:`~repro.serve.app.App`.
 
-    Stateless apart from the frozen device model: all memoization lives
-    in the layers around it (hot cache, request coalescer, the disk cache
-    of grid summaries, the shared ``iteration_trace`` memo).
+    Holds the frozen device model and the finished key of each point
+    route.  Every other memo lives in the layers around it (hot cache,
+    request coalescer, the disk cache of grid summaries, the shared
+    ``iteration_trace`` memo).
     """
 
     def __init__(self, device: DeviceModel | None = None):
         self.device = device if device is not None else default_device()
+        #: ``(route, point) -> key``.  The registry, the device and the
+        #: code fingerprint are fixed for the life of the service, so each
+        #: key is hashed once; only registered points enter.
+        self._point_keys: dict[tuple[str, str], str] = {}
 
     # ------------------------------------------------------------------ keys
     def point_key(self, route: str, point: str) -> str:
         """Hot-cache/coalescing key of one point route: the runner's
-        content address prefixed with the route name."""
-        model, training = POINT_REGISTRY[point]
-        return f"{route}:{get_cache().key(model, training, self.device)}"
+        content address prefixed with the route name.
+
+        Raises:
+            KeyError: ``point`` is not in the registry.
+        """
+        key = self._point_keys.get((route, point))
+        if key is None:
+            model, training = POINT_REGISTRY[point]
+            key = f"{route}:{get_cache().key(model, training, self.device)}"
+            self._point_keys[(route, point)] = key
+        return key
 
     def grid_cache_key(self, model: BertConfig,
                        trainings: list[TrainingConfig]) -> str:

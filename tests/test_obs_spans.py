@@ -7,8 +7,9 @@ import time
 
 import pytest
 
-from repro.obs.spans import (SpanTracer, aggregate_spans, get_tracer,
+from repro.obs.spans import (Span, SpanTracer, aggregate_spans, get_tracer,
                              merge_span_summaries, span, traced)
+from repro.runner.manifest import render_spans
 
 
 @pytest.fixture
@@ -191,3 +192,30 @@ class TestAggregation:
 
     def test_merge_of_nothing_is_empty(self):
         assert merge_span_summaries([]) == {}
+
+    def test_self_time_excludes_children(self):
+        # A 10 ms root covering a 4 ms child, plus two overlapping 3 ms
+        # grandchildren (worker threads) covering 4 ms of the child.
+        spans = [
+            Span("child", start_s=0.002, end_s=0.006, span_id=2,
+                 parent_id=1),
+            Span("leaf", start_s=0.002, end_s=0.005, span_id=3,
+                 parent_id=2),
+            Span("leaf", start_s=0.003, end_s=0.006, span_id=4,
+                 parent_id=2),
+            Span("root", start_s=0.0, end_s=0.010, span_id=1),
+        ]
+        summary = aggregate_spans(spans)
+        assert summary["root"]["self_s"] == pytest.approx(0.006)
+        assert summary["child"]["self_s"] == pytest.approx(0.0)
+        assert summary["leaf"]["self_s"] == pytest.approx(0.006)
+        assert summary["leaf"]["total_s"] == pytest.approx(0.006)
+
+        nested = aggregate_spans(spans[:1] + spans[3:])
+        assert sum(e["self_s"] for e in nested.values()) == pytest.approx(
+            0.010)
+        merged = merge_span_summaries([nested, nested])
+        assert merged["root"]["self_s"] == pytest.approx(0.012)
+        footer = render_spans(
+            {"observability": {"spans": nested}}).splitlines()[-1]
+        assert "10.00 ms total traced time" in footer

@@ -9,7 +9,11 @@ the mutation raises instead of corrupting the memo.
 """
 
 import dataclasses
+import gc
+import os
 import pickle
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -101,6 +105,91 @@ class TestContentAddressing:
         monkeypatch.setattr(cache_module, "_code_fingerprint_cache",
                             "different-code-version")
         assert cache.key(BERT_TINY, TINY, DEVICE) != before
+
+
+class TestDeviceFingerprintMemo:
+    """``device_fingerprint`` is memoized per device object; equal devices
+    still agree, copies differ, and dropped devices leave the table."""
+
+    def test_separately_built_devices_agree(self):
+        assert (cache_module.device_fingerprint(mi100())
+                == cache_module.device_fingerprint(mi100()))
+
+    def test_override_copy_gets_its_own_fingerprint(self):
+        before = cache_module.device_fingerprint(DEVICE)
+        copy = DEVICE.with_overrides(mem_bandwidth_gbps=999.0)
+        assert cache_module.device_fingerprint(copy) != before
+        assert cache_module.device_fingerprint(DEVICE) == before
+
+    def test_transient_devices_are_evicted(self):
+        gc.collect()
+        before = len(cache_module._device_fingerprints)
+        # Alive together, so no two share an id and each gets an entry.
+        devices = [DEVICE.with_overrides(mem_bandwidth_gbps=1000.0 + i)
+                   for i in range(1000)]
+        fingerprints = {cache_module.device_fingerprint(device)
+                        for device in devices}
+        assert len(fingerprints) == 1000
+        assert len(cache_module._device_fingerprints) >= before + 1000
+        del devices
+        gc.collect()
+        assert len(cache_module._device_fingerprints) <= before
+
+
+class TestGridKey:
+    def test_generated_fresh_models_match_the_same_list(self):
+        """A generator that builds (and drops) a distinct model per point
+        must not alias two models whose ids CPython reuses."""
+        layers = (2, 3, 2, 4, 3, 5)
+
+        def pairs():
+            for num_layers in layers:
+                yield BERT_TINY.scaled(num_layers=num_layers), TINY
+
+        cache = ResultCache()
+        listed = [(BERT_TINY.scaled(num_layers=num_layers), TINY)
+                  for num_layers in layers]
+        assert cache.grid_key(pairs(), DEVICE) == cache.grid_key(listed,
+                                                                 DEVICE)
+
+    def test_any_single_point_change_changes_the_key(self):
+        cache = ResultCache()
+        points = [(BERT_TINY, dataclasses.replace(TINY, batch_size=batch))
+                  for batch in (2, 4, 8)]
+        keys = {cache.grid_key(points, DEVICE)}
+        for index, (model, training) in enumerate(points):
+            for changed in ((model.scaled(num_layers=3), training),
+                            (model, dataclasses.replace(training,
+                                                        seq_len=32))):
+                edited = list(points)
+                edited[index] = changed
+                keys.add(cache.grid_key(edited, DEVICE))
+        assert len(keys) == 1 + 2 * len(points)
+
+    def test_keys_agree_across_interpreters_and_hash_seeds(self):
+        """Disk entries are shared across processes, so no ``hash()`` or
+        ``id()`` may reach key material."""
+        script = (
+            "from repro.experiments.points import POINT_REGISTRY\n"
+            "from repro.hw.device import mi100\n"
+            "from repro.runner.cache import ResultCache\n"
+            "model, training = POINT_REGISTRY['tiny.ph1-b2-fp32']\n"
+            "cache = ResultCache()\n"
+            "print(cache.key(model, training, mi100()))\n"
+            "print(cache.grid_key([(model, training)], mi100()))\n")
+        from repro.experiments.points import POINT_REGISTRY
+
+        model, training = POINT_REGISTRY["tiny.ph1-b2-fp32"]
+        cache = ResultCache()
+        expected = [cache.key(model, training, DEVICE),
+                    cache.grid_key([(model, training)], DEVICE)]
+        for seed in ("1", "2"):  # at least one differs from this process
+            env = {**os.environ, "PYTHONHASHSEED": seed,
+                   "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+            out = subprocess.run([sys.executable, "-c", script], env=env,
+                                 capture_output=True, text=True,
+                                 check=True, timeout=120).stdout.split()
+            assert out == expected
 
 
 class TestCodeFingerprint:

@@ -145,6 +145,21 @@ class TestEndpointContracts:
         assert "nope" in payload["error"]
         assert payload["valid"] == sorted(POINT_REGISTRY)
 
+    def test_unknown_points_never_enter_the_key_memo(self, app):
+        async def scenario():
+            statuses = set()
+            for index in range(1000):
+                response = await app.handle("GET", f"/profile/nope-{index}")
+                statuses.add(response.status)
+            return statuses
+
+        for point in POINT_REGISTRY:
+            for route in ("profile", "perfetto"):
+                assert (app.service.point_key(route, point)
+                        == app.service.point_key(route, point))
+        assert run(scenario()) == {404}
+        assert len(app.service._point_keys) <= 2 * len(POINT_REGISTRY)
+
     def test_unknown_route_is_404(self, app):
         async def scenario(host, port):
             return await http_request(host, port, "GET", "/nope")
