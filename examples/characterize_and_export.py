@@ -18,7 +18,7 @@ from repro.core import characterize
 from repro.experiments import fig7
 from repro.hw import compare_backends, mi100
 from repro.profiler import write_csv, write_json
-from repro.report import roofline_plot
+from repro.report.roofline_plot import roofline_plot
 
 
 def main() -> None:

@@ -152,23 +152,19 @@ def _build_parser() -> argparse.ArgumentParser:
     commands.add_parser(
         "passes", help="list the registered trace-rewrite passes")
 
-    report = commands.add_parser(
-        "report", help="summarize the most recent run manifest")
-    report.add_argument("--run", metavar="PATH", default=None,
-                        help="manifest file (default: latest under runs/)")
-
-    spans = commands.add_parser(
-        "spans", help="span timing summary of a run manifest")
-    spans.add_argument("--run", metavar="PATH", default=None,
-                       help="manifest file (default: latest under runs/)")
-
-    stats = commands.add_parser(
-        "stats", help="metrics (counters/hit rates) of a run manifest")
-    stats.add_argument("--run", metavar="PATH", default=None,
-                       help="manifest file (default: latest under runs/)")
-    stats.add_argument("--prom", action="store_true",
-                       help="render the manifest's metrics in Prometheus "
-                            "text exposition format instead of a table")
+    for name, summary in (
+            ("report", "summarize the most recent run manifest"),
+            ("spans", "span timing summary of a run manifest"),
+            ("stats", "metrics (counters/hit rates) of a run manifest")):
+        manifest = commands.add_parser(name, help=summary)
+        manifest.add_argument("--run", metavar="PATH", default=None,
+                              help="manifest file (default: latest under "
+                                   "runs/)")
+        if name == "stats":
+            manifest.add_argument(
+                "--prom", action="store_true",
+                help="render the manifest's metrics in Prometheus text "
+                     "exposition format instead of a table")
 
     cache = commands.add_parser(
         "cache", help="inspect or clear the result cache")
@@ -238,7 +234,11 @@ def _cmd_run(experiment_id: str, jobs: int, write_manifest: bool,
             print("--resume: no previous manifest; running everything",
                   file=sys.stderr)
         else:
-            remaining = resume_ids(load_manifest(previous), ids)
+            try:
+                remaining = resume_ids(load_manifest(previous), ids)
+            except ValueError as error:
+                print(f"--resume: {error}", file=sys.stderr)
+                return 2
             skipped = len(ids) - len(remaining)
             print(f"--resume from {previous}: {skipped} already complete, "
                   f"{len(remaining)} to run", file=sys.stderr)
@@ -325,52 +325,38 @@ def _cmd_export_perfetto(target: str, path: str,
     if problems:  # defensive: exporters always emit valid traces
         print("invalid trace: " + "; ".join(problems), file=sys.stderr)
         return 1
-    write_chrome_trace(payload, path)
+    try:
+        write_chrome_trace(payload, path)
+    except OSError as error:
+        return _cannot_write(path, error)
     events = len(payload["traceEvents"])
     print(f"wrote {path} ({events} events; open in ui.perfetto.dev)")
     return 0
 
 
-def _load_manifest_or_complain(run_path: str | None):
+def _cannot_write(path: str, error: OSError) -> int:
+    """One stderr line for an output file the CLI could not write."""
+    print(f"cannot write {path}: {error.strerror or error}", file=sys.stderr)
+    return 2
+
+
+def _cmd_manifest(command: str, run_path: str | None,
+                  prom: bool = False) -> int:
+    """``repro report`` / ``spans`` / ``stats``: render one run manifest."""
     from pathlib import Path
 
-    from repro.runner.manifest import (latest_manifest_path, load_manifest,
-                                       runs_dir)
+    from repro.runner import manifest as manifests
 
-    path = Path(run_path) if run_path else latest_manifest_path()
+    path = Path(run_path) if run_path else manifests.latest_manifest_path()
     if path is None or not path.is_file():
-        where = run_path if run_path else f"{runs_dir()}/"
+        where = run_path if run_path else f"{manifests.runs_dir()}/"
         print(f"no run manifest found at {where}; "
               "run `repro run all` first", file=sys.stderr)
-        return None
-    return load_manifest(path)
-
-
-def _cmd_report(run_path: str | None) -> int:
-    from repro.runner.manifest import render_manifest
-
-    manifest = _load_manifest_or_complain(run_path)
-    if manifest is None:
         return 1
-    print(render_manifest(manifest))
-    return 0
-
-
-def _cmd_spans(run_path: str | None) -> int:
-    from repro.runner.manifest import render_spans
-
-    manifest = _load_manifest_or_complain(run_path)
-    if manifest is None:
-        return 1
-    print(render_spans(manifest))
-    return 0
-
-
-def _cmd_stats(run_path: str | None, prom: bool = False) -> int:
-    from repro.runner.manifest import render_stats
-
-    manifest = _load_manifest_or_complain(run_path)
-    if manifest is None:
+    try:
+        manifest = manifests.load_manifest(path)
+    except ValueError as error:
+        print(error, file=sys.stderr)
         return 1
     if prom:
         from repro.obs.prometheus import render_prometheus
@@ -380,7 +366,10 @@ def _cmd_stats(run_path: str | None, prom: bool = False) -> int:
             return 1
         print(render_prometheus(snapshot), end="")
         return 0
-    print(render_stats(manifest))
+    render = {"report": manifests.render_manifest,
+              "spans": manifests.render_spans,
+              "stats": manifests.render_stats}[command]
+    print(render(manifest))
     return 0
 
 
@@ -438,7 +427,7 @@ def _cmd_trace(point: str, passes_spec: str | None = None) -> int:
         trace = manager.run(trace)
         source += f" + passes [{manager.signature}]"
 
-    gemms = len(trace.gemms())
+    gemms = int(trace.table.is_gemm.sum())
     print(f"{point}: {model.name} {training.label}")
     print(f"source: {source}")
     print(f"kernels: {len(trace)} ({gemms} gemms)")
@@ -479,8 +468,11 @@ def _cmd_grid(model_name: str, batch_sizes: str, seq_lens: str,
                         "optimizer", "output"), table))
     if csv_path:
         rendered = rows_to_csv(rows)
-        with open(csv_path, "w", newline="") as handle:
-            handle.write(rendered)
+        try:
+            with open(csv_path, "w", newline="") as handle:
+                handle.write(rendered)
+        except OSError as error:
+            return _cannot_write(csv_path, error)
         print(f"wrote {csv_path}")
     failures = sum(1 for row in rows if "error" in row)
     return 1 if failures else 0
@@ -575,14 +567,13 @@ def _dispatch(args: argparse.Namespace) -> int:
         except (KeyError, TypeError) as error:
             print(str(error), file=sys.stderr)
             return 2
+        except OSError as error:
+            return _cannot_write(args.path, error)
         print(f"wrote {args.path}")
         return 0
-    if args.command == "report":
-        return _cmd_report(args.run)
-    if args.command == "spans":
-        return _cmd_spans(args.run)
-    if args.command == "stats":
-        return _cmd_stats(args.run, prom=args.prom)
+    if args.command in ("report", "spans", "stats"):
+        return _cmd_manifest(args.command, args.run,
+                             prom=getattr(args, "prom", False))
     if args.command == "flight":
         return _cmd_flight(args.log, args.last, args.trace)
     if args.command == "cache":

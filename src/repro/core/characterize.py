@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.config import BertConfig, Precision, TrainingConfig
 from repro.hw.device import DeviceModel, mi100
 from repro.hw.energy import EnergyReport, iteration_energy
@@ -21,6 +23,7 @@ from repro.profiler.profiler import Profile, profile_trace
 from repro.report.tables import format_percent, format_table
 from repro.trace.bert_trace import iteration_trace
 from repro.trace.builder import Trace
+from repro.trace.kernel_table import DTYPES
 from repro.trace.passes import PassManager
 from repro.trace.validate import validate_trace
 
@@ -108,34 +111,36 @@ class Characterization:
         ])
 
 
+#: Row filters of each GEMM family (ANDed with the table's GEMM mask).
 _GEMM_FAMILIES = {
-    "fc": lambda k: k.region is Region.FC_GEMM,
-    "linear": lambda k: k.region is Region.ATTENTION_LINEAR,
-    "attention": lambda k: k.region is Region.ATTENTION_BGEMM,
-    "output": lambda k: k.component is Component.OUTPUT,
+    "fc": {"region": Region.FC_GEMM},
+    "linear": {"region": Region.ATTENTION_LINEAR},
+    "attention": {"region": Region.ATTENTION_BGEMM},
+    "output": {"component": Component.OUTPUT},
 }
 
 
 def _gemm_classes(profile: Profile) -> list[GemmClassSummary]:
     from repro.hw.gemm_model import gemm_time
 
+    table = profile.table
     total = profile.total_time
     summaries = []
-    for family, predicate in _GEMM_FAMILIES.items():
-        records = profile.records_where(
-            lambda k, predicate=predicate: k.op_class.is_gemm
-            and predicate(k))
-        if not records:
+    for family, filters in _GEMM_FAMILIES.items():
+        rows = np.flatnonzero(table.mask(**filters) & table.is_gemm)
+        if not len(rows):
             continue
-        intensities = [r.kernel.gemm.arithmetic_intensity(r.kernel.dtype)
-                       for r in records]
+        gemms = [(table.gemms[shape], DTYPES[dtype]) for shape, dtype
+                 in zip(table.gemm_code[rows].tolist(),
+                        table.dtype[rows].tolist())]
+        intensities = [shape.arithmetic_intensity(dtype)
+                       for shape, dtype in gemms]
         memory_bound = sum(
-            1 for r in records
-            if gemm_time(r.kernel.gemm, r.kernel.dtype,
-                         profile.device).memory_bound)
+            1 for shape, dtype in gemms
+            if gemm_time(shape, dtype, profile.device).memory_bound)
         summaries.append(GemmClassSummary(
-            family=family, count=len(records),
-            time_fraction=sum(r.time_s for r in records) / total,
+            family=family, count=len(rows),
+            time_fraction=sum(profile.times[rows].tolist()) / total,
             min_intensity=min(intensities),
             max_intensity=max(intensities),
             memory_bound_count=memory_bound))

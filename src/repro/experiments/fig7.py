@@ -14,15 +14,17 @@ bandwidth while FC GEMMs demand only ~20%.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+
+import numpy as np
 
 from repro.config import (BERT_LARGE, BertConfig, Precision, TrainingConfig,
                           training_point)
 from repro.experiments.common import run_point
 from repro.hw.device import DeviceModel
-from repro.ops.base import Kernel, OpClass, Region
+from repro.ops.base import OpClass, Region
 from repro.profiler.profiler import Profile
 from repro.report.tables import format_table
+from repro.trace.kernel_table import KernelTable
 
 
 @dataclass(frozen=True)
@@ -52,37 +54,31 @@ class OpGroupRecord:
         return self.bytes_total / self.time_s if self.time_s else 0.0
 
 
-def _group_selectors() -> list[tuple[str, Callable[[Kernel], bool]]]:
-    """(label, kernel predicate) for every Fig. 7 bar."""
-    def region_is(region: Region, gemm: bool | None = None):
-        def predicate(k: Kernel) -> bool:
-            if k.region is not region:
-                return False
-            if gemm is None:
-                return True
-            return k.op_class.is_gemm == gemm
-        return predicate
-
+def _group_masks(table: KernelTable) -> list[tuple[str, np.ndarray]]:
+    """(label, row mask) for every Fig. 7 bar."""
+    gemm = table.is_gemm
     return [
-        ("FC GEMMs", region_is(Region.FC_GEMM, gemm=True)),
-        ("Linear GEMMs", region_is(Region.ATTENTION_LINEAR, gemm=True)),
-        ("Attn B-GEMMs", region_is(Region.ATTENTION_BGEMM, gemm=True)),
-        ("LAMBStage1", region_is(Region.OPT_STAGE1)),
-        ("LAMBStage2", region_is(Region.OPT_STAGE2)),
-        ("Scale+Mask+DR+SM", region_is(Region.ATTENTION_SMDSM)),
-        ("GeLU", region_is(Region.FC_GELU)),
-        ("DR+RC+LN", region_is(Region.DR_RC_LN)),
-        ("EW multiply", lambda k: k.op_class is OpClass.ELEMENTWISE
-         and k.region is Region.DR_RC_LN and "dropout" in k.name),
+        ("FC GEMMs", table.mask(region=Region.FC_GEMM) & gemm),
+        ("Linear GEMMs", table.mask(region=Region.ATTENTION_LINEAR) & gemm),
+        ("Attn B-GEMMs", table.mask(region=Region.ATTENTION_BGEMM) & gemm),
+        ("LAMBStage1", table.mask(region=Region.OPT_STAGE1)),
+        ("LAMBStage2", table.mask(region=Region.OPT_STAGE2)),
+        ("Scale+Mask+DR+SM", table.mask(region=Region.ATTENTION_SMDSM)),
+        ("GeLU", table.mask(region=Region.FC_GELU)),
+        ("DR+RC+LN", table.mask(region=Region.DR_RC_LN)),
+        ("EW multiply", table.mask(op_class=OpClass.ELEMENTWISE,
+                                   region=Region.DR_RC_LN)
+         & table.name_contains("dropout")),
     ]
 
 
 def _group_totals(profile: Profile,
-                  predicate: Callable[[Kernel], bool]) -> tuple[int, int, float]:
-    records = profile.records_where(predicate)
-    flops = sum(r.kernel.flops for r in records)
-    moved = sum(r.kernel.bytes_total for r in records)
-    time_s = sum(r.time_s for r in records)
+                  mask: np.ndarray) -> tuple[int, int, float]:
+    table = profile.table
+    flops = int(table.flops[mask].sum())
+    moved = int(table.bytes_total[mask].sum())
+    # Python's sum in row order: np.sum's pairwise order changes the bits.
+    time_s = sum(profile.times[mask].tolist())
     return flops, moved, time_s
 
 
@@ -94,8 +90,8 @@ def run(model: BertConfig = BERT_LARGE,
     _, profile = run_point(model, training, device)
 
     raw = []
-    for label, predicate in _group_selectors():
-        flops, moved, time_s = _group_totals(profile, predicate)
+    for label, mask in _group_masks(profile.table):
+        flops, moved, time_s = _group_totals(profile, mask)
         if time_s <= 0:
             raise ValueError(f"group {label!r} matched no kernels")
         raw.append((label, flops, moved, time_s))

@@ -96,10 +96,12 @@ def run() -> list[TakeawayCheck]:
     # (unlike RNNs).  The tiny NSP classifier head is out of scope.
     b1 = training_point(1, 1, Precision.FP32)
     trace_b1, _ = run_point(BERT_LARGE, b1, device)
-    encoder_gemms = [k for k in trace_b1.gemms()
-                     if k.component is Component.TRANSFORMER]
-    min_gemm_dim = min(min(k.gemm.m, k.gemm.n, k.gemm.k)
-                       for k in encoder_gemms)
+    table_b1 = trace_b1.table
+    encoder = (table_b1.is_gemm
+               & table_b1.mask(component=Component.TRANSFORMER))
+    shapes = {table_b1.gemms[code]
+              for code in table_b1.gemm_code[encoder].tolist()}
+    min_gemm_dim = min(min(s.m, s.n, s.k) for s in shapes)
     checks.append(TakeawayCheck(
         "T5", "Mini-batch of one does not produce matrix-vector ops in "
         "Transformer layers",

@@ -45,11 +45,16 @@ def checkpoint_segments(num_layers: int,
 
     Returns:
         List of layer ranges, one per segment.
+
+    Raises:
+        ValueError: ``num_layers`` or ``num_checkpoints`` is below one.
     """
     if num_layers <= 0:
         raise ValueError("num_layers must be positive")
     if num_checkpoints is None:
         num_checkpoints = max(1, round(math.sqrt(num_layers)))
+    elif num_checkpoints < 1:
+        raise ValueError("num_checkpoints must be >= 1")
     num_checkpoints = min(num_checkpoints, num_layers)
     segment_len = math.ceil(num_layers / num_checkpoints)
     segments = []
@@ -72,6 +77,8 @@ class CheckpointingPass(TracePass):
     name = "checkpointing"
 
     def __init__(self, num_checkpoints: int | None = None):
+        if num_checkpoints is not None and num_checkpoints < 1:
+            raise ValueError("num_checkpoints must be >= 1")
         self.num_checkpoints = num_checkpoints
 
     def params(self) -> dict:

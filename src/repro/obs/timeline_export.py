@@ -85,18 +85,27 @@ def _metadata(pid: int, name: str, *, tid: int | None = None,
 def profile_to_chrome_trace(profile: "Profile", *,
                             label: str = "simulated kernel stream",
                             pid: int = 0) -> dict:
-    """One virtual GPU track: a complete slice per profiled kernel."""
+    """One virtual GPU track: a complete slice per profiled kernel, read
+    from the profile's table columns (no per-kernel object is built)."""
     device = profile.device
+    table = profile.table
     events = _metadata(pid, f"{device.name} (simulated)")
     events += _metadata(pid, label, tid=0)
 
+    rows = zip(table.labels("name_code"), table.labels("op_class"),
+               table.labels("phase"), table.labels("component"),
+               table.labels("region"), table.layer.tolist(),
+               table.labels("dtype"), table.flops.tolist(),
+               table.bytes_total.tolist(), table.labels("gemm_code"),
+               table.labels("fusion_code"), profile.times.tolist())
     clock_us = 0.0
-    for index, record in enumerate(profile.records):
-        kernel = record.kernel
-        duration_us = record.time_s * 1e6
+    for index, (name, op_class, phase, component, region, layer, dtype,
+                flops, moved, gemm_shape, fusion_group,
+                time_s) in enumerate(rows):
+        duration_us = time_s * 1e6
         event = {
-            "name": kernel.name,
-            "cat": kernel.op_class.value,
+            "name": name,
+            "cat": op_class,
             "ph": "X",
             "ts": clock_us,
             "dur": duration_us,
@@ -104,24 +113,23 @@ def profile_to_chrome_trace(profile: "Profile", *,
             "tid": 0,
             "args": {
                 "index": index,
-                "op_class": kernel.op_class.value,
-                "phase": kernel.phase.value,
-                "component": kernel.component.value,
-                "region": kernel.region.value,
-                "layer": (-1 if kernel.layer_index is None
-                          else kernel.layer_index),
-                "dtype": kernel.dtype.label,
-                "flops": kernel.flops,
-                "bytes": kernel.bytes_total,
+                "op_class": op_class,
+                "phase": phase,
+                "component": component,
+                "region": region,
+                "layer": layer,
+                "dtype": dtype,
+                "flops": flops,
+                "bytes": moved,
             },
         }
-        color = OP_CLASS_COLORS.get(kernel.op_class.value)
+        color = OP_CLASS_COLORS.get(op_class)
         if color:
             event["cname"] = color
-        if kernel.gemm is not None:
-            event["args"]["gemm_shape"] = kernel.gemm.label
-        if kernel.fusion_group is not None:
-            event["args"]["fusion_group"] = kernel.fusion_group
+        if gemm_shape is not None:
+            event["args"]["gemm_shape"] = gemm_shape
+        if fusion_group is not None:
+            event["args"]["fusion_group"] = fusion_group
         events.append(event)
         clock_us += duration_us
 

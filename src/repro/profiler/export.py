@@ -31,25 +31,35 @@ CSV_COLUMNS = ("index", "kernel_name", "op_class", "phase", "component",
 
 
 def _rows(profile: Profile):
-    for index, record in enumerate(profile.records):
-        kernel = record.kernel
+    """One export row per kernel, read from the table's columns."""
+    table = profile.table
+    columns = zip(table.labels("name_code"), table.labels("op_class"),
+                  table.labels("phase"), table.labels("component"),
+                  table.labels("region"), table.layer.tolist(),
+                  profile.times.tolist(), table.flops.tolist(),
+                  table.bytes_read.tolist(), table.bytes_written.tolist(),
+                  table.labels("dtype"), table.labels("gemm_code"))
+    for index, (name, op_class, phase, component, region, layer, time_s,
+                flops, read, written, dtype, gemm_shape) in enumerate(columns):
+        moved = read + written
         yield {
             "index": index,
-            "kernel_name": kernel.name,
-            "op_class": kernel.op_class.value,
-            "phase": kernel.phase.value,
-            "component": kernel.component.value,
-            "region": kernel.region.value,
-            "layer": (NO_LAYER if kernel.layer_index is None
-                      else kernel.layer_index),
-            "duration_us": round(record.time_s * 1e6, 3),
-            "flops": kernel.flops,
-            "bytes_read": kernel.bytes_read,
-            "bytes_written": kernel.bytes_written,
-            "arithmetic_intensity": round(kernel.arithmetic_intensity, 4),
-            "achieved_gbps": round(record.achieved_bandwidth / 1e9, 2),
-            "dtype": kernel.dtype.label,
-            "gemm_shape": kernel.gemm.label if kernel.gemm else "",
+            "kernel_name": name,
+            "op_class": op_class,
+            "phase": phase,
+            "component": component,
+            "region": region,
+            "layer": layer,  # the column's absent code is NO_LAYER
+            "duration_us": round(time_s * 1e6, 3),
+            "flops": flops,
+            "bytes_read": read,
+            "bytes_written": written,
+            "arithmetic_intensity": round(flops / moved if moved else 0.0,
+                                          4),
+            "achieved_gbps": round(
+                (moved / time_s if time_s else 0.0) / 1e9, 2),
+            "dtype": dtype,
+            "gemm_shape": "" if gemm_shape is None else gemm_shape,
         }
 
 
@@ -70,18 +80,15 @@ def write_csv(profile: Profile, path: str) -> None:
 
 
 def profile_summary(profile: Profile) -> dict[str, object]:
-    """Aggregate JSON-ready stats of one profile.
-
-    The shape is shared by :func:`to_json` and the run-manifest telemetry
-    (:mod:`repro.runner.manifest`), so a manifest entry and a full export
-    of the same profile always agree.
-    """
+    """Aggregate JSON-ready stats of one profile: the ``summary`` block
+    of :func:`to_json`, reduced over the table's columns."""
+    table = profile.table
     return {
-        "kernels": len(profile.records),
+        "kernels": len(profile),
         "total_time_s": profile.total_time,
         "gemm_time_s": profile.gemm_time(),
-        "flops": sum(r.kernel.flops for r in profile.records),
-        "bytes": sum(r.kernel.bytes_total for r in profile.records),
+        "flops": int(table.flops.sum()),
+        "bytes": int(table.bytes_total.sum()),
     }
 
 

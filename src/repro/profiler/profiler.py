@@ -11,17 +11,19 @@ times the whole trace through the vectorized
 ``(KernelTable, times array)``.  ``time_of`` / ``gemm_time`` /
 ``total_time`` are always masked array reductions, so a reported number
 never depends on what was read before it.  ``time_of`` answers every slice
-by phase, component, region, op class and encoder layer from the columns.
-The per-record object view (``profile.records``) is a read-only tuple
-built on first read, for callers that want per-kernel objects (exports,
-kernel listings) and for ``time_where`` and friends, whose arbitrary
-predicates the columns cannot answer.
+by phase, component, region, op class and encoder layer from the columns,
+and the exporters read ``profile.table`` and ``profile.times`` directly.
+The per-record object view (``profile.records``) is explicit: a read-only
+tuple built on first read for tests and examples, and for the scan
+oracles ``time_where`` / ``fraction_where``, whose arbitrary predicates
+the column slices are checked against.  A profile is not iterable and
+compares by identity, so nothing builds the view implicitly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -43,11 +45,6 @@ class KernelProfile:
 
     kernel: Kernel
     time_s: float
-
-    @property
-    def achieved_bandwidth(self) -> float:
-        """Bytes per second actually sustained."""
-        return self.kernel.bytes_total / self.time_s if self.time_s else 0.0
 
 
 class Profile:
@@ -90,16 +87,8 @@ class Profile:
         """Per-kernel times as a read-only array."""
         return self._times
 
-    def __iter__(self) -> Iterator[KernelProfile]:
-        return iter(self.records)
-
     def __len__(self) -> int:
         return len(self._times)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Profile):
-            return NotImplemented
-        return self.device == other.device and self.records == other.records
 
     def __repr__(self) -> str:
         return f"Profile(device={self.device.name!r}, kernels={len(self)})"
@@ -152,11 +141,6 @@ class Profile:
     def non_gemm_time(self) -> float:
         """Time in non-GEMM (memory-bound) kernels."""
         return float(self._times[~self._table.is_gemm].sum())
-
-    def records_where(self, predicate: Callable[[Kernel], bool]
-                      ) -> list[KernelProfile]:
-        """Profiled records matching ``predicate``."""
-        return [r for r in self.records if predicate(r.kernel)]
 
 
 def profile_trace(trace_kernels: "Iterable[Kernel] | KernelTable",

@@ -1,8 +1,11 @@
-"""Text rendering of experiment results."""
+"""Text rendering of experiment results.
+
+:mod:`repro.report.roofline_plot` needs the device model, so it is not
+re-exported: the package itself loads no engine code.
+"""
 
 from repro.report.bars import bar_chart, horizontal_bar, stacked_bar
-from repro.report.roofline_plot import roofline_plot
 from repro.report.tables import format_percent, format_table
 
 __all__ = ["bar_chart", "format_percent", "format_table", "horizontal_bar",
-           "roofline_plot", "stacked_bar"]
+           "stacked_bar"]

@@ -112,8 +112,14 @@ def latest_manifest_path(directory: Path | None = None) -> Path | None:
 
 
 def load_manifest(path: Path) -> dict:
-    """Parse one manifest file."""
-    return json.loads(Path(path).read_text())
+    """Parse one manifest file; ``ValueError`` unless it is a JSON object."""
+    try:
+        manifest = json.loads(Path(path).read_text())
+    except ValueError as error:  # JSON and UTF-8 decode errors alike
+        raise ValueError(f"unreadable run manifest {path}: {error}") from None
+    if not isinstance(manifest, dict):
+        raise ValueError(f"run manifest {path} is not a JSON object")
+    return manifest
 
 
 def resume_ids(manifest: dict, requested: list[str]) -> list[str]:

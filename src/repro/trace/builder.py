@@ -11,13 +11,15 @@ rewrite it and wrap the result in a new view, and every query and
 aggregate is an array operation over its columns.  ``trace.kernels`` is a
 read-only tuple of :class:`~repro.ops.base.Kernel` objects, built from the
 table on first read for callers that want per-kernel objects (tests,
-reference oracles, ad-hoc inspection); nothing is ever written back.
-Because tables are immutable, any number of views can share one.
+reference oracles, ad-hoc inspection); nothing is ever written back.  The
+view is explicit: a trace is not iterable and compares by identity, so no
+``for`` or ``==`` builds it.  Because tables are immutable, any number of
+views can share one.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from repro.config import BertConfig, TrainingConfig
 from repro.ops.base import Component, Kernel, OpClass, Phase, Region
@@ -57,15 +59,6 @@ class Trace:
 
     def __len__(self) -> int:
         return len(self._table)
-
-    def __iter__(self) -> Iterator[Kernel]:
-        return iter(self.kernels)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Trace):
-            return NotImplemented
-        return (self.model == other.model and self.training == other.training
-                and self.kernels == other.kernels)
 
     def __repr__(self) -> str:
         return (f"Trace(model={self.model.name!r}, "

@@ -25,24 +25,27 @@ element counts) are ``int64`` columns.
 
 Tables are **immutable**: every array is marked read-only at construction,
 and transforms (``concat``, ``take``, ``select``, ``splice``,
-``rewrite_rows``) return new tables.  The per-:class:`Kernel` view is
-materialized lazily and only for the rows a caller actually asks for.  This
-immutability is what lets :func:`repro.trace.bert_trace.iteration_trace`
-hand the same trace to every caller without defensive copies — and
-what makes the trace-rewrite passes of :mod:`repro.trace.passes` pure
-functions.
+``rewrite_rows``) return new tables.  Product code reads the columns
+(masks, reductions, :meth:`KernelTable.labels`); the per-:class:`Kernel`
+view (``kernel`` / ``kernels_at`` / ``to_kernels``) is explicit, for tests,
+examples and the :mod:`repro.trace.reference` oracle, and a table is not
+iterable.  Immutability is what lets
+:func:`repro.trace.bert_trace.iteration_trace` hand the same trace to
+every caller without defensive copies — and what makes the trace-rewrite
+passes of :mod:`repro.trace.passes` pure functions.
 
 Each row also carries a **provenance** code (pooled, ``-1`` meaning "from
 the trace generator") recording which rewrite pass produced it.  Provenance
 is table-only metadata: it does not appear on materialized
 :class:`Kernel` objects and does not participate in kernel equality, so
-golden tests comparing against the legacy list transforms stay bit-exact.
+a rewritten table and a table rebuilt from its kernels compare equal
+kernel for kernel.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -81,6 +84,15 @@ _COMM_OP_CODE = _OP_CODE[OpClass.COMMUNICATION]
 DTYPE_BYTES: np.ndarray = np.array([d.bytes for d in DTYPES], dtype=np.int64)
 DTYPE_BYTES.flags.writeable = False
 
+#: The JSON-ready label of each code, per enum code column.
+_CODE_LABELS = {
+    "op_class": tuple(op.value for op in OP_CLASSES),
+    "phase": tuple(phase.value for phase in PHASES),
+    "component": tuple(component.value for component in COMPONENTS),
+    "region": tuple(region.value for region in REGIONS),
+    "dtype": tuple(dtype.label for dtype in DTYPES),
+}
+
 _CODE_TABLES = ((OpClass, _OP_CODE), (Phase, _PHASE_CODE),
                 (Component, _COMPONENT_CODE), (Region, _REGION_CODE),
                 (DType, _DTYPE_CODE), (AccessPattern, _ACCESS_CODE))
@@ -103,6 +115,10 @@ def code_of(member) -> int:
 _STATIC_COLUMNS = ("name_code", "op_class", "phase", "component", "region",
                    "dtype", "access", "layer", "fusion_code")
 _COST_COLUMNS = ("flops", "bytes_read", "bytes_written", "n_elements")
+#: Every per-row column, and the pool each pooled code column indexes.
+_ROW_COLUMNS = _STATIC_COLUMNS + _COST_COLUMNS + ("gemm_code", "provenance")
+_POOLS = {"name_code": "names", "gemm_code": "gemms",
+          "fusion_code": "fusion_groups", "provenance": "provenance_names"}
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -224,34 +240,15 @@ class KernelTable:
     @classmethod
     def concat(cls, tables: Sequence["KernelTable"]) -> "KernelTable":
         """Concatenate tables, merging their pools."""
-        name_pool: dict[str, int] = {}
-        gemm_pool: dict[object, int] = {}
-        fusion_pool: dict[str, int] = {}
-        prov_pool: dict[str, int] = {}
-        name_cols, gemm_cols, fusion_cols, prov_cols = [], [], [], []
-        for table in tables:
-            name_cols.append(_remap(table.name_code, table.names, name_pool))
-            gemm_cols.append(_remap(table.gemm_code, table.gemms, gemm_pool))
-            fusion_cols.append(_remap(table.fusion_code, table.fusion_groups,
-                                      fusion_pool))
-            prov_cols.append(_remap(table.provenance, table.provenance_names,
-                                    prov_pool).astype(np.int16))
-
-        def cat(attr: str) -> np.ndarray:
-            return np.concatenate([getattr(t, attr) for t in tables])
-
-        return cls(
-            name_code=np.concatenate(name_cols), names=tuple(name_pool),
-            op_class=cat("op_class"), phase=cat("phase"),
-            component=cat("component"), region=cat("region"),
-            dtype=cat("dtype"), access=cat("access"), flops=cat("flops"),
-            bytes_read=cat("bytes_read"), bytes_written=cat("bytes_written"),
-            n_elements=cat("n_elements"), layer=cat("layer"),
-            gemm_code=np.concatenate(gemm_cols), gemms=tuple(gemm_pool),
-            fusion_code=np.concatenate(fusion_cols),
-            fusion_groups=tuple(fusion_pool),
-            provenance=np.concatenate(prov_cols),
-            provenance_names=tuple(prov_pool))
+        columns = {column: np.concatenate([getattr(t, column) for t in tables])
+                   for column in _ROW_COLUMNS if column not in _POOLS}
+        for column, pool in _POOLS.items():
+            merged: dict = {}
+            columns[column] = np.concatenate(
+                [_remap(getattr(t, column), getattr(t, pool), merged)
+                 for t in tables])
+            columns[pool] = tuple(merged)
+        return cls(**columns)
 
     def take(self, indices) -> "KernelTable":
         """A new table of the given rows (pools are shared, not re-deduped).
@@ -259,20 +256,10 @@ class KernelTable:
         ``indices`` may be an integer index array, a boolean mask, or a
         slice (its arrays are views, so a row range costs O(1)).
         """
-        def g(attr: str) -> np.ndarray:
-            return getattr(self, attr)[indices]
-
-        return type(self)(
-            name_code=g("name_code"), names=self.names,
-            op_class=g("op_class"), phase=g("phase"),
-            component=g("component"), region=g("region"), dtype=g("dtype"),
-            access=g("access"), flops=g("flops"),
-            bytes_read=g("bytes_read"), bytes_written=g("bytes_written"),
-            n_elements=g("n_elements"), layer=g("layer"),
-            gemm_code=g("gemm_code"), gemms=self.gemms,
-            fusion_code=g("fusion_code"), fusion_groups=self.fusion_groups,
-            provenance=g("provenance"),
-            provenance_names=self.provenance_names)
+        columns = self._columns()
+        for column in _ROW_COLUMNS:
+            columns[column] = columns[column][indices]
+        return type(self)(**columns)
 
     # ------------------------------------------------------ rewrite primitives
     def _columns(self) -> dict:
@@ -329,10 +316,9 @@ class KernelTable:
         a rewrite introduces new pooled values.  ``provenance`` stamps the
         rewritten rows with the producing pass's name.
         """
-        pools = ("names", "gemms", "fusion_groups", "provenance_names")
         columns = self._columns()
         for column, values in updates.items():
-            if column in pools:
+            if column in _POOLS.values():
                 columns[column] = tuple(values)
                 continue
             if column not in columns:
@@ -426,6 +412,20 @@ class KernelTable:
         pooled = np.array([text in name for name in self.names], dtype=bool)
         return pooled[self.name_code]
 
+    def labels(self, column: str) -> list:
+        """A code column's per-row labels as a Python list: enum values
+        (dtype labels), pooled names and fusion groups, GEMM-shape labels,
+        and ``None`` for an absent (``-1``) pool code.  Each label is
+        decoded once per code, not once per row."""
+        if column == "gemm_code":
+            pool = [shape.label for shape in self.gemms]
+        else:
+            pool = {**_CODE_LABELS, "name_code": self.names,
+                    "fusion_code": self.fusion_groups}[column]
+        lookup = np.empty(len(pool) + 1, dtype=object)  # [-1] stays None
+        lookup[:len(pool)] = pool
+        return lookup[getattr(self, column)].tolist()
+
     # ---------------------------------------------------------------- views
     def kernel(self, row: int) -> Kernel:
         """Materialize one row as a :class:`Kernel`."""
@@ -455,10 +455,7 @@ class KernelTable:
 
     def to_kernels(self) -> list[Kernel]:
         """Materialize the whole table as a kernel list."""
-        return [self.kernel(row) for row in range(len(self))]
-
-    def __iter__(self) -> Iterator[Kernel]:
-        return iter(self.to_kernels())
+        return self.kernels_at(range(len(self)))
 
     def __repr__(self) -> str:
         return (f"KernelTable({len(self)} kernels, "
@@ -466,7 +463,7 @@ class KernelTable:
 
     # --------------------------------------------------------------- pickling
     def __getstate__(self) -> dict:
-        return {slot: getattr(self, slot) for slot in self.__slots__}
+        return self._columns()
 
     def __setstate__(self, state: dict) -> None:
         for slot in self.__slots__:

@@ -145,6 +145,27 @@ class TestManifest:
         assert main(["stats"]) == 1
         assert "no run manifest" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["report", "spans", "stats"])
+    @pytest.mark.parametrize("body", ['{"experiments": [{"experiment',
+                                      "[1, 2]"])
+    def test_unreadable_manifest_exits_1_in_one_line(self, tmp_path, capsys,
+                                                      command, body):
+        manifest = tmp_path / "run.json"
+        manifest.write_text(body)
+        assert main([command, "--run", str(manifest)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"manifest {manifest}" in err
+
+    def test_resume_over_unreadable_manifest_exits_2(self, stub_registry,
+                                                     runs_dir, capsys):
+        assert main(["run", "alpha"]) == 0
+        (manifest,) = runs_dir.glob("*.json")
+        manifest.write_text(manifest.read_text()[:40])  # truncated
+        capsys.readouterr()
+        assert main(["run", "all", "--resume"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--resume: unreadable" in err
+
 
 class TestResultCache:
     def test_second_run_served_from_cache_with_identical_stdout(
@@ -215,6 +236,17 @@ class TestListAndExport:
 
     def test_export_unknown_id_exits_2(self, tmp_path, capsys):
         assert main(["export", "nope", str(tmp_path / "x.csv")]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["export", "--format", "csv", "fig3"],
+        ["export", "--format", "perfetto", "tiny.ph1-b2-fp32"],
+    ])
+    def test_export_to_unwritable_path_exits_2_in_one_line(
+            self, tmp_path, capsys, argv):
+        path = str(tmp_path / "missing" / "out")
+        assert main(argv + [path]) == 2
+        err = capsys.readouterr().err
+        assert err == f"cannot write {path}: No such file or directory\n"
 
 
 class TestGridCommand:
@@ -310,6 +342,12 @@ class TestTraceCommand:
     def test_unknown_pass_exits_2(self, capsys):
         assert main(["trace", self.POINT, "--passes", "nope"]) == 2
         assert "unknown pass 'nope'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_nonpositive_checkpoint_count_exits_2(self, capsys, count):
+        assert main(["trace", "tiny.ph1-b2-fp32", "--passes",
+                     f"checkpointing:{count}"]) == 2
+        assert capsys.readouterr().err == "num_checkpoints must be >= 1\n"
 
 
 class TestStartup:

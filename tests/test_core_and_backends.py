@@ -13,7 +13,7 @@ from repro.hw import compare_backends, mi100, simulate_kernel
 from repro.hw.calibration import (CalibrationTarget, calibrate, get_knobs,
                                   objective, paper_targets, set_knobs)
 from repro.ops.base import DType
-from repro.report import roofline_plot
+from repro.report.roofline_plot import roofline_plot
 from repro.trace import build_iteration_trace
 
 

@@ -6,7 +6,8 @@ import pytest
 
 from repro.config import (BERT_LARGE, BERT_TINY, Precision, TrainingConfig,
                           training_point)
-from repro.memoryplan import (checkpoint_segments, layer_activation_bytes,
+from repro.memoryplan import (CheckpointingPass, checkpoint_segments,
+                              layer_activation_bytes,
                               max_batch_size, recompute_overhead,
                               training_footprint)
 from repro.ops.base import Component, Phase
@@ -34,6 +35,14 @@ class TestSegments:
     def test_invalid_layer_count(self):
         with pytest.raises(ValueError):
             checkpoint_segments(0)
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_nonpositive_checkpoint_count_is_rejected(self, count):
+        with pytest.raises(ValueError, match="num_checkpoints"):
+            checkpoint_segments(12, count)
+        # At construction, before any trace reaches the pass.
+        with pytest.raises(ValueError, match="num_checkpoints"):
+            CheckpointingPass(count)
 
 
 class TestCheckpointTransform:

@@ -1,5 +1,7 @@
 """Tests for the simulated profiler and breakdown aggregation."""
 
+import json
+
 import pytest
 
 from repro.config import BERT_LARGE, BERT_TINY, Precision, TrainingConfig, training_point
@@ -8,7 +10,7 @@ from repro.ops.base import Component, Phase, Region
 from repro.profiler import (REGION_ORDER, component_breakdown, gemm_fraction,
                             memory_bound_fraction, optimizer_fraction,
                             profile_trace, region_breakdown, summarize,
-                            transformer_breakdown)
+                            to_json, transformer_breakdown)
 from repro.trace import build_iteration_trace
 
 
@@ -22,7 +24,7 @@ def profile():
 class TestProfile:
     def test_every_kernel_timed_positive(self, profile):
         assert len(profile) > 0
-        assert all(r.time_s > 0 for r in profile)
+        assert all(r.time_s > 0 for r in profile.records)
 
     def test_total_time_is_sum(self, profile):
         assert profile.total_time == pytest.approx(
@@ -40,8 +42,9 @@ class TestProfile:
 
     def test_achieved_rates(self, profile):
         record = profile.records[0]
-        assert record.achieved_bandwidth == pytest.approx(
-            record.kernel.bytes_total / record.time_s)
+        row = json.loads(to_json(profile))["kernels"][0]
+        assert row["achieved_gbps"] == round(
+            record.kernel.bytes_total / record.time_s / 1e9, 2)
 
 
 class TestBreakdowns:

@@ -156,7 +156,7 @@ class TestTraceProperties:
         trace = build_iteration_trace(
             BERT_TINY, TrainingConfig(batch_size=batch, seq_len=seq))
         assert trace.total_flops > 0
-        for kernel in trace:
+        for kernel in trace.kernels:
             assert kernel.bytes_total > 0 or kernel.flops >= 0
             if kernel.op_class.is_gemm:
                 assert kernel.gemm is not None

@@ -101,7 +101,8 @@ class TestTraceHelpers:
                                   TrainingConfig(batch_size=2, seq_len=16))
         b = build_iteration_trace(BERT_TINY,
                                   TrainingConfig(batch_size=2, seq_len=16))
-        assert [k.name for k in a] == [k.name for k in b]
+        assert ([k.name for k in a.kernels]
+                == [k.name for k in b.kernels])
         assert a.total_flops == b.total_flops
 
 

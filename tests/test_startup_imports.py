@@ -1,7 +1,8 @@
 """Import budget: commands that run no experiment load no engine code.
 
-``repro list``, ``repro cache info`` and a ``repro run`` answered wholly
-from the result cache must not import numpy or any engine package; the
+``repro list``, ``repro cache info``, a ``repro run`` answered wholly
+from the result cache and ``repro report``/``spans``/``stats`` over a
+written manifest must not import numpy or any engine package; the
 engine loads only when an experiment actually has to run.  Each check
 runs in a fresh interpreter, because this test process has long imported
 everything.
@@ -12,6 +13,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import repro
 from repro.experiments.registry import REGISTRY
@@ -85,6 +88,21 @@ def test_warm_run_all_loads_no_engine(tmp_path):
     assert result["engine"] == []
     for eid in REGISTRY:  # every report came from the cache
         assert f"\ncached {eid}\n" in result["stdout"] + "\n"
+
+
+@pytest.fixture(scope="module")
+def written_run(tmp_path_factory):
+    """State holding one run manifest, written by a warm ``run all``."""
+    state = tmp_path_factory.mktemp("state")
+    assert _probe(["run", "all"], state, setup=_FILL_CACHE)["code"] == 0
+    return state
+
+
+@pytest.mark.parametrize("command", ["report", "spans", "stats"])
+def test_manifest_commands_load_no_engine(written_run, command):
+    result = _probe([command], written_run)
+    assert result["code"] == 0
+    assert result["engine"] == []
 
 
 def test_cold_run_loads_the_engine(tmp_path):

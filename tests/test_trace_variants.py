@@ -20,7 +20,7 @@ def training():
 class TestInferenceTrace:
     def test_forward_only(self, training):
         trace = build_inference_trace(BERT_LARGE, training)
-        assert all(k.phase is Phase.FORWARD for k in trace)
+        assert all(k.phase is Phase.FORWARD for k in trace.kernels)
 
     def test_no_optimizer(self, training):
         trace = build_inference_trace(BERT_LARGE, training)
@@ -28,7 +28,7 @@ class TestInferenceTrace:
 
     def test_no_dropout_kernels(self, training):
         trace = build_inference_trace(BERT_LARGE, training)
-        assert not [k for k in trace if "dropout" in k.name]
+        assert not [k for k in trace.kernels if "dropout" in k.name]
 
     def test_still_matrix_matrix_at_batch_one(self):
         # Sec. 8's point against matrix-vector accelerators: even
