@@ -288,20 +288,21 @@ def _cmd_run(experiment_id: str, jobs: int, write_manifest: bool,
 def _cmd_export_perfetto(target: str, path: str,
                          passes_spec: str | None = None) -> int:
     from repro.experiments.points import POINT_REGISTRY, resolve_point
-    from repro.obs.timeline_export import (device_timelines_to_chrome_trace,
-                                           profile_to_chrome_trace,
-                                           validate_chrome_trace,
-                                           write_chrome_trace)
+    from repro.experiments.sweeps import write_output
 
     if target == "fig11":
         if passes_spec:
             print("--passes applies to operating-point exports, not fig11",
                   file=sys.stderr)
             return 2
-        from repro.experiments import fig11
-        payload = device_timelines_to_chrome_trace(fig11.run())
+
+        def render() -> bytes:
+            from repro.experiments import fig11
+            from repro.obs.timeline_export import \
+                device_timelines_to_chrome_trace
+            from repro.serve.service import render_json
+            return render_json(device_timelines_to_chrome_trace(fig11.run()))
     elif target in POINT_REGISTRY:
-        from repro.experiments.common import run_point
         from repro.trace.passes import build_pipeline
         model, training = resolve_point(target)
         manager = None
@@ -314,23 +315,22 @@ def _cmd_export_perfetto(target: str, path: str,
                       file=sys.stderr)
                 return 2
             label += f" [{manager.signature}]"
-        _, profile = run_point(model, training, passes=manager)
-        payload = profile_to_chrome_trace(profile, label=label)
+
+        def render() -> bytes:
+            from repro.experiments.common import run_point
+            from repro.obs.timeline_export import render_profile_trace
+            _, profile = run_point(model, training, passes=manager)
+            return render_profile_trace(profile, label=label)
     else:
         print(f"unknown perfetto export target {target!r}; valid targets: "
               f"{', '.join(sorted(POINT_REGISTRY))}, fig11",
               file=sys.stderr)
         return 2
-    problems = validate_chrome_trace(payload)
-    if problems:  # defensive: exporters always emit valid traces
-        print("invalid trace: " + "; ".join(problems), file=sys.stderr)
-        return 1
     try:
-        write_chrome_trace(payload, path)
+        write_output(path, render)
     except OSError as error:
         return _cannot_write(path, error)
-    events = len(payload["traceEvents"])
-    print(f"wrote {path} ({events} events; open in ui.perfetto.dev)")
+    print(f"wrote {path} (open in ui.perfetto.dev)")
     return 0
 
 
@@ -440,7 +440,7 @@ def _cmd_grid(model_name: str, batch_sizes: str, seq_lens: str,
               precisions: str, csv_path: str | None) -> int:
     from repro.experiments.sweeps import (GRID_MODELS, cross_product,
                                           grid_sweep, parse_grid_axes,
-                                          rows_to_csv)
+                                          rows_to_csv, write_output)
     from repro.report.tables import format_percent, format_table
 
     try:
@@ -451,7 +451,20 @@ def _cmd_grid(model_name: str, batch_sizes: str, seq_lens: str,
         print(f"bad grid axis: {error}", file=sys.stderr)
         return 2
 
-    rows = grid_sweep(GRID_MODELS[model_name], cross_product(*axes))
+    model, points = GRID_MODELS[model_name], cross_product(*axes)
+    if csv_path:
+        rows: list = []
+
+        def render() -> bytes:
+            rows.extend(grid_sweep(model, points))
+            return rows_to_csv(rows).encode()
+
+        try:
+            write_output(csv_path, render)
+        except OSError as error:
+            return _cannot_write(csv_path, error)
+    else:
+        rows = grid_sweep(model, points)
     table = []
     for row in rows:
         if "error" in row:
@@ -467,12 +480,6 @@ def _cmd_grid(model_name: str, batch_sizes: str, seq_lens: str,
     print(format_table(("point", "tokens", "iteration", "transformer",
                         "optimizer", "output"), table))
     if csv_path:
-        rendered = rows_to_csv(rows)
-        try:
-            with open(csv_path, "w", newline="") as handle:
-                handle.write(rendered)
-        except OSError as error:
-            return _cannot_write(csv_path, error)
         print(f"wrote {csv_path}")
     failures = sum(1 for row in rows if "error" in row)
     return 1 if failures else 0

@@ -13,7 +13,8 @@ import csv
 import dataclasses
 import io
 import itertools
-from typing import TYPE_CHECKING, Iterable
+import os
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.config import (BERT_BASE, BERT_LARGE, BERT_TINY, C1, C2, C3,
                           BertConfig, Precision, TrainingConfig)
@@ -83,6 +84,27 @@ def rows_to_csv(rows: Iterable[object]) -> str:
     return buffer.getvalue()
 
 
+def write_output(path: str, render: Callable[[], bytes]) -> None:
+    """Write ``render()`` to ``path``, opening the path first.
+
+    The path is opened (or created) before ``render`` runs, so an
+    unwritable path raises ``OSError`` without paying for the
+    computation.  The file is truncated only once ``render`` returns: if
+    it raises, a file this call created is removed and a file that
+    already existed keeps its bytes.
+    """
+    created = not os.path.exists(path)
+    open(path, "ab").close()
+    try:
+        content = render()
+    except BaseException:
+        if created:
+            os.remove(path)
+        raise
+    with open(path, "wb") as handle:
+        handle.write(content)
+
+
 def export_experiment_csv(experiment_id: str, path: str) -> None:
     """Run a registered experiment and write its rows as CSV.
 
@@ -91,15 +113,16 @@ def export_experiment_csv(experiment_id: str, path: str) -> None:
     """
     from repro.experiments.registry import REGISTRY
 
-    result = REGISTRY[experiment_id].run()
-    if not isinstance(result, list):
-        raise TypeError(f"experiment {experiment_id!r} does not return "
-                        "a row list")
-    # Render before opening the file: a row that fails to flatten must not
-    # leave behind a truncated (or emptied pre-existing) output file.
-    rendered = rows_to_csv(result)
-    with open(path, "w", newline="") as handle:
-        handle.write(rendered)
+    experiment = REGISTRY[experiment_id]
+
+    def render() -> bytes:
+        result = experiment.run()
+        if not isinstance(result, list):
+            raise TypeError(f"experiment {experiment_id!r} does not "
+                            "return a row list")
+        return rows_to_csv(result).encode()
+
+    write_output(path, render)
 
 
 def _point_columns(training: TrainingConfig) -> dict[str, object]:

@@ -6,7 +6,7 @@ in chrome://tracing or ui.perfetto.dev.  These exporters emit the standard
 Trace Event JSON format (the ``{"traceEvents": [...]}`` object form) for
 our simulated equivalents:
 
-* :func:`profile_to_chrome_trace` — a :class:`~repro.profiler.profiler.
+* :func:`render_profile_trace` — a :class:`~repro.profiler.profiler.
   Profile`'s kernel stream laid out on one virtual GPU track, one complete
   (``ph: "X"``) slice per kernel.  The trace is stream-serialized exactly
   as the timing model assumes, so slice ``ts``/``dur`` are the cumulative
@@ -14,7 +14,9 @@ our simulated equivalents:
   ``Profile.total_time`` (in microseconds) to float precision.  Each slice
   carries phase / component / region / op-class / layer metadata in
   ``args`` plus an op-class color (``cname``), so Perfetto queries and the
-  color legend reproduce the paper's hierarchical breakdowns.
+  color legend reproduce the paper's hierarchical breakdowns.  It is
+  written as ``indent=1`` JSON bytes straight from the table columns
+  (:func:`profile_to_chrome_trace` parses them back into a dict).
 * :func:`device_timelines_to_chrome_trace` — Fig. 11-style multi-device
   configurations, one process track per :class:`~repro.distributed.
   timeline.DeviceTimeline`, bucket slices in display order with the
@@ -25,13 +27,17 @@ our simulated equivalents:
 * :func:`spans_to_chrome_trace` — the tracer's own spans
   (:mod:`repro.obs.spans`), one thread track per Python thread.
 
-Everything returns plain dicts; :func:`write_chrome_trace` serializes.
+The profile trace is written from columns, with ``json.dumps(indent=1)``
+kept only as its test oracle; the other exporters return plain dicts,
+which :func:`write_chrome_trace` serializes.
 Timestamps are microseconds (the unit the format specifies).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:  # imported lazily at run time to keep obs dependency-free
@@ -82,67 +88,106 @@ def _metadata(pid: int, name: str, *, tid: int | None = None,
     return events
 
 
+#: One kernel slice of :func:`render_profile_trace`, in the layout
+#: ``json.dumps(indent=1)`` gives it inside ``traceEvents``.  The three
+#: trailing slots hold the optional ``gemm_shape`` / ``fusion_group`` args
+#: and ``cname`` field, each empty when the row has none.
+_SLICE = ('  {\n   "name": %s,\n   "cat": %s,\n   "ph": "X",\n   "ts": %s,'
+          '\n   "dur": %s,\n   "pid": %s,\n   "tid": 0,\n   "args": {'
+          '\n    "index": %s,\n    "op_class": %s,\n    "phase": %s,'
+          '\n    "component": %s,\n    "region": %s,\n    "layer": %s,'
+          '\n    "dtype": %s,\n    "flops": %s,\n    "bytes": %s%s%s'
+          '\n   }%s\n  }')
+
+#: A process/thread naming metadata event in the same layout.
+_NAME_EVENT = ('  {\n   "name": %s,\n   "ph": "M",\n   "pid": %s,'
+               '\n   "tid": 0,\n   "args": {\n    "name": %s\n   }\n  }')
+
+_TRAILER = ('\n ],\n "displayTimeUnit": "ms",\n "otherData": {'
+            '\n  "exporter": "repro.obs.timeline_export",'
+            '\n  "device": %s,\n  "kernels": %s,\n  "total_time_us": %s'
+            '\n }\n}\n')
+
+#: ``float.__repr__`` spellings ``json.dumps`` replaces.
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_texts(values) -> list[str]:
+    """The ``json.dumps`` text of each float of a NumPy array."""
+    import numpy as np
+
+    texts = list(map(float.__repr__, values.tolist()))
+    if not np.isfinite(values).all():
+        texts = [_NONFINITE.get(text, text) for text in texts]
+    return texts
+
+
+def _int_texts(values) -> list[str]:
+    """The ``json.dumps`` text of each integer of a NumPy array."""
+    return list(map(int.__repr__, values.tolist()))
+
+
+def render_profile_trace(profile: "Profile", *,
+                         label: str = "simulated kernel stream",
+                         pid: int = 0) -> bytes:
+    """One virtual GPU track: a complete slice per profiled kernel.
+
+    Returns the document as the bytes ``json.dumps(document, indent=1)``
+    plus a newline would give, written straight from the profile's table
+    columns: each pooled label is JSON-encoded once per code, numbers are
+    spelled as ``json.dumps`` spells them, and every row fills one fixed
+    template.  No per-event object is built, and the pure-Python
+    ``indent=1`` encoder never runs (CPython encodes in C only when
+    ``indent is None``); ``tests/test_trace_writer.py`` holds
+    ``json.dumps`` as the oracle.
+    """
+    import numpy as np
+
+    table = profile.table
+    encode = encode_basestring_ascii
+
+    def labels(column: str, key: str = "") -> list[str]:
+        # An absent (-1) pool code leaves its optional field out.
+        return table.labels(column, [key + encode(text) for text
+                                     in table.label_pool(column)], "")
+
+    ops = labels("op_class")
+    cnames = table.labels("op_class", [
+        f',\n   "cname": {encode(color)}' if color else ""
+        for color in map(OP_CLASS_COLORS.get,
+                         table.label_pool("op_class"))])
+    # Sequential row-order clock: accumulate is the running sum, so row i
+    # starts at clock[i], where row i - 1 ends, and clock[-1] is the total.
+    # Overflow and inf - inf give inf and NaN silently, as Python floats
+    # do.
+    with np.errstate(over="ignore", invalid="ignore"):
+        durations = profile.times * 1e6
+        clock = np.add.accumulate(np.concatenate(([0.0], durations)))
+    clock_texts = _float_texts(clock)
+    pid_text = int.__repr__(pid)
+    rows = zip(labels("name_code"), ops, clock_texts[:-1],
+               _float_texts(durations), itertools.repeat(pid_text),
+               map(int.__repr__, range(len(table))), ops, labels("phase"),
+               labels("component"), labels("region"),
+               _int_texts(table.layer), labels("dtype"),
+               _int_texts(table.flops), _int_texts(table.bytes_total),
+               labels("gemm_code", ',\n    "gemm_shape": '),
+               labels("fusion_code", ',\n    "fusion_group": '), cnames)
+    device = profile.device.name
+    events = [_NAME_EVENT % ('"process_name"', pid_text,
+                             encode(f"{device} (simulated)")),
+              _NAME_EVENT % ('"thread_name"', pid_text, encode(label))]
+    events += [_SLICE % row for row in rows]
+    return ("{\n \"traceEvents\": [\n" + ",\n".join(events)
+            + _TRAILER % (encode(device), len(profile), clock_texts[-1])
+            ).encode()
+
+
 def profile_to_chrome_trace(profile: "Profile", *,
                             label: str = "simulated kernel stream",
                             pid: int = 0) -> dict:
-    """One virtual GPU track: a complete slice per profiled kernel, read
-    from the profile's table columns (no per-kernel object is built)."""
-    device = profile.device
-    table = profile.table
-    events = _metadata(pid, f"{device.name} (simulated)")
-    events += _metadata(pid, label, tid=0)
-
-    rows = zip(table.labels("name_code"), table.labels("op_class"),
-               table.labels("phase"), table.labels("component"),
-               table.labels("region"), table.layer.tolist(),
-               table.labels("dtype"), table.flops.tolist(),
-               table.bytes_total.tolist(), table.labels("gemm_code"),
-               table.labels("fusion_code"), profile.times.tolist())
-    clock_us = 0.0
-    for index, (name, op_class, phase, component, region, layer, dtype,
-                flops, moved, gemm_shape, fusion_group,
-                time_s) in enumerate(rows):
-        duration_us = time_s * 1e6
-        event = {
-            "name": name,
-            "cat": op_class,
-            "ph": "X",
-            "ts": clock_us,
-            "dur": duration_us,
-            "pid": pid,
-            "tid": 0,
-            "args": {
-                "index": index,
-                "op_class": op_class,
-                "phase": phase,
-                "component": component,
-                "region": region,
-                "layer": layer,
-                "dtype": dtype,
-                "flops": flops,
-                "bytes": moved,
-            },
-        }
-        color = OP_CLASS_COLORS.get(op_class)
-        if color:
-            event["cname"] = color
-        if gemm_shape is not None:
-            event["args"]["gemm_shape"] = gemm_shape
-        if fusion_group is not None:
-            event["args"]["fusion_group"] = fusion_group
-        events.append(event)
-        clock_us += duration_us
-
-    return {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "otherData": {
-            "exporter": "repro.obs.timeline_export",
-            "device": device.name,
-            "kernels": len(profile),
-            "total_time_us": clock_us,
-        },
-    }
+    """The document of :func:`render_profile_trace`, parsed."""
+    return json.loads(render_profile_trace(profile, label=label, pid=pid))
 
 
 def device_timelines_to_chrome_trace(

@@ -13,8 +13,8 @@ Request lifecycle for the cacheable routes (``/profile``, ``/perfetto``,
    ``503`` + ``Retry-After`` (``serve.shed``).  Shedding leaders instead
    of followers keeps an identical-query storm cheap no matter how wide;
 5. **compute** — the leader runs the service's sync compute on the
-   bounded ``ThreadPoolExecutor`` (``serve.computations``), renders
-   once, and populates the hot cache.
+   bounded ``ThreadPoolExecutor`` (``serve.computations``), which
+   renders the body once, and populates the hot cache.
 
 Every request increments ``serve.requests{route=,status=}`` and observes
 ``serve.request_seconds{route=}`` (whose ``p50``/``p99`` feed ``/stats``
@@ -258,7 +258,8 @@ class App:
         if path.startswith("/profile/"):
             return "profile", await self._point_route(
                 method, "profile", path[len("/profile/"):],
-                self.service.profile_payload, meta)
+                lambda point: render_json(
+                    self.service.profile_payload(point)), meta)
         if path.startswith("/perfetto/"):
             return "perfetto", await self._point_route(
                 method, "perfetto", path[len("/perfetto/"):],
@@ -346,7 +347,7 @@ class App:
         })
 
     async def _point_route(self, method: str, route: str, point: str,
-                           payload_of, meta: dict) -> Response:
+                           body_of, meta: dict) -> Response:
         if method != "GET":
             return _error(405, "use GET")
         try:
@@ -355,8 +356,7 @@ class App:
             from repro.experiments.points import POINT_REGISTRY
             return _error(404, f"unknown operating point {point!r}",
                           valid=sorted(POINT_REGISTRY))
-        return await self._cached(route, key, lambda: payload_of(point),
-                                  meta)
+        return await self._cached(route, key, lambda: body_of(point), meta)
 
     async def _grid(self, method: str, body: bytes, meta: dict) -> Response:
         if method != "POST":
@@ -372,13 +372,16 @@ class App:
             return _error(400, str(error))
         key = self.service.grid_cache_key(model, trainings)
         return await self._cached(
-            "grid", key, lambda: self.service.grid_payload(model, trainings),
+            "grid", key,
+            lambda: render_json(self.service.grid_payload(model, trainings)),
             meta)
 
     # ----------------------------------------------------- cache + coalesce
     async def _cached(self, route: str, key: str, compute,
                       meta: dict) -> Response:
         """Hot cache -> breaker -> coalesce -> shed -> worker pool.
+
+        ``compute`` returns the rendered response body.
 
         Degradation ladder when the engine cannot answer (breaker open,
         compute failed after retries, route budget expired): stale bytes
@@ -428,7 +431,7 @@ class App:
                 def _attempt() -> bytes:
                     fault_sites.inject_delay("serve.slow")
                     fault_sites.inject_failure("serve.fail")
-                    return render_json(compute())
+                    return compute()
 
                 rendered = await loop.run_in_executor(
                     self.executor,

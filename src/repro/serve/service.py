@@ -15,12 +15,14 @@ its worker pool.  Two properties matter:
   "identical query" means, and any code change rotates every layer at
   once.
 
-* **Canonical rendering.**  Responses are rendered by
-  :func:`render_json` exactly once and cached as bytes; the Perfetto
-  endpoint reuses the ``indent=1`` formatting of
-  :func:`repro.obs.timeline_export.write_chrome_trace`, so a served
-  trace is byte-identical to the file ``repro export --format perfetto``
-  writes (the golden equivalence test pins this).
+* **Canonical rendering.**  Every response body is the ``indent=1``
+  JSON of its document plus a newline, rendered exactly once and cached
+  as bytes.  :func:`render_json` renders the ``/profile`` and ``/grid``
+  payloads; a ``/perfetto`` trace is written straight from the profile's
+  table columns by :func:`repro.obs.timeline_export.render_profile_trace`
+  (``json.dumps(indent=1)`` is its test oracle), the same bytes
+  ``repro export --format perfetto`` writes (the golden equivalence test
+  pins this).
 """
 
 from __future__ import annotations
@@ -45,10 +47,9 @@ MAX_GRID_POINTS = 4096
 def render_json(payload: dict) -> bytes:
     """Canonical response rendering, shared with the golden tests.
 
-    ``indent=1`` plus a trailing newline is exactly what
-    :func:`~repro.obs.timeline_export.write_chrome_trace` produces, so
-    rendering *any* payload this way keeps the Perfetto endpoint
-    byte-identical to the CLI export file.
+    ``indent=1`` plus a trailing newline: the layout
+    :func:`~repro.obs.timeline_export.render_profile_trace` writes from
+    columns, so a parsed ``/perfetto`` body renders back to itself here.
     """
     return (json.dumps(payload, indent=1) + "\n").encode()
 
@@ -157,20 +158,20 @@ class ProfilingService:
             "regions": _entries_payload(region_breakdown(profile).values()),
         }
 
-    def perfetto_payload(self, point: str) -> dict:
-        """``GET /perfetto/<point>``: the Chrome Trace export.
+    def perfetto_payload(self, point: str) -> bytes:
+        """``GET /perfetto/<point>``: the rendered Chrome Trace body.
 
         Identical call shape to ``repro export --format perfetto`` (same
-        label, no pass pipeline), so the rendered bytes match the file.
+        label, no pass pipeline), so the bytes match the file.
         """
-        from repro.obs.timeline_export import profile_to_chrome_trace
+        from repro.obs.timeline_export import render_profile_trace
 
         model, training = POINT_REGISTRY[point]
         with spans.span("perfetto.run", category="serve", point=point):
             fault_sites.inject("compute.slow")
             fault_sites.inject_failure("compute.fail")
             _, profile = run_point(model, training, self.device)
-            return profile_to_chrome_trace(
+            return render_profile_trace(
                 profile, label=f"{model.name} {training.label}")
 
     def parse_grid_spec(self, spec: dict

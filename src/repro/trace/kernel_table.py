@@ -412,18 +412,26 @@ class KernelTable:
         pooled = np.array([text in name for name in self.names], dtype=bool)
         return pooled[self.name_code]
 
-    def labels(self, column: str) -> list:
-        """A code column's per-row labels as a Python list: enum values
-        (dtype labels), pooled names and fusion groups, GEMM-shape labels,
-        and ``None`` for an absent (``-1``) pool code.  Each label is
-        decoded once per code, not once per row."""
+    def label_pool(self, column: str) -> Sequence[str]:
+        """The label of each code of a code column, indexed by code: enum
+        values (dtype labels), pooled names and fusion groups, or
+        GEMM-shape labels."""
         if column == "gemm_code":
-            pool = [shape.label for shape in self.gemms]
-        else:
-            pool = {**_CODE_LABELS, "name_code": self.names,
-                    "fusion_code": self.fusion_groups}[column]
-        lookup = np.empty(len(pool) + 1, dtype=object)  # [-1] stays None
+            return [shape.label for shape in self.gemms]
+        return {**_CODE_LABELS, "name_code": self.names,
+                "fusion_code": self.fusion_groups}[column]
+
+    def labels(self, column: str, pool: Sequence | None = None,
+               absent=None) -> list:
+        """A code column's per-row labels as a Python list: ``pool[code]``
+        (by default the column's :meth:`label_pool`), ``absent`` for an
+        absent (``-1``) pool code.  Each label is decoded once per code,
+        not once per row."""
+        if pool is None:
+            pool = self.label_pool(column)
+        lookup = np.empty(len(pool) + 1, dtype=object)
         lookup[:len(pool)] = pool
+        lookup[-1] = absent
         return lookup[getattr(self, column)].tolist()
 
     # ---------------------------------------------------------------- views

@@ -248,6 +248,24 @@ class TestListAndExport:
         err = capsys.readouterr().err
         assert err == f"cannot write {path}: No such file or directory\n"
 
+    def test_unwritable_path_fails_before_the_experiment_runs(
+            self, monkeypatch, capsys):
+        calls = []
+
+        def never_run():
+            calls.append("fig3")
+            raise AssertionError("the experiment ran before the path "
+                                 "was opened")
+
+        monkeypatch.setitem(registry_module.REGISTRY, "fig3",
+                            Experiment("fig3", "stub", never_run,
+                                       _ok_render))
+        path = "/nonexistent/dir/x.csv"
+        assert main(["export", "--format", "csv", "fig3", path]) == 2
+        assert capsys.readouterr().err \
+            == f"cannot write {path}: No such file or directory\n"
+        assert calls == []
+
 
 class TestGridCommand:
     def test_grid_sweeps_and_writes_csv(self, tmp_path, capsys):

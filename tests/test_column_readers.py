@@ -7,6 +7,8 @@ every exporter, Fig. 7, the characterization API and the served Perfetto
 payload must still succeed.
 """
 
+import json
+
 import pytest
 
 from repro.config import BERT_TINY
@@ -60,5 +62,5 @@ def test_characterize_reads_columns(no_kernel_objects):
 
 
 def test_served_perfetto_reads_columns(no_kernel_objects):
-    payload = ProfilingService().perfetto_payload(TINY)
+    payload = json.loads(ProfilingService().perfetto_payload(TINY))
     assert payload["otherData"]["kernels"] > 0

@@ -1,8 +1,9 @@
 """Pins every byte the profile exporters produce.
 
 The fixtures under ``tests/golden/`` are frozen: the sha256 of each
-registry point's rendered ``/profile`` and ``/perfetto`` body, and the
-CSV and JSON exports of the tiny point.  An exporter rewrite that keeps
+registry point's served ``/profile`` and ``/perfetto`` body (the trace
+hashed as the service returns it), and the CSV and JSON exports of the
+tiny point.  An exporter rewrite that keeps
 them equal serves and writes the same bytes as before; a deliberate
 format or timing-model change replaces the fixtures in the same commit.
 """
@@ -40,7 +41,7 @@ def test_every_registry_point_is_pinned():
 def test_served_bodies_match_digests(service, point):
     assert _sha256(render_json(service.profile_payload(point))) \
         == DIGESTS[point]["profile"]
-    assert _sha256(render_json(service.perfetto_payload(point))) \
+    assert _sha256(service.perfetto_payload(point)) \
         == DIGESTS[point]["perfetto"]
 
 

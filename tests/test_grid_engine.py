@@ -213,6 +213,21 @@ def test_export_csv_failure_leaves_existing_file_intact(tmp_path,
     assert target.read_text() == "precious,previous\n1,2\n"
 
 
+def test_export_csv_failure_removes_the_file_it_created(tmp_path,
+                                                       monkeypatch):
+    from repro.experiments.registry import REGISTRY
+
+    class _FailingExperiment:
+        def run(self):
+            raise RuntimeError("synthetic experiment failure")
+
+    monkeypatch.setitem(REGISTRY, "failing", _FailingExperiment())
+    target = tmp_path / "out.csv"
+    with pytest.raises(RuntimeError, match="synthetic"):
+        sweeps.export_experiment_csv("failing", str(target))
+    assert not target.exists()
+
+
 def test_export_csv_writes_rendered_rows(tmp_path, monkeypatch):
     from repro.experiments.registry import REGISTRY
 
