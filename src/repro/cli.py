@@ -377,6 +377,9 @@ def _cmd_flight(log_path: str, last: int, trace_id: str | None) -> int:
     from repro.obs.flight import (read_event_log, render_flight_table,
                                   render_trace_tree)
 
+    if last < 0:
+        print("--last must be >= 0 (0 shows all)", file=sys.stderr)
+        return 2
     try:
         records = read_event_log(log_path)
     except OSError as error:

@@ -14,11 +14,10 @@ import dataclasses
 from dataclasses import dataclass
 
 from repro.config import BertConfig, Precision, TrainingConfig
-from repro.hw.device import DeviceModel, mi100
+from repro.experiments.common import default_device, run_point
+from repro.hw.device import DeviceModel
 from repro.memoryplan.footprint import training_footprint
-from repro.profiler.profiler import profile_trace
 from repro.report.tables import format_table
-from repro.trace.bert_trace import iteration_trace
 
 
 @dataclass(frozen=True)
@@ -70,7 +69,8 @@ def advise(model: BertConfig, device: DeviceModel | None = None, *,
     Checkpointed variants are only proposed where the plain variant does
     not fit — recompute is pure overhead otherwise (Sec. 4).
     """
-    device = device or mi100()
+    # Resolved once: the memory filter reads it before any point is priced.
+    device = device or default_device()
     options: list[ConfigOption] = []
     for precision in precisions:
         for batch in batch_sizes:
@@ -98,8 +98,7 @@ def _evaluate(model: BertConfig, training: TrainingConfig,
         return ConfigOption(training=training, fits=False,
                             footprint_gb=footprint.total / 1e9,
                             iteration_s=None, tokens_per_second=None)
-    trace = iteration_trace(model, training)
-    iteration = profile_trace(trace, device).total_time
+    iteration = run_point(model, training, device)[1].total_time
     return ConfigOption(
         training=training, fits=True,
         footprint_gb=footprint.total / 1e9,

@@ -14,12 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.config import BertConfig, Precision, TrainingConfig
-from repro.hw.device import DeviceModel, mi100
+from repro.experiments.common import run_point
+from repro.hw.device import DeviceModel
 from repro.hw.energy import EnergyReport, iteration_energy
 from repro.memoryplan.footprint import MemoryFootprint, training_footprint
 from repro.ops.base import Component, Region
 from repro.profiler.breakdown import region_breakdown, summarize
-from repro.profiler.profiler import Profile, profile_trace
+from repro.profiler.profiler import Profile
 from repro.report.tables import format_percent, format_table
 from repro.trace.bert_trace import iteration_trace
 from repro.trace.builder import Trace
@@ -156,24 +157,20 @@ def characterize(model: BertConfig,
     Args:
         model: architecture configuration.
         training: operating point; defaults to Ph1-B32-FP32.
-        device: device model; defaults to the MI100-like preset.
-        passes: trace passes applied before profiling (e.g.
-            ``build_pipeline("fuse_elementwise,fused_attention")``), the
-            same type :func:`repro.experiments.common.run_point` takes —
-            characterize the optimized variant of the workload.
+        device: device model; ``None`` means :func:`run_point`'s default
+            (the MI100-like preset).
+        passes: trace passes :func:`run_point` applies before profiling
+            (e.g. ``build_pipeline("fuse_elementwise,fused_attention")``)
+            — characterize the optimized variant of the workload.
     """
     training = training or TrainingConfig(batch_size=32, seq_len=128,
                                           precision=Precision.FP32)
-    device = device or mi100()
-    trace = iteration_trace(model, training)
-    validate_trace(trace).raise_if_invalid()
-    if passes is not None:
-        # The manager validates the structure after every pass.
-        trace = passes.run(trace)
-    profile = profile_trace(trace, device)
+    validate_trace(iteration_trace(model, training)).raise_if_invalid()
+    # ``passes`` validates the structure after every pass it runs.
+    trace, profile = run_point(model, training, device, passes=passes)
     stats = summarize(profile)
     return Characterization(
-        model=model, training=training, device_name=device.name,
+        model=model, training=training, device_name=profile.device.name,
         trace=trace, profile=profile,
         iteration_s=stats["total_time_s"],
         summary={k: v for k, v in stats.items() if k != "total_time_s"},

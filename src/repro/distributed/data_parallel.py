@@ -14,10 +14,10 @@ from repro.config import BertConfig, TrainingConfig
 from repro.distributed.collectives import ring_allreduce_time
 from repro.distributed.network import LinkSpec
 from repro.distributed.timeline import DeviceTimeline, compute_buckets
+from repro.experiments.common import run_point
 from repro.hw.device import DeviceModel
 from repro.ops.base import Component, Phase
-from repro.profiler.profiler import Profile, profile_trace
-from repro.trace.bert_trace import iteration_trace
+from repro.profiler.profiler import Profile
 from repro.trace.parameters import bert_parameter_inventory, group_by_layer
 
 
@@ -116,8 +116,7 @@ def data_parallel_timeline(model: BertConfig, training: TrainingConfig,
     The compute profile equals single-device training (the model is
     replicated); only exposed AllReduce time is added.
     """
-    trace = iteration_trace(model, training)
-    profile = profile_trace(trace, device)
+    profile = run_point(model, training, device)[1]
     buckets = compute_buckets(profile)
     buckets["communication"] = exposed_dp_communication(
         model, training, profile, link, devices, overlap)
@@ -133,8 +132,7 @@ def single_device_timeline(model: BertConfig, training: TrainingConfig,
                            device: DeviceModel,
                            label: str | None = None) -> DeviceTimeline:
     """Baseline S1: one device, no communication."""
-    trace = iteration_trace(model, training)
-    profile = profile_trace(trace, device)
+    profile = run_point(model, training, device)[1]
     return DeviceTimeline(
         label=label or f"single, B={training.batch_size}",
         devices=1, per_device_batch=training.batch_size,

@@ -18,11 +18,9 @@ from __future__ import annotations
 
 from repro.config import BertConfig, TrainingConfig
 from repro.distributed.network import LinkSpec
-from repro.distributed.timeline import DeviceTimeline
+from repro.distributed.timeline import DeviceTimeline, compute_buckets
+from repro.experiments.common import run_point
 from repro.hw.device import DeviceModel
-from repro.ops.base import Component
-from repro.profiler.profiler import profile_trace
-from repro.trace.bert_trace import iteration_trace
 
 
 def pipeline_bubble_fraction(stages: int, micro_batches: int) -> float:
@@ -30,6 +28,28 @@ def pipeline_bubble_fraction(stages: int, micro_batches: int) -> float:
     if stages < 1 or micro_batches < 1:
         raise ValueError("stages and micro_batches must be >= 1")
     return (stages - 1) / (stages - 1 + micro_batches)
+
+
+def stage_overheads(model: BertConfig, training: TrainingConfig,
+                    link: LinkSpec, *, stages: int, micro_batches: int,
+                    stage_compute: float) -> tuple[float, float]:
+    """(bubble idle, exposed boundary transfer) seconds of a stage whose
+    compute is ``stage_compute``; both zero for a single stage.
+
+    Each micro-batch sends one activation forward and one gradient back
+    over ``link``; only what outlasts a micro-batch of compute is exposed.
+    """
+    bubble = pipeline_bubble_fraction(stages, micro_batches)
+    if stages == 1:
+        return 0.0, 0.0
+    idle = stage_compute * bubble / (1.0 - bubble)
+    activation_bytes = (training.tokens_per_iteration // micro_batches
+                        * model.d_model
+                        * training.precision.activation_bytes)
+    per_transfer = link.transfer_time(activation_bytes)
+    micro_compute = stage_compute / micro_batches
+    exposed = max(0.0, per_transfer - micro_compute) * 2 * micro_batches
+    return idle, exposed
 
 
 def pipeline_timeline(model: BertConfig, training: TrainingConfig,
@@ -53,38 +73,15 @@ def pipeline_timeline(model: BertConfig, training: TrainingConfig,
     if training.batch_size % micro_batches:
         raise ValueError("micro_batches must divide the batch size")
 
-    profile = profile_trace(iteration_trace(model, training), device)
-
-    encoder = profile.time_of(component=Component.TRANSFORMER)
-    embedding = profile.time_of(component=Component.EMBEDDING)
-    output = profile.time_of(component=Component.OUTPUT)
-    optimizer = profile.time_of(component=Component.OPTIMIZER)
-
-    per_stage_encoder = encoder / stages
+    buckets = compute_buckets(run_point(model, training, device)[1])
+    buckets["transformer"] /= stages
+    if stages > 1:
+        buckets["embedding"] = 0.0  # stage 0's work
+    buckets["optimizer"] /= stages
     # The last stage also runs the output head; report that stage.
-    stage_compute = per_stage_encoder + output
-    bubble = pipeline_bubble_fraction(stages, micro_batches)
-    idle = stage_compute * bubble / (1.0 - bubble)
-
-    # Boundary traffic: activations forward + gradients backward, once per
-    # micro-batch, for this stage's upstream boundary.
-    activation_bytes = (training.tokens_per_iteration // micro_batches
-                        * model.d_model
-                        * training.precision.activation_bytes)
-    per_transfer = link.transfer_time(activation_bytes)
-    comm_total = 2 * micro_batches * per_transfer
-    micro_compute = stage_compute / micro_batches
-    exposed_comm = max(0.0, per_transfer - micro_compute) * 2 * micro_batches
-
-    buckets = {
-        "transformer": per_stage_encoder,
-        "output": output,
-        "embedding": embedding if stages == 1 else 0.0,
-        "optimizer": optimizer / stages,
-        "communication": exposed_comm if stages > 1 else 0.0,
-        "pipeline_bubble": idle if stages > 1 else 0.0,
-    }
-    del comm_total  # diagnostic only; exposed remainder is what counts
+    buckets["pipeline_bubble"], buckets["communication"] = stage_overheads(
+        model, training, link, stages=stages, micro_batches=micro_batches,
+        stage_compute=buckets["transformer"] + buckets["output"])
     return DeviceTimeline(
         label=label or (f"PP {stages}-stage, M={micro_batches}, "
                         f"B={training.batch_size}"),

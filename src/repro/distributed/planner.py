@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from repro.config import BertConfig, TrainingConfig
 from repro.distributed.collectives import ring_allreduce_time
 from repro.distributed.network import LinkSpec
-from repro.distributed.pipeline import pipeline_bubble_fraction
+from repro.distributed.pipeline import stage_overheads
 from repro.distributed.tensor_slicing import (
     build_sliced_iteration_trace, sliced_parameter_inventory,
     tensor_slicing_communication)
@@ -108,18 +108,9 @@ def evaluate_layout(model: BertConfig, training: TrainingConfig,
     ts_comm = tensor_slicing_communication(model, training, intra_link,
                                            ts_ways) / pp_stages
 
-    # Pipeline bubble + boundary transfers.
-    bubble = pipeline_bubble_fraction(pp_stages, micro_batches)
-    pipeline_idle = (stage_compute * bubble / (1.0 - bubble)
-                     if pp_stages > 1 else 0.0)
-    boundary = 0.0
-    if pp_stages > 1:
-        activation_bytes = (training.tokens_per_iteration // micro_batches
-                            * model.d_model
-                            * training.precision.activation_bytes)
-        per_transfer = intra_link.transfer_time(activation_bytes)
-        micro_compute = stage_compute / micro_batches
-        boundary = max(0.0, per_transfer - micro_compute) * 2 * micro_batches
+    pipeline_idle, boundary = stage_overheads(
+        model, training, intra_link, stages=pp_stages,
+        micro_batches=micro_batches, stage_compute=stage_compute)
 
     # DP gradient AllReduce (mostly overlapped; expose a conservative 10%).
     dp_exposed = 0.0

@@ -28,9 +28,8 @@ from repro.distributed.data_parallel import exposed_dp_communication
 from repro.distributed.network import LinkSpec
 from repro.distributed.passes import global_norm_rows
 from repro.distributed.timeline import DeviceTimeline, compute_buckets
+from repro.experiments.common import run_point
 from repro.hw.device import DeviceModel
-from repro.profiler.profiler import profile_trace
-from repro.trace.bert_trace import iteration_trace
 from repro.trace.parameters import bert_parameter_inventory
 
 
@@ -49,7 +48,7 @@ def zero_dp_timeline(model: BertConfig, training: TrainingConfig,
     """
     if devices < 1:
         raise ValueError("devices must be >= 1")
-    profile = profile_trace(iteration_trace(model, training), device)
+    profile = run_point(model, training, device)[1]
     buckets = compute_buckets(profile)
 
     if devices > 1:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from repro.config import BERT_LARGE, BertConfig, Precision, TrainingConfig
 from repro.data.packing import SequencePacker
 from repro.data.synthetic import MarkovCorpus, Vocab
-from repro.experiments.common import default_device, run_point
+from repro.experiments.common import run_point
 from repro.hw.device import DeviceModel
 from repro.report.tables import format_percent, format_table
 
@@ -74,7 +74,7 @@ def iteration_cost_context(model: BertConfig = BERT_LARGE,
     """Phase-2 per-sequence iteration cost (seconds) for scale context."""
     training = TrainingConfig(batch_size=4, seq_len=512,
                               precision=Precision.FP32)
-    _, profile = run_point(model, training, device or default_device())
+    _, profile = run_point(model, training, device)
     return profile.total_time / training.batch_size
 
 

@@ -16,12 +16,11 @@ from dataclasses import dataclass
 
 from repro.config import (BERT_LARGE, BertConfig, Precision, TrainingConfig,
                           training_point)
-from repro.experiments.common import default_device
+from repro.experiments.common import default_device, run_point
 from repro.hw.device import DeviceModel
 from repro.profiler.breakdown import summarize
 from repro.profiler.profiler import profile_trace
 from repro.report.tables import format_percent, format_table
-from repro.trace.bert_trace import iteration_trace
 from repro.trace.variants import build_finetuning_trace, build_inference_trace
 
 
@@ -50,14 +49,15 @@ def run(model: BertConfig = BERT_LARGE,
     """Profiles of the three execution modes at one operating point."""
     training = training or training_point(1, 32, Precision.FP32)
     device = device or default_device()
-    traces = {
-        "pretraining": iteration_trace(model, training),
-        "finetuning": build_finetuning_trace(model, training),
-        "inference": build_inference_trace(model, training),
-    }
+    # Fine-tuning and inference are not training operating points.
+    pretraining = run_point(model, training, device)[1]
+    finetuning = build_finetuning_trace(model, training)
+    inference = build_inference_trace(model, training)
     profiles = []
-    for mode, trace in traces.items():
-        stats = summarize(profile_trace(trace, device))
+    for mode, profile in (("pretraining", pretraining),
+                          ("finetuning", profile_trace(finetuning, device)),
+                          ("inference", profile_trace(inference, device))):
+        stats = summarize(profile)
         profiles.append(ModeProfile(
             mode=mode, total_s=stats["total_time_s"],
             transformer=stats["transformer"], output=stats["output"],

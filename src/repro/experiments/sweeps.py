@@ -14,6 +14,7 @@ import dataclasses
 import io
 import itertools
 import os
+import re
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.config import (BERT_BASE, BERT_LARGE, BERT_TINY, C1, C2, C3,
@@ -197,20 +198,31 @@ def grid_sweep(model: BertConfig,
     return rows
 
 
-def parse_grid_axes(batch_sizes: Iterable, seq_lens: Iterable,
-                    precisions: Iterable
+def _axis_int(value) -> int:
+    """An ``int`` that is not a ``bool``, or a decimal string (the CLI's)."""
+    if type(value) not in (int, str) or not re.fullmatch(
+            r"\s*[+-]?[0-9]+\s*", str(value)):
+        raise TypeError(value)
+    return int(value)
+
+
+def parse_grid_axes(batch_sizes: list | tuple, seq_lens: list | tuple,
+                    precisions: list | tuple
                     ) -> tuple[list[int], list[int], list[Precision]]:
     """Validate the three axes of a grid sweep.
 
-    Batch sizes and sequence lengths must be positive integers and
-    precisions names from :data:`GRID_PRECISIONS`; no axis may be empty.
+    Each axis is a non-empty list or tuple: batch sizes and sequence
+    lengths of positive integers, precisions of :data:`GRID_PRECISIONS`.
 
     Raises:
         ValueError: with a one-line message naming what is wrong.
     """
+    if not all(isinstance(axis, (list, tuple))
+               for axis in (batch_sizes, seq_lens, precisions)):
+        raise ValueError("each grid axis must be a list")
     try:
-        batches = [int(b) for b in batch_sizes]
-        lengths = [int(n) for n in seq_lens]
+        batches = [_axis_int(b) for b in batch_sizes]
+        lengths = [_axis_int(n) for n in seq_lens]
         precs = [GRID_PRECISIONS[str(p).strip().lower()] for p in precisions]
     except (KeyError, TypeError, ValueError):
         raise ValueError("batch sizes and seq lens must be integers, "

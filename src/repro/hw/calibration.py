@@ -90,14 +90,13 @@ def set_knobs(device: DeviceModel, knobs: dict[str, float]) -> DeviceModel:
 def objective(device: DeviceModel, model: BertConfig,
               targets: list[CalibrationTarget]) -> float:
     """Weighted squared error of modeled vs. target fractions."""
+    # Lazy: repro.experiments.common imports repro.hw at module scope.
+    from repro.experiments.common import run_point
     from repro.profiler.breakdown import summarize
-    from repro.profiler.profiler import profile_trace
-    from repro.trace.bert_trace import iteration_trace
 
     error = 0.0
     for target in targets:
-        trace = iteration_trace(model, target.training)
-        stats = summarize(profile_trace(trace, device))
+        stats = summarize(run_point(model, target.training, device)[1])
         if target.metric not in stats:
             raise KeyError(f"unknown metric {target.metric!r}")
         error += target.weight * (stats[target.metric] - target.value) ** 2

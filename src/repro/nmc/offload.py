@@ -21,11 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.config import BertConfig, TrainingConfig
+from repro.experiments.common import run_point
 from repro.hw.device import DeviceModel
 from repro.nmc.model import NmcConfig
 from repro.ops.base import Component
-from repro.profiler.profiler import profile_trace
-from repro.trace.bert_trace import iteration_trace
 from repro.trace.kernel_table import KernelTable
 from repro.trace.passes import PassContext, TracePass
 
@@ -95,8 +94,7 @@ def evaluate_lamb_offload(model: BertConfig, training: TrainingConfig,
                           device: DeviceModel,
                           nmc: NmcConfig) -> LambOffloadResult:
     """Offload the optimizer phase of one training point to NMC."""
-    trace = iteration_trace(model, training)
-    profile = profile_trace(trace, device)
+    trace, profile = run_point(model, training, device)
     flops, bytes_moved, groups = optimizer_workload(trace)
 
     lamb_actual = profile.time_of(component=Component.OPTIMIZER)

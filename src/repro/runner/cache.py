@@ -31,12 +31,12 @@ distinct model object once.  Both memos rest on one invariant: a
 copy, and a copy is a new object with its own entry.  No ``hash()`` or
 ``id()`` reaches key material, so keys agree across processes.
 
-Every operating point resolved by
-:func:`~repro.experiments.common.run_point` or priced by the grid engine
-(:mod:`repro.grid.engine`) is counted, process-wide, in
-:data:`POINT_RESOLUTIONS` and :data:`POINT_KERNELS`.  The executor reads
-each experiment's share from the registry delta it takes around the
-experiment.
+Every operating point priced by ``experiments.common.run_point`` or the
+grid engine is counted, process-wide, in :data:`POINT_RESOLUTIONS` and
+:data:`POINT_KERNELS`; traces that are not training points (sliced
+shards, fine-tuning and inference, kernel lists) are not.  The executor
+reads each experiment's share from the registry delta it takes around
+the experiment.
 
 Concurrency invariant (relied on by the profiling server's worker pool
 as well as ``repro run --jobs N``): writes are atomic — each

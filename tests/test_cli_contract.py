@@ -293,6 +293,61 @@ class TestGridCommand:
         assert "must be positive" in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("value", ["1_0", "2.0", "0x4", "٣"])
+    def test_grid_rejects_non_decimal_batch_in_one_line(self, value,
+                                                        capsys):
+        assert main(["grid", "--model", "bert-tiny", "--batch-sizes", value,
+                     "--seq-lens", "32"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("bad grid axis: ")
+
+    @pytest.mark.parametrize("axes", [
+        ("32", ["128"], ["fp32"]),     # iterated digit by digit before
+        (["32"], "128", ["fp32"]),
+        ([1.5], ["128"], ["fp32"]),    # truncated to 1 before
+        ([True], ["128"], ["fp32"]),   # read as 1 before
+        ([32], [b"128"], ["fp32"]),
+    ])
+    def test_shared_axis_parser_rejects_non_lists_and_non_integers(
+            self, axes):
+        from repro.experiments.sweeps import parse_grid_axes
+
+        with pytest.raises(ValueError):
+            parse_grid_axes(*axes)
+
+    def test_shared_axis_parser_keeps_valid_specs(self):
+        from repro.config import Precision
+        from repro.experiments.sweeps import parse_grid_axes
+
+        assert parse_grid_axes(["32", " 64"], (128,), ["fp32", "Mixed"]) == (
+            [32, 64], [128], [Precision.FP32, Precision.MIXED])
+
+
+class TestFlightCommand:
+    @pytest.fixture()
+    def log(self, tmp_path):
+        path = tmp_path / "flight.jsonl"
+        path.write_text("".join(
+            json.dumps({"trace_id": f"{i:016x}", "method": "GET",
+                        "route": "/healthz", "status": 200,
+                        "duration_ms": 1.0, "spans": 1}) + "\n"
+            for i in range(3)))
+        return path
+
+    def test_negative_last_exits_2_in_one_line(self, log, capsys):
+        assert main(["flight", "--log", str(log), "--last", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "--last" in captured.err
+
+    @pytest.mark.parametrize("last, shown", [(0, 3), (2, 2), (5, 3)])
+    def test_last_limits_the_listing(self, log, capsys, last, shown):
+        assert main(["flight", "--log", str(log), "--last", str(last)]) == 0
+        assert f"{shown} of 3 recorded requests" in capsys.readouterr().out
+
 
 class TestCacheCommand:
     def test_info_and_clear(self, tmp_path, monkeypatch, capsys):

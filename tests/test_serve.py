@@ -225,6 +225,29 @@ class TestEndpointContracts:
         responses = run(with_server(app, scenario))
         assert [status for status, _, _ in responses] == [400, 400, 400, 400]
 
+    @pytest.mark.parametrize("axes", [
+        {"batch_sizes": "32"},   # a string is not iterated digit by digit
+        {"seq_lens": "128"},
+        {"precisions": "fp32"},
+        {"batch_sizes": 32},
+        {"batch_sizes": [1.5]},  # not truncated to 1
+        {"batch_sizes": [True]},  # not read as 1
+        {"seq_lens": [None]},
+        {"batch_sizes": ["1_0"]},
+    ])
+    def test_grid_rejects_non_list_axes_and_non_integer_values(
+            self, app, axes):
+        spec = {"model": "bert-tiny", **axes}
+
+        async def scenario(host, port):
+            return await http_request(host, port, "POST", "/grid",
+                                      json.dumps(spec).encode())
+
+        status, _, body = run(with_server(app, scenario))
+        assert status == 400
+        message = json.loads(body)["error"]
+        assert message and "\n" not in message
+
     def test_keep_alive_serves_many_requests_per_connection(self, app):
         async def scenario(host, port):
             reader, writer = await asyncio.open_connection(host, port)
