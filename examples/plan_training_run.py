@@ -15,7 +15,7 @@ Run:
 
 from repro import BERT_LARGE, training_point
 from repro.core import advise, render_advice
-from repro.data import MarkovCorpus, SequencePacker, Vocab
+from repro.data import SequencePacker, Vocab
 from repro.distributed import (PCIE4, XGMI, data_parallel_timeline,
                                hybrid_timeline)
 from repro.hw import iteration_energy, mi100
@@ -40,8 +40,8 @@ def main() -> None:
 
     print("step 2 — Phase-2 sequence packing")
     vocab = Vocab(size=BERT_LARGE.vocab_size)
-    packer = SequencePacker(vocab, MarkovCorpus(vocab, seed=0),
-                            seq_len=512, min_pair=48, max_pair=192, seed=1)
+    packer = SequencePacker(vocab, None, seq_len=512, min_pair=48,
+                            max_pair=192, seed=1)
     saved = packer.padding_saved(512)
     print(f"packing ~48-192-token pairs into n=512 sequences avoids "
           f"{saved:.0%} of the sequences (and their quadratic attention "

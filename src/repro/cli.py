@@ -522,10 +522,10 @@ def _cmd_passes() -> int:
 
 def _cmd_info() -> int:
     from repro.config import BERT_BASE, BERT_LARGE, C3
-    from repro.hw import mi100
+    from repro.hw.device import default_device
     from repro.ops.base import DType
 
-    device = mi100()
+    device = default_device()
     print("models:")
     for config in (BERT_BASE, BERT_LARGE, C3):
         print(f"  {config.name:12s} N={config.num_layers:3d} "

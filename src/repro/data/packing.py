@@ -5,7 +5,9 @@ production pipelines pack several pairs into each sequence so padding does
 not waste the quadratic attention cost.  This module packs pair segments
 greedily (first-fit decreasing) into fixed-length sequences and reports
 the padding efficiency gained — the input-pipeline counterpart of the
-paper's fixed-shape-iteration observation (Sec. 3.1.4).
+paper's fixed-shape-iteration observation (Sec. 3.1.4).  The layout is a
+function of segment lengths only (:meth:`SequencePacker.plan`); tokens are
+drawn only when packed sequences are materialized.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.data.synthetic import MarkovCorpus, Vocab
+from repro.data.synthetic import MarkovCorpus, Vocab, pair_split
 
 
 @dataclass(frozen=True)
@@ -57,6 +59,8 @@ def first_fit_decreasing(lengths: list[int], capacity: int) -> list[list[int]]:
     """
     if capacity < 1:
         raise ValueError("capacity must be positive")
+    if any(length < 1 for length in lengths):
+        raise ValueError("item lengths must be positive")
     if any(length > capacity for length in lengths):
         raise ValueError("an item exceeds the bin capacity")
     order = sorted(range(len(lengths)), key=lambda i: -lengths[i])
@@ -74,21 +78,29 @@ def first_fit_decreasing(lengths: list[int], capacity: int) -> list[list[int]]:
     return bins
 
 
+#: ``[CLS]``, the middle ``[SEP]`` and the closing ``[SEP]`` of a segment.
+SPECIAL_TOKENS = 3
+
+
 class SequencePacker:
     """Packs sentence-pair segments into fixed-length sequences.
 
+    :meth:`plan` lays segments out from their lengths alone; :meth:`pack`
+    follows that plan and fills it with the corpus's tokens.
+
     Args:
         vocab: vocabulary layout.
-        corpus: sentence source.
+        corpus: sentence source; ``None`` for a packer that only plans.
         seq_len: packed sequence length (512 for Phase-2).
         min_pair / max_pair: content-length range of one sampled pair
             (before the 3 special tokens).
         seed: RNG seed for pair lengths.
     """
 
-    def __init__(self, vocab: Vocab, corpus: MarkovCorpus, *, seq_len: int,
-                 min_pair: int = 32, max_pair: int = 128, seed: int = 0):
-        if not 1 <= min_pair <= max_pair <= seq_len - 3:
+    def __init__(self, vocab: Vocab, corpus: MarkovCorpus | None, *,
+                 seq_len: int, min_pair: int = 32, max_pair: int = 128,
+                 seed: int = 0):
+        if not 1 <= min_pair <= max_pair <= seq_len - SPECIAL_TOKENS:
             raise ValueError("invalid pair-length range")
         self.vocab = vocab
         self.corpus = corpus
@@ -96,6 +108,22 @@ class SequencePacker:
         self.min_pair = min_pair
         self.max_pair = max_pair
         self._rng = np.random.default_rng(seed)
+
+    def plan(self, n_segments: int) -> tuple[list[int], list[list[int]]]:
+        """Sample ``n_segments`` pair lengths and lay them out, tokenless.
+
+        Returns:
+            ``(lengths, bins)``: each segment's length including its
+            special tokens, in sample order, and the first-fit-decreasing
+            bins of segment indices, one bin per packed sequence.
+        """
+        if n_segments < 1:
+            raise ValueError("n_segments must be positive")
+        contents = self._rng.integers(self.min_pair, self.max_pair + 1,
+                                      size=n_segments)
+        lengths = [sum(pair_split(c)) + SPECIAL_TOKENS
+                   for c in contents.tolist()]
+        return lengths, first_fit_decreasing(lengths, self.seq_len)
 
     def _segment(self, content_len: int) -> tuple[np.ndarray, np.ndarray]:
         """One [CLS] A [SEP] B [SEP] segment of given content length."""
@@ -109,13 +137,20 @@ class SequencePacker:
 
     def pack(self, n_segments: int) -> list[PackedSequence]:
         """Sample ``n_segments`` pairs and pack them into sequences."""
-        if n_segments < 1:
-            raise ValueError("n_segments must be positive")
-        contents = self._rng.integers(self.min_pair, self.max_pair + 1,
-                                      size=n_segments)
-        segments = [self._segment(int(c)) for c in contents]
-        lengths = [len(tokens) for tokens, _ in segments]
-        bins = first_fit_decreasing(lengths, self.seq_len)
+        if self.corpus is None:
+            raise ValueError("packer has no corpus to draw tokens from; "
+                             "use plan() to count sequences")
+        lengths, bins = self.plan(n_segments)
+        # Materialize in sample order so the corpus stream does not depend
+        # on the layout.  A planned length minus its special tokens splits
+        # into the sampled pair's sentence lengths (pair_split is
+        # idempotent on its own sums).
+        segments = [self._segment(length - SPECIAL_TOKENS)
+                    for length in lengths]
+        for index, ((tokens, _), length) in enumerate(zip(segments, lengths)):
+            if len(tokens) != length:
+                raise RuntimeError(f"segment {index} has {len(tokens)} "
+                                   f"tokens, planned {length}")
 
         packed = []
         for bin_indices in bins:
@@ -139,8 +174,8 @@ class SequencePacker:
     def padding_saved(self, n_segments: int) -> float:
         """Fraction of sequences (and thus attention cost) avoided by
         packing, vs. one segment per fixed-length sequence."""
-        packed = self.pack(n_segments)
-        packed_total = len(packed) * self.seq_len
+        _, bins = self.plan(n_segments)
+        packed_total = len(bins) * self.seq_len
         unpacked_total = n_segments * self.seq_len
         return (unpacked_total - packed_total) / unpacked_total
 

@@ -40,6 +40,16 @@ class Vocab:
         return self.size - self.first_regular
 
 
+def pair_split(total_length: int) -> tuple[int, int]:
+    """Sentence lengths of a pair with ``total_length`` content tokens.
+
+    The one rule for splitting a pair: the first sentence takes half
+    (at least one token), the second the rest (at least one token).
+    """
+    first = max(1, total_length // 2)
+    return first, max(1, total_length - first)
+
+
 class MarkovCorpus:
     """Sentence sampler with bigram structure.
 
@@ -84,8 +94,7 @@ class MarkovCorpus:
     def sentence_pair(self, total_length: int,
                       is_next: bool) -> tuple[np.ndarray, np.ndarray]:
         """Two sentences; the second continues the first iff ``is_next``."""
-        first_len = max(1, total_length // 2)
-        second_len = max(1, total_length - first_len)
+        first_len, second_len = pair_split(total_length)
         first = self.sentence(first_len)
         if is_next:
             # Continue the chain from the first sentence's last token.

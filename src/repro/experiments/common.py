@@ -1,7 +1,9 @@
 """Shared plumbing for the per-figure experiment modules.
 
 Every experiment runs against the same frozen MI100-like device model —
-there is no per-figure tuning (DESIGN.md Sec. 5).  Several figures share
+there is no per-figure tuning (DESIGN.md Sec. 5) — and against the same
+object of it (:func:`~repro.hw.device.default_device`), so the GEMM-time
+memo warmed by one experiment serves the next.  Several figures share
 operating points; they share them through the one in-process memo of
 iteration traces (:func:`~repro.trace.bert_trace.iteration_trace`), so a
 point's trace is built once per process.  Pricing a trace is cheap and
@@ -11,17 +13,12 @@ is not cached; finished experiment outputs are, by the executor.
 from __future__ import annotations
 
 from repro.config import BertConfig, TrainingConfig
-from repro.hw.device import DeviceModel, mi100
+from repro.hw.device import DeviceModel, default_device
 from repro.profiler.profiler import Profile, profile_trace
 from repro.runner.cache import POINT_KERNELS, POINT_RESOLUTIONS
 from repro.trace.bert_trace import iteration_trace
 from repro.trace.builder import Trace
 from repro.trace.passes import PassManager
-
-
-def default_device() -> DeviceModel:
-    """The frozen device every experiment is evaluated on."""
-    return mi100()
 
 
 def run_point(model: BertConfig, training: TrainingConfig,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from repro.config import (BERT_LARGE, BertConfig, Precision, TrainingConfig,
                           training_point)
-from repro.hw.device import DeviceModel, mi100
+from repro.hw.device import DeviceModel, default_device
 from repro.hw.gemm_model import gemm_time
 from repro.ops.base import DType
 from repro.ops.gemm import GemmShape
@@ -50,7 +50,7 @@ def run(model: BertConfig = BERT_LARGE,
         dtype: DType = DType.FP32) -> list[GemmIntensityRecord]:
     """Intensity records for every GEMM of one encoder layer."""
     training = training or training_point(1, 32, Precision.FP32)
-    device = device or mi100()
+    device = device or default_device()
     records = []
     for operation, passes in transformer_gemm_shapes(model, training).items():
         if operation == "linear_out":

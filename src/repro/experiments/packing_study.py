@@ -2,10 +2,12 @@
 
 Phase-2 trains at n=512 but natural pairs are much shorter; padding them
 to length wastes the quadratically-priced attention.  This study samples
-pair-length distributions, packs them with first-fit decreasing
-(:mod:`repro.data.packing`), and prices the resulting iteration count
-against the one-pair-per-sequence baseline — sequences avoided translate
-directly into iterations avoided at fixed shapes (Sec. 3.1.4).
+pair-length distributions, lays them out with first-fit decreasing
+(:meth:`repro.data.packing.SequencePacker.plan`), and prices the resulting
+iteration count against the one-pair-per-sequence baseline — sequences
+avoided translate directly into iterations avoided at fixed shapes
+(Sec. 3.1.4).  Sequence counts and occupancy depend on segment lengths
+alone, so the study never generates a token: its packer has no corpus.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 from repro.config import BERT_LARGE, BertConfig, Precision, TrainingConfig
 from repro.data.packing import SequencePacker
-from repro.data.synthetic import MarkovCorpus, Vocab
+from repro.data.synthetic import Vocab
 from repro.experiments.common import run_point
 from repro.hw.device import DeviceModel
 from repro.report.tables import format_percent, format_table
@@ -51,20 +53,22 @@ def run(model: BertConfig = BERT_LARGE, seq_len: int = 512,
             ("long pairs (128-384)", 128, 384),
         ),
         device: DeviceModel | None = None) -> list[PackingRow]:
-    """Pack each regime's pairs and count sequences needed."""
+    """Plan each regime's pairs and count sequences needed."""
     del device  # shapes are fixed; savings are shape-count ratios
     vocab = Vocab(size=model.vocab_size)
     rows = []
     for label, min_pair, max_pair in regimes:
-        packer = SequencePacker(vocab, MarkovCorpus(vocab, seed=0),
-                                seq_len=seq_len, min_pair=min_pair,
-                                max_pair=max_pair, seed=1)
-        packed = packer.pack(segments)
-        efficiency = sum(p.efficiency for p in packed) / len(packed)
+        packer = SequencePacker(vocab, None, seq_len=seq_len,
+                                min_pair=min_pair, max_pair=max_pair, seed=1)
+        lengths, bins = packer.plan(segments)
+        # Each bin's occupancy as PackedSequence.efficiency spells it (an
+        # int over seq_len), summed in bin order.
+        efficiency = sum(sum(lengths[i] for i in indices) / seq_len
+                         for indices in bins) / len(bins)
         rows.append(PackingRow(
             label=label, segments=segments,
             sequences_unpacked=segments,
-            sequences_packed=len(packed),
+            sequences_packed=len(bins),
             mean_efficiency=efficiency))
     return rows
 

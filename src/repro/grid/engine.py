@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.config import BertConfig, TrainingConfig
 from repro.grid.lanes import LaneTraining, family_key
-from repro.hw.device import DeviceModel, mi100
+from repro.hw.device import DeviceModel, default_device
 from repro.hw.timing import kernel_times
 from repro.obs import metrics, spans
 from repro.profiler.profiler import Profile
@@ -195,7 +195,7 @@ def profile_grid(points: Iterable, device: DeviceModel | None = None, *,
     """Build and price a whole grid with one batched timing evaluation."""
     grid = build_grid_trace(points, passes=passes)
     if device is None:
-        device = mi100()
+        device = default_device()
     with spans.span("grid.profile", points=len(grid),
                     kernels=len(grid.table), device=device.name):
         times = kernel_times(grid.table, device)
@@ -220,7 +220,7 @@ def grid_summaries(points: Iterable, device: DeviceModel | None = None, *,
 
     points = _normalize(points)
     if device is None:
-        device = mi100()
+        device = default_device()
     pipeline = passes.signature if passes is not None else ""
     cache = get_cache()
     key = cache.grid_key(((p.model, p.training) for p in points), device,

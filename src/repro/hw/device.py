@@ -13,6 +13,7 @@ knob set exposed here.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 from repro.ops.base import AccessPattern, DType
@@ -158,6 +159,18 @@ def mi100() -> DeviceModel:
         vector_tflops={DType.FP32: 23.1, DType.FP16: 46.1, DType.BF16: 46.1},
         mem_bandwidth_gbps=1228.8,
     )
+
+
+@functools.cache
+def default_device() -> DeviceModel:
+    """The one frozen device every default-device caller shares.
+
+    One object per process, so :mod:`repro.hw.timing`'s per-device GEMM
+    memo and the cache's device fingerprint stay warm across experiments,
+    grids and points.  :func:`mi100` still builds a fresh object for
+    callers that need a separate device.
+    """
+    return mi100()
 
 
 def v100_like() -> DeviceModel:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import BERT_LARGE, BERT_TINY
 from repro.core import advise, render_advice
@@ -43,6 +45,14 @@ class TestFirstFitDecreasing:
             first_fit_decreasing([150], 100)
         with pytest.raises(ValueError):
             first_fit_decreasing([1], 0)
+
+    def test_non_positive_lengths_rejected(self):
+        # A negative item would "free" room; empty items would fill bins
+        # with nothing.
+        with pytest.raises(ValueError, match="positive"):
+            first_fit_decreasing([-3, 4], 4)
+        with pytest.raises(ValueError, match="positive"):
+            first_fit_decreasing([0, 0], 1)
 
 
 class TestSequencePacker:
@@ -99,6 +109,57 @@ class TestSequencePacker:
         with pytest.raises(ValueError):
             SequencePacker(vocab, corpus, seq_len=64, min_pair=100,
                            max_pair=120)
+
+
+@st.composite
+def _packer_settings(draw):
+    seq_len = draw(st.integers(8, 160))
+    min_pair = draw(st.integers(1, seq_len - 3))
+    max_pair = draw(st.integers(min_pair, seq_len - 3))
+    return dict(seq_len=seq_len, min_pair=min_pair, max_pair=max_pair,
+                seed=draw(st.integers(0, 2**16)))
+
+
+class TestPlan:
+    @given(config=_packer_settings(), n=st.integers(1, 40),
+           corpus_seed=st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_plan_is_the_layout_pack_materializes(self, config, n,
+                                                  corpus_seed):
+        vocab = Vocab(size=64)
+        planner = SequencePacker(vocab, None, **config)
+        packer = SequencePacker(vocab, MarkovCorpus(vocab, seed=corpus_seed),
+                                **config)
+        lengths, bins = planner.plan(n)
+        packed = packer.pack(n)
+        assert len(packed) == len(bins)
+        for sequence, indices in zip(packed, bins):
+            ids = sequence.sequence_ids
+            per_slot = np.bincount(ids[ids >= 0], minlength=len(indices))
+            assert per_slot.tolist() == [lengths[i] for i in indices]
+        # Both packers drew the same pair lengths, so their streams agree.
+        assert planner.plan(3) == packer.plan(3)
+
+    def test_pack_without_corpus_rejected(self):
+        planner = SequencePacker(Vocab(size=64), None, seq_len=64,
+                                 min_pair=8, max_pair=32)
+        with pytest.raises(ValueError, match="plan"):
+            planner.pack(4)
+
+    def test_padding_saved_counts_planned_bins(self, packer):
+        _, bins = SequencePacker(Vocab(size=256), None, seq_len=512,
+                                 min_pair=32, max_pair=128,
+                                 seed=1).plan(60)
+        assert packer.padding_saved(60) == (60 - len(bins)) / 60
+
+    def test_packing_study_generates_no_tokens(self, monkeypatch):
+        from repro.experiments import packing_study
+
+        def no_corpus(*args, **kwargs):
+            raise AssertionError("the packing study built a MarkovCorpus")
+
+        monkeypatch.setattr(MarkovCorpus, "__init__", no_corpus)
+        assert len(packing_study.run()) == 3
 
 
 class TestAdvisor:
