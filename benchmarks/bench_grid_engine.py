@@ -1,25 +1,18 @@
-"""Benchmark of the batched grid-profiling engine vs the run_point loop.
+"""Absolute-time benchmark of the batched grid-profiling engine.
 
 Prices a 1000-point BERT Large grid (25 batch sizes x 20 sequence lengths
-x {FP32, mixed}) two ways:
+x {FP32, mixed}) with one :func:`repro.grid.engine.profile_grid` call —
+the whole grid stamped into a single KernelTable and timed in one batched
+tile/wave-model evaluation — cold per repeat (fresh device, so the GEMM
+memo starts empty: what a first sweep over a new grid pays).
 
-* **grid**: one :func:`repro.grid.engine.profile_grid` call — the whole
-  grid stamped into a single KernelTable and timed in one batched
-  tile/wave-model evaluation;
-* **loop**: the golden-oracle :func:`repro.experiments.common.run_point`
-  loop over the same points, cold per repeat (fresh iteration-trace
-  memo, fresh device so the GEMM memo starts empty — exactly what a
-  first sweep over a new grid pays).  Each point is built and priced;
-  nothing is written to disk, and the throwaway cache directory only
-  isolates the loop from the user's cache.
-
-A handful of sampled points are cross-checked for bit-identical totals,
-so the benchmark cannot silently compare against a diverged fast path.
+A handful of sampled points are cross-checked against
+:func:`repro.experiments.common.run_point` for bit-identical totals, so
+the benchmark cannot silently time a diverged fast path.
 
 Writes ``BENCH_grid_engine.json`` at the repo root and exits non-zero if
-the grid path drops below ``MIN_SPEEDUP`` over the loop or takes longer
-than ``MAX_GRID_SECONDS`` end-to-end, so CI catches the engine regressing
-into per-point work.
+the grid takes longer than ``MAX_GRID_SECONDS`` end-to-end, so CI catches
+the engine regressing into per-point work.
 
 Run: ``PYTHONPATH=src python benchmarks/bench_grid_engine.py``
 """
@@ -39,14 +32,13 @@ from repro.hw.device import mi100
 from repro.runner.cache import configure_cache, reset_cache
 from repro.trace.bert_trace import clear_iteration_traces
 
-#: Minimum acceptable grid-vs-loop speedup on the full grid.
-MIN_SPEEDUP = 10.0
-
-#: Maximum acceptable end-to-end grid time (build + stamp + price).
-MAX_GRID_SECONDS = 1.0
+#: Maximum acceptable end-to-end grid time (build + stamp + price): a
+#: tenth of what a cold ``run_point`` loop over the same 1000 points took
+#: on its last recorded run (5.28 ms per point), rounded down, so the
+#: engine regressing into per-point work fails.
+MAX_GRID_SECONDS = 0.5
 
 GRID_REPEATS = 3
-LOOP_REPEATS = 2
 
 BATCH_SIZES = (1, 2, 3, 4, 5, 6, 8, 10, 12, 14, 16, 20, 24, 28, 32, 40,
                48, 56, 64, 80, 96, 112, 128, 160, 192)
@@ -77,25 +69,8 @@ def _time_grid(points) -> tuple[float, int]:
     return best, rows
 
 
-def _time_loop(points) -> float:
-    """Best-of-N cold run_point sweep over the same points."""
-    best = float("inf")
-    for _ in range(LOOP_REPEATS):
-        with tempfile.TemporaryDirectory(prefix="bench-grid-") as root:
-            clear_iteration_traces()
-            configure_cache(root)
-            device = mi100()
-            start = time.perf_counter()
-            for training in points:
-                run_point(BERT_LARGE, training, device)
-            best = min(best, time.perf_counter() - start)
-    reset_cache()
-    clear_iteration_traces()
-    return best
-
-
 def _check_equivalence(points) -> None:
-    """Spot-check grid totals against the loop oracle, bit for bit."""
+    """Spot-check grid totals against ``run_point``, bit for bit."""
     device = mi100()
     profile = profile_grid(grid_points(BERT_LARGE, points), device)
     stride = max(1, len(points) // 7)
@@ -118,19 +93,14 @@ def run() -> dict:
     points = _points()
     _check_equivalence(points)
     grid_s, rows = _time_grid(points)
-    loop_s = _time_loop(points)
     return {
         "model": "BERT Large",
         "device": "mi100",
         "points": len(points),
         "kernel_rows": rows,
         "grid_repeats": GRID_REPEATS,
-        "loop_repeats": LOOP_REPEATS,
         "grid_s": grid_s,
-        "loop_s": loop_s,
-        "loop_per_point_ms": loop_s / len(points) * 1e3,
-        "speedup": loop_s / grid_s,
-        "min_speedup": MIN_SPEEDUP,
+        "grid_per_point_ms": grid_s / len(points) * 1e3,
         "max_grid_seconds": MAX_GRID_SECONDS,
     }
 
@@ -140,20 +110,13 @@ def main() -> int:
     OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {OUTPUT}")
     print(f"{payload['points']} points ({payload['kernel_rows']} kernel "
-          f"rows): grid {payload['grid_s']:.3f}s vs loop "
-          f"{payload['loop_s']:.2f}s "
-          f"({payload['loop_per_point_ms']:.2f} ms/pt) -> "
-          f"{payload['speedup']:.1f}x")
-
-    failed = False
-    if payload["speedup"] < MIN_SPEEDUP:
-        print(f"FAIL: speedup {payload['speedup']:.2f}x < {MIN_SPEEDUP}x")
-        failed = True
+          f"rows): grid {payload['grid_s']:.3f}s "
+          f"({payload['grid_per_point_ms']:.3f} ms/pt)")
     if payload["grid_s"] > MAX_GRID_SECONDS:
         print(f"FAIL: grid took {payload['grid_s']:.3f}s "
               f"> {MAX_GRID_SECONDS}s")
-        failed = True
-    return 1 if failed else 0
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -1,20 +1,17 @@
-"""Before/after benchmark of the columnar kernel-table engine.
+"""Absolute-time benchmark of the columnar kernel-table engine.
 
-Measures the three hot stages of every experiment — trace build, profiling
-(per-kernel timing), and breakdown aggregation — for BERT Large at the
-paper's two pre-training corners (Ph1-B32 and Ph2-B4), once through the
-reference implementations (per-layer builder walk, scalar ``kernel_time``
-loop, record-scan aggregation; see :mod:`repro.trace.reference`) and once
-through the columnar engine (layer-templated build, vectorized
-``kernel_times``, masked reductions).
+Measures the three hot stages of every experiment — trace build
+(layer-templated), profiling (vectorized ``kernel_times``) and breakdown
+aggregation (masked reductions) — for BERT Large at the paper's two
+pre-training corners (Ph1-B32 and Ph2-B4).
 
 Each repeat constructs fresh device objects so the per-device GEMM memo
-starts cold — the reported speedup does not depend on cross-run caching.
+starts cold — the reported time does not depend on cross-run caching.
 
 Writes ``BENCH_profile_engine.json`` at the repo root and exits non-zero
-if the combined build+profile+breakdown speedup drops below
-``MIN_SPEEDUP`` on either operating point, so CI catches a regression of
-the engine back into scalar paths.
+if the best combined build+profile+breakdown time exceeds
+``MAX_COMBINED_SECONDS`` on either operating point, so CI catches a
+regression of the engine back into scalar paths or list scans.
 
 Run: ``PYTHONPATH=src python benchmarks/bench_profile_engine.py``
 """
@@ -32,11 +29,12 @@ from repro.profiler.breakdown import (region_breakdown,
                                       transformer_breakdown, summarize)
 from repro.profiler.profiler import profile_trace
 from repro.trace.bert_trace import build_iteration_trace
-from repro.trace.reference import (reference_iteration_trace,
-                                   reference_profile, reference_summarize)
 
-#: Minimum acceptable combined (build+profile+breakdown) speedup.
-MIN_SPEEDUP = 3.0
+#: Maximum acceptable combined (build+profile+breakdown) time per point:
+#: a third of the 30.7-33.3 ms the scalar per-layer walk + timing loop
+#: took on its last recorded run, rounded down, so a relapse into scalar
+#: paths or list scans fails.
+MAX_COMBINED_SECONDS = 0.010
 
 REPEATS = 3
 
@@ -48,49 +46,29 @@ POINTS = {
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_profile_engine.json"
 
 
-def _legacy_breakdowns(profile) -> None:
-    reference_summarize(profile)
-    transformer_breakdown(profile)
-    region_breakdown(profile)
-
-
-def _columnar_breakdowns(profile) -> None:
+def _breakdowns(profile) -> None:
     summarize(profile)
     transformer_breakdown(profile)
     region_breakdown(profile)
 
 
-def _run_legacy(training) -> dict[str, float]:
-    device = mi100()  # fresh device: cold GEMM memo, fair comparison
-    t0 = time.perf_counter()
-    trace = reference_iteration_trace(BERT_LARGE, training)
-    t1 = time.perf_counter()
-    profile = reference_profile(trace, device)
-    t2 = time.perf_counter()
-    _legacy_breakdowns(profile)
-    t3 = time.perf_counter()
-    return {"build_s": t1 - t0, "profile_s": t2 - t1,
-            "breakdown_s": t3 - t2, "combined_s": t3 - t0,
-            "kernels": len(trace)}
-
-
-def _run_columnar(training) -> dict[str, float]:
+def _run(training) -> dict[str, float]:
     device = mi100()
     t0 = time.perf_counter()
     trace = build_iteration_trace(BERT_LARGE, training)
     t1 = time.perf_counter()
     profile = profile_trace(trace, device)
     t2 = time.perf_counter()
-    _columnar_breakdowns(profile)
+    _breakdowns(profile)
     t3 = time.perf_counter()
     return {"build_s": t1 - t0, "profile_s": t2 - t1,
             "breakdown_s": t3 - t2, "combined_s": t3 - t0,
             "kernels": len(trace)}
 
 
-def _best(runner, training) -> dict[str, float]:
+def _best(training) -> dict[str, float]:
     """Best-of-N wall times (each repeat cold, fresh devices)."""
-    samples = [runner(training) for _ in range(REPEATS)]
+    samples = [_run(training) for _ in range(REPEATS)]
     best = {key: min(s[key] for s in samples)
             for key in ("build_s", "profile_s", "breakdown_s", "combined_s")}
     best["kernels"] = samples[0]["kernels"]
@@ -100,27 +78,14 @@ def _best(runner, training) -> dict[str, float]:
 def run() -> dict:
     results = {}
     for name, training in POINTS.items():
-        legacy = _best(_run_legacy, training)
-        columnar = _best(_run_columnar, training)
-        assert legacy["kernels"] == columnar["kernels"]
-        speedup = {
-            stage: legacy[f"{stage}_s"] / columnar[f"{stage}_s"]
-            for stage in ("build", "profile", "breakdown", "combined")
-        }
-        results[name] = {
-            "kernels": legacy["kernels"],
-            "seq_len": training.seq_len,
-            "batch_size": training.batch_size,
-            "legacy": {k: v for k, v in legacy.items() if k != "kernels"},
-            "columnar": {k: v for k, v in columnar.items()
-                         if k != "kernels"},
-            "speedup": speedup,
-        }
+        best = _best(training)
+        results[name] = {"seq_len": training.seq_len,
+                         "batch_size": training.batch_size, **best}
     return {
         "model": "BERT Large",
         "device": "mi100",
         "repeats": REPEATS,
-        "min_combined_speedup": MIN_SPEEDUP,
+        "max_combined_seconds": MAX_COMBINED_SECONDS,
         "points": results,
     }
 
@@ -132,14 +97,14 @@ def main() -> int:
 
     failed = False
     for name, point in payload["points"].items():
-        s = point["speedup"]
         print(f"{name}: {point['kernels']} kernels | "
-              f"build {s['build']:.1f}x, profile {s['profile']:.1f}x, "
-              f"breakdown {s['breakdown']:.1f}x, "
-              f"combined {s['combined']:.1f}x")
-        if s["combined"] < MIN_SPEEDUP:
-            print(f"FAIL: {name} combined speedup {s['combined']:.2f}x "
-                  f"< {MIN_SPEEDUP}x")
+              f"build {point['build_s'] * 1e3:.2f} ms, "
+              f"profile {point['profile_s'] * 1e3:.2f} ms, "
+              f"breakdown {point['breakdown_s'] * 1e3:.2f} ms, "
+              f"combined {point['combined_s'] * 1e3:.2f} ms")
+        if point["combined_s"] > MAX_COMBINED_SECONDS:
+            print(f"FAIL: {name} combined {point['combined_s'] * 1e3:.2f} "
+                  f"ms > {MAX_COMBINED_SECONDS * 1e3:.0f} ms")
             failed = True
     return 1 if failed else 0
 

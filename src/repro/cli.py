@@ -330,6 +330,9 @@ def _cmd_export_perfetto(target: str, path: str,
         write_output(path, render)
     except OSError as error:
         return _cannot_write(path, error)
+    except ValueError as error:  # a pass pipeline rejected the trace
+        print(str(error.args[0] if error.args else error), file=sys.stderr)
+        return 2
     print(f"wrote {path} (open in ui.perfetto.dev)")
     return 0
 
@@ -427,7 +430,12 @@ def _cmd_trace(point: str, passes_spec: str | None = None) -> int:
     trace = iteration_trace(model, training)
     source = "layer-templated builder"
     if manager is not None:
-        trace = manager.run(trace)
+        try:
+            trace = manager.run(trace)
+        except ValueError as error:
+            print(str(error.args[0] if error.args else error),
+                  file=sys.stderr)
+            return 2
         source += f" + passes [{manager.signature}]"
 
     gemms = int(trace.table.is_gemm.sum())

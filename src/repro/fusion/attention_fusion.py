@@ -8,9 +8,10 @@ layer attribution.  Linear projections and everything else are untouched.
 :class:`FusedAttentionPass` is the columnar implementation: the first
 attention-op row of each (layer, phase) becomes a marker that is
 batch-rewritten in place from the fused-kernel template, and the remaining
-attention-op rows are dropped with one boolean-mask select.  The original
-per-kernel scan survives as
-:func:`repro.trace.reference.reference_fused_attention`.
+attention-op rows are dropped with one boolean-mask select.  Its output
+is pinned bit-exactly by the kernel digests of
+``tests/test_trace_digests.py``, frozen from the per-kernel scan it
+replaced.
 """
 
 from __future__ import annotations

@@ -17,9 +17,9 @@ fusing them would not reduce memory traffic.
 :class:`ElementwiseChainFusionPass` is the columnar implementation: chains
 are found by run-length grouping over the ``(fusion_code, phase, layer)``
 code columns and collapsed with ``reduceat`` aggregations — no per-kernel
-Python scan.  The original scan survives as
-:func:`repro.trace.reference.reference_fuse_elementwise`, the
-oracle the pass is pinned against bit-exactly.
+Python scan.  Its output is pinned bit-exactly by the kernel digests of
+``tests/test_trace_digests.py``, frozen from the per-kernel scan it
+replaced, and its FLOP/byte conservation by ``tests/test_pass_invariants.py``.
 """
 
 from __future__ import annotations

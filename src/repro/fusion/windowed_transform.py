@@ -11,8 +11,9 @@ dense attention-op row of each (layer, phase) becomes a splice marker, the
 rest are dropped with one boolean-mask select, and the per-phase windowed
 kernel block — built once as a :class:`KernelTable` and stamped with
 each marker's layer — replaces each marker via :meth:`~repro.trace.kernel_table.KernelTable.splice` with
-``replace=True``.  The original per-kernel scan survives as
-:func:`repro.trace.reference.reference_windowed_attention`.
+``replace=True``.  Its output is pinned bit-exactly by the kernel digests
+of ``tests/test_trace_digests.py``, frozen from the per-kernel scan it
+replaced.
 """
 
 from __future__ import annotations

@@ -17,8 +17,12 @@ is effectively executed twice.
 :class:`CheckpointingPass` is the columnar implementation: the replay of
 each segment is built by a pool-level ``recompute.`` rename over the
 segment's forward rows and inserted with one :meth:`KernelTable.splice` at
-the segment's first backward row.  The original per-kernel scan survives
-as :func:`repro.trace.reference.reference_checkpointing`.
+the segment's first backward row.  Its output is pinned by the kernel
+digests of ``tests/test_trace_digests.py`` and, on generated configs, by
+the ``c = 4`` encoder GEMM closed form of ``tests/test_iteration_layout.py``.
+A trace is checkpointed at most once: the pass rejects a table that
+already holds ``recompute.`` rows, since a second replay would charge the
+forward pass a third time.
 """
 
 from __future__ import annotations
@@ -87,6 +91,13 @@ class CheckpointingPass(TracePass):
         return {"num_checkpoints": self.num_checkpoints}
 
     def apply(self, table: KernelTable, ctx: PassContext) -> KernelTable:
+        replay_codes = [code for code, name in enumerate(table.names)
+                        if name.startswith("recompute.")]
+        if np.isin(table.name_code, replay_codes).any():
+            raise ValueError(
+                "checkpointing: the trace already holds recompute. replay "
+                "rows (a checkpointed training or an earlier checkpointing "
+                "pass); apply it once")
         attributed = table.layer >= 0
         encoder = table.mask(component=Component.TRANSFORMER) & attributed
         fwd_rows = np.flatnonzero(

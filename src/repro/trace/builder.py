@@ -11,7 +11,7 @@ rewrite it and wrap the result in a new view, and every query and
 aggregate is an array operation over its columns.  ``trace.kernels`` is a
 read-only tuple of :class:`~repro.ops.base.Kernel` objects, built from the
 table on first read for callers that want per-kernel objects (tests,
-reference oracles, ad-hoc inspection); nothing is ever written back.  The
+examples, ad-hoc inspection); nothing is ever written back.  The
 view is explicit: a trace is not iterable and compares by identity, so no
 ``for`` or ``==`` builds it.  Because tables are immutable, any number of
 views can share one.

@@ -27,9 +27,8 @@ Tables are **immutable**: every array is marked read-only at construction,
 and transforms (``concat``, ``take``, ``select``, ``splice``,
 ``rewrite_rows``) return new tables.  Product code reads the columns
 (masks, reductions, :meth:`KernelTable.labels`); the per-:class:`Kernel`
-view (``kernel`` / ``kernels_at`` / ``to_kernels``) is explicit, for tests,
-examples and the :mod:`repro.trace.reference` oracle, and a table is not
-iterable.  Immutability is what lets
+view (``kernel`` / ``kernels_at`` / ``to_kernels``) is explicit, for tests
+and examples, and a table is not iterable.  Immutability is what lets
 :func:`repro.trace.bert_trace.iteration_trace` hand the same trace to
 every caller without defensive copies — and what makes the trace-rewrite
 passes of :mod:`repro.trace.passes` pure functions.

@@ -422,6 +422,28 @@ class TestTraceCommand:
                      f"checkpointing:{count}"]) == 2
         assert capsys.readouterr().err == "num_checkpoints must be >= 1\n"
 
+    def test_checkpointing_twice_exits_2_in_one_line(self, capsys):
+        assert main(["trace", "tiny.ph1-b2-fp32", "--passes",
+                     "checkpointing,checkpointing"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(
+            "checkpointing: the trace already holds recompute.")
+
+    def test_export_checkpointing_twice_exits_2_and_writes_nothing(
+            self, tmp_path, capsys):
+        path = tmp_path / "twice.json"
+        assert main(["export", "--format", "perfetto", "--passes",
+                     "checkpointing,checkpointing:2", "tiny.ph1-b2-fp32",
+                     str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(
+            "checkpointing: the trace already holds recompute.")
+        assert not path.exists()
+
 
 class TestStartup:
     def test_parser_loads_no_experiment_module(self):

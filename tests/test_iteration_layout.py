@@ -2,14 +2,31 @@
 
 Every builder and the grid stamp lay an iteration out through
 :func:`repro.trace.bert_trace.iteration_layout`.  For small generated
-model and training configurations this property pins that layout to the
-per-layer reference walk, to the one-point grid stamp, and to the
-one-way sliced builder, and checks that the result validates.  A second
-property stamps generated multi-point grids under pass pipelines and pins
-every point's rows, provenance and times to its own build.
+model and training configurations this property pins that layout to
+closed forms, to the one-point grid stamp, and to the one-way sliced
+builder, and checks that the result validates.  The closed forms are the
+GEMM accounting of Table 2b (the FLOP formulas of Anthony et al., arXiv
+2401.14489): with ``T = B * n`` tokens,
+
+* the encoder GEMMs execute ``c * N * (8 T d^2 + 4 T d d_ff + 4 B n^2 d)``
+  FLOPs, ``c = 3`` (forward, activation gradient, weight gradient) or
+  ``c = 4`` under activation checkpointing (the forward replayed once);
+* the heads execute ``3 * (2 T d^2 + 2 T d V + 2 B d^2 + 4 B d)``: the
+  MLM transform and decoder over all ``T`` positions, pooler and NSP over
+  the ``B`` sequences;
+* the optimizer writes each of the ``P`` parameters once per update
+  stage, at the per-element width of its state;
+* forward layers ascend, backward layers descend, and every encoder layer
+  repeats layer 0's rows in each phase.
+
+A second property stamps generated multi-point grids under pass pipelines
+and pins every point's rows, provenance and times to its own build.
 """
 
+from collections import Counter, defaultdict
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,10 +34,10 @@ from repro.config import BertConfig, Precision, TrainingConfig
 from repro.distributed import build_sliced_iteration_trace
 from repro.grid.engine import build_grid_trace, profile_grid
 from repro.hw.device import mi100
+from repro.ops.base import Component, Phase
 from repro.profiler.profiler import profile_trace
 from repro.trace.bert_trace import build_iteration_trace
 from repro.trace.passes import build_pipeline
-from repro.trace.reference import reference_iteration_trace
 from repro.trace.validate import validate_trace
 
 
@@ -46,11 +63,71 @@ training_configs = st.builds(
     optimizer=st.sampled_from(("lamb", "adam", "sgd")))
 
 
+#: Per optimizer: the fused kernels' name prefix and the bytes they write
+#: per parameter (FP32 state: LAMB stage 2 writes the weight, Adam the
+#: moments and the weight, SGD the momentum and the weight).
+FUSED_OPTIMIZER_WRITES = {"lamb": ("lamb.stage2.", 4),
+                          "adam": ("adam.fused.", 12),
+                          "sgd": ("sgd.fused", 8)}
+
+
+def _check_gemm_flops(model, training, kernels) -> None:
+    batch, seq = training.batch_size, training.seq_len
+    d, d_ff, vocab = model.d_model, model.d_ff, model.vocab_size
+    tokens = batch * seq
+    flops = Counter()
+    for kernel in kernels:
+        if kernel.op_class.is_gemm:
+            flops[kernel.component] += kernel.flops
+    # Forward, activation gradient, weight gradient (+ the replayed forward).
+    factor = 4 if training.activation_checkpointing else 3
+    assert flops[Component.TRANSFORMER] == factor * model.num_layers * (
+        8 * tokens * d * d + 4 * tokens * d * d_ff + 4 * batch * seq * seq * d)
+    assert flops[Component.OUTPUT] == 3 * (
+        2 * tokens * d * d + 2 * tokens * d * vocab
+        + 2 * batch * d * d + 4 * batch * d)
+    assert set(flops) <= {Component.TRANSFORMER, Component.OUTPUT}
+
+
+def _check_optimizer_bytes(model, training, kernels) -> None:
+    params = model.total_parameters()
+    if training.fuse_optimizer:
+        prefix, width = FUSED_OPTIMIZER_WRITES[training.optimizer]
+        written = sum(k.bytes_written for k in kernels
+                      if k.name.startswith(prefix))
+        assert written == width * params
+    else:
+        written = sum(k.bytes_written for k in kernels
+                      if k.name.endswith(".p_sub"))
+        assert written == 4 * params
+    cast_back = [(k.bytes_read, k.bytes_written) for k in kernels
+                 if k.name == "optimizer.weight_cast_back"]
+    mixed = training.precision is Precision.MIXED
+    assert cast_back == ([(4 * params, 2 * params)] if mixed else [])
+
+
+def _check_layer_order(kernels) -> None:
+    encoder = [k for k in kernels if k.component is Component.TRANSFORMER]
+    forward = [k.layer_index for k in encoder if k.phase is Phase.FORWARD]
+    assert forward == sorted(forward)
+    backward = [k.layer_index for k in encoder if k.phase is Phase.BACKWARD
+                and not k.name.startswith("recompute.")]
+    assert backward == sorted(backward, reverse=True)
+    rows = defaultdict(list)
+    for kernel in encoder:
+        rows[kernel.phase, kernel.layer_index].append(kernel.with_layer(0))
+    for (phase, _), layer_rows in rows.items():
+        assert layer_rows == rows[phase, 0]
+
+
 @given(model=bert_configs(), training=training_configs)
 @settings(max_examples=40, deadline=None)
 def test_every_assembly_path_lays_out_the_same_iteration(model, training):
     trace = build_iteration_trace(model, training)
-    assert trace.kernels == reference_iteration_trace(model, training).kernels
+    kernels = trace.kernels
+    _check_gemm_flops(model, training, kernels)
+    _check_optimizer_bytes(model, training, kernels)
+    _check_layer_order(kernels)
 
     grid = build_grid_trace([(model, training)])
     assert grid.point_trace(0).kernels == trace.kernels
@@ -102,6 +179,12 @@ def test_multi_point_grid_equals_per_point_builds(family):
     device = mi100()
     for spec in GRID_PIPELINES:
         passes = build_pipeline(spec) if spec else None
+        if "checkpointing" in spec and trainings[0].activation_checkpointing:
+            # Checkpointing a checkpointed family would replay it twice.
+            with pytest.raises(ValueError, match="already holds recompute"):
+                profile_grid([(model, t) for t in trainings], device,
+                             passes=passes)
+            continue
         grid = profile_grid([(model, t) for t in trainings], device,
                             passes=passes)
         for index, training in enumerate(trainings):

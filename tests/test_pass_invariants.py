@@ -12,12 +12,19 @@ promises:
 * elementwise fusion conserves FLOPs and never increases bytes;
 * checkpointing adds exactly one backward ``recompute.`` replay of every
   encoder forward row, and nothing else;
-* every row a pass mints or rewrites carries that pass's provenance.
+* every row a pass mints or rewrites carries that pass's provenance;
+* a pipeline that would checkpoint an already checkpointed trace (two
+  ``checkpointing`` passes, or one over a checkpointing training) is
+  rejected with a ``ValueError`` instead of replaying the forward twice.
+
+A second property applies each idempotent pass twice and requires the
+same kernels and provenance as applying it once.
 """
 
 import dataclasses
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -36,8 +43,8 @@ PASS_ARGS = {
 
 
 @st.composite
-def pass_tokens(draw) -> str:
-    name = draw(st.sampled_from(sorted(available_passes())))
+def pass_tokens(draw, names=None) -> str:
+    name = draw(st.sampled_from(names or sorted(available_passes())))
     if name in PASS_ARGS and draw(st.booleans()):
         return f"{name}:{draw(PASS_ARGS[name])}"
     return name
@@ -78,6 +85,12 @@ def _check_step(name: str, before, after) -> None:
 def test_pass_pipelines_keep_their_invariants(model, training, spec):
     trace = build_iteration_trace(model, training)
     pipeline = build_pipeline(spec)
+    checkpointings = sum(trace_pass.name == "checkpointing"
+                         for trace_pass in pipeline.passes)
+    if checkpointings + training.activation_checkpointing > 1:
+        with pytest.raises(ValueError, match="already holds recompute"):
+            pipeline.run(trace)
+        return
     out = pipeline.run(trace)  # validates after every pass
 
     again = build_pipeline(spec).run(trace)
@@ -89,3 +102,22 @@ def test_pass_pipelines_keep_their_invariants(model, training, spec):
         _check_step(trace_pass.name, trace, after)
         trace = after
     assert trace.kernels == out.kernels
+
+
+#: Passes whose second application changes nothing.  Not here:
+#: ``shard_optimizer`` divides the optimizer rows again on every
+#: application, and ``checkpointing`` rejects a trace it already replayed
+#: (pinned by the property above).
+IDEMPOTENT_PASSES = ("fuse_elementwise", "fused_attention",
+                     "windowed_attention", "offload_optimizer")
+
+
+@given(model=bert_configs(), training=training_configs,
+       spec=pass_tokens(IDEMPOTENT_PASSES))
+@settings(max_examples=60, deadline=None)
+def test_idempotent_passes_applied_twice_equal_once(model, training, spec):
+    trace = build_iteration_trace(model, training)
+    once = build_pipeline(spec).run(trace)
+    twice = build_pipeline(f"{spec},{spec}").run(trace)
+    assert twice.kernels == once.kernels
+    assert _provenance(twice.table) == _provenance(once.table)

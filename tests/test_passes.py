@@ -1,8 +1,8 @@
 """Tests for the columnar pass pipeline (trace/passes.py and the ports).
 
-Every transform family is pinned bit-exactly against its legacy list-scan
-oracle in :mod:`repro.trace.reference`, composition order is exercised both
-ways, and the PassManager's signature / debug-validation / provenance
+Every transform family is pinned bit-exactly against the kernel digests
+frozen in ``tests/golden/trace_digests.json``, composition order is
+exercised both ways, and the PassManager's signature / debug-validation / provenance
 contracts are covered alongside the satellite regressions (FusionImpact
 zero guards, materialization keeping the table, pipeline-aware caching).
 """
@@ -22,11 +22,7 @@ from repro.ops.base import Component
 from repro.ops.windowed_attention import WindowConfig
 from repro.trace import (PassManager, TracePass, available_passes,
                          build_iteration_trace, build_pipeline)
-from repro.trace.reference import (reference_checkpointing,
-                                   reference_fuse_elementwise,
-                                   reference_fused_attention,
-                                   reference_sliced_iteration_trace,
-                                   reference_windowed_attention)
+from tests.test_trace_digests import assert_frozen
 
 TINY = training_point(1, 2, Precision.FP32)
 LARGE = training_point(2, 4, Precision.MIXED)
@@ -43,43 +39,37 @@ def large_trace():
 
 
 class TestGoldenEquivalence:
-    """Each columnar pass reproduces its list-scan oracle bit-exactly."""
+    """Each columnar pass reproduces its frozen digest bit-exactly."""
 
     def test_fuse_elementwise(self, tiny_trace, large_trace):
-        for trace in (tiny_trace, large_trace):
+        for base, trace in (("tiny", tiny_trace), ("large", large_trace)):
             got = PassManager((ElementwiseChainFusionPass(),)).run(trace)
-            want = reference_fuse_elementwise(trace)
-            assert got.kernels == want.kernels
+            assert_frozen(f"pass/fuse_elementwise/{base}", got)
 
     def test_checkpointing(self, tiny_trace, large_trace):
-        for trace in (tiny_trace, large_trace):
+        for base, trace in (("tiny", tiny_trace), ("large", large_trace)):
             got = PassManager((CheckpointingPass(),)).run(trace)
-            assert got.kernels == reference_checkpointing(trace).kernels
+            assert_frozen(f"pass/checkpointing/{base}", got)
         explicit = PassManager((CheckpointingPass(4),)).run(large_trace)
-        want = reference_checkpointing(large_trace, 4)
-        assert explicit.kernels == want.kernels
+        assert_frozen("pass/checkpointing:4/large", explicit)
 
     def test_fused_attention(self, tiny_trace, large_trace):
-        for trace in (tiny_trace, large_trace):
+        for base, trace in (("tiny", tiny_trace), ("large", large_trace)):
             got = PassManager((FusedAttentionPass(),)).run(trace)
-            want = reference_fused_attention(trace)
-            assert got.kernels == want.kernels
+            assert_frozen(f"pass/fused_attention/{base}", got)
 
     def test_windowed_attention(self, tiny_trace, large_trace):
-        for trace in (tiny_trace, large_trace):
+        for base, trace in (("tiny", tiny_trace), ("large", large_trace)):
             got = PassManager((WindowedAttentionPass(),)).run(trace)
-            want = reference_windowed_attention(trace)
-            assert got.kernels == want.kernels
+            assert_frozen(f"pass/windowed_attention/{base}", got)
         window = WindowConfig(block=32, window_blocks=5)
         got = PassManager((WindowedAttentionPass(window),)).run(large_trace)
-        want = reference_windowed_attention(large_trace, window)
-        assert got.kernels == want.kernels
+        assert_frozen("pass/windowed_attention:32x5/large", got)
 
     def test_sliced_build(self):
         for ways in (1, 4):
             got = build_sliced_iteration_trace(BERT_TINY, TINY, ways)
-            want = reference_sliced_iteration_trace(BERT_TINY, TINY, ways)
-            assert got.kernels == want.kernels
+            assert_frozen(f"sliced/{ways}/tiny", got)
 
 
 class TestComposition:
@@ -87,9 +77,7 @@ class TestComposition:
         pipeline = PassManager(
             (ElementwiseChainFusionPass(), CheckpointingPass()))
         got = pipeline.run(tiny_trace)
-        want = reference_checkpointing(
-            reference_fuse_elementwise(tiny_trace))
-        assert got.kernels == want.kernels
+        assert_frozen("pass/fuse_elementwise,checkpointing/tiny", got)
 
     def test_order_matters_for_kernel_counts(self, tiny_trace):
         fuse, ckpt = ElementwiseChainFusionPass(), CheckpointingPass()

@@ -1,17 +1,22 @@
-"""Golden equivalence: columnar engine vs. the reference implementations.
+"""Golden equivalence: the columnar engine vs. frozen digests and the
+scalar timing oracle.
 
 The layer-templated trace build, the batched GEMM/bandwidth timing of
 ``kernel_times`` and the masked-reduction aggregation of ``Profile`` are
-optimizations over the seed's per-layer walk + scalar loop — they must not
-change a single number.  For every operating point the registry
-experiments exercise, this suite requires:
+optimizations over a per-layer walk + scalar loop — they must not change
+a single number.  For every operating point the registry experiments
+exercise, this suite requires:
 
-* identical kernel sequences (count, order, and full record equality);
-* bit-identical per-kernel times — the vectorized models apply the same
-  float64 operations in the same order as the scalar ones, so ``==``, not
-  ``approx``;
-* matching totals and breakdown fractions (``rel=1e-12``: ``np.sum`` is
-  pairwise while the reference uses sequential Python ``sum``).
+* the kernel sequence frozen in ``tests/golden/trace_digests.json``
+  (count, order, and full record equality; see
+  ``tests/test_trace_digests.py``);
+* bit-identical per-kernel times against the scalar
+  :func:`repro.hw.timing.kernel_time` — the vectorized models apply the
+  same float64 operations in the same order as the scalar ones, so
+  ``==``, not ``approx``;
+* matching totals and breakdown fractions against predicate scans of
+  :meth:`Profile.fraction_where` (``rel=1e-12``: masked sums and
+  predicate scans add in different orders).
 """
 
 from __future__ import annotations
@@ -19,45 +24,42 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.config import (BERT_BASE, BERT_LARGE, BERT_TINY, FIG3_POINTS,
-                          Precision, training_point)
+from repro.config import BERT_TINY, Precision, training_point
 from repro.hw.device import a100_like, mi100, v100_like
 from repro.hw.timing import kernel_time, kernel_times
+from repro.ops.base import Component
 from repro.profiler.breakdown import region_breakdown, summarize
-from repro.profiler.profiler import profile_trace
+from repro.profiler.profiler import Profile, profile_trace
 from repro.trace.bert_trace import build_iteration_trace
-from repro.trace.reference import (reference_finetuning_trace,
-                                   reference_inference_trace,
-                                   reference_iteration_trace,
-                                   reference_profile, reference_summarize)
 from repro.trace.variants import build_finetuning_trace, build_inference_trace
-
-# Every operating-point family the registry experiments touch: the Fig. 3
-# points, the Fig. 8 batch ladder corner, checkpointing (Sec. 4), the
-# unfused-optimizer ablation (Fig. 12), and the adam/sgd emitters.
-PRETRAIN_POINTS = [
-    ("large-" + name, BERT_LARGE, training)
-    for name, training in zip(
-        ("ph1-b32", "ph1-b4", "ph2-b4", "ph1-b32-mixed", "ph2-b4-mixed"),
-        FIG3_POINTS)
-] + [
-    ("base-ph1-b16", BERT_BASE, training_point(1, 16, Precision.FP32)),
-    ("tiny-ph2-b4-ckpt", BERT_TINY,
-     training_point(2, 4, Precision.FP32, activation_checkpointing=True)),
-    ("tiny-ph1-b32-unfused", BERT_TINY,
-     training_point(1, 32, Precision.FP32, fuse_optimizer=False)),
-    ("tiny-ph1-b8-adam", BERT_TINY,
-     training_point(1, 8, Precision.MIXED, optimizer="adam")),
-    ("tiny-ph1-b8-sgd", BERT_TINY,
-     training_point(1, 8, Precision.FP32, optimizer="sgd")),
-]
+from tests.test_trace_digests import (FINETUNING, INFERENCE, PRETRAIN_POINTS,
+                                      assert_frozen)
 
 DEVICES = {"mi100": mi100, "v100": v100_like, "a100": a100_like}
 
 
-def _assert_same_kernels(columnar, reference):
-    assert len(columnar) == len(reference)
-    assert columnar.kernels == reference.kernels
+def _scalar_profile(trace, device) -> Profile:
+    """``trace`` timed kernel by kernel through the scalar ``kernel_time``."""
+    times = [kernel_time(k, device) for k in trace.kernels]
+    return Profile(device, trace.table, np.array(times, dtype=np.float64))
+
+
+def _predicate_summary(profile) -> dict[str, float]:
+    """Headline fractions by predicate scans over the profile's records."""
+    return {
+        "total_time_s": profile.total_time,
+        "transformer": profile.fraction_where(
+            lambda k: k.component is Component.TRANSFORMER),
+        "output": profile.fraction_where(
+            lambda k: k.component is Component.OUTPUT),
+        "embedding": profile.fraction_where(
+            lambda k: k.component is Component.EMBEDDING),
+        "optimizer": profile.fraction_where(
+            lambda k: k.component is Component.OPTIMIZER),
+        "gemm": profile.fraction_where(lambda k: k.op_class.is_gemm),
+        "non_gemm": profile.fraction_where(
+            lambda k: not k.op_class.is_gemm),
+    }
 
 
 def _assert_same_profiles(fast, slow):
@@ -74,7 +76,7 @@ def _assert_same_profiles(fast, slow):
 
     assert fast.total_time == pytest.approx(slow.total_time, rel=1e-12)
     fast_summary = summarize(fast)
-    slow_summary = reference_summarize(slow)
+    slow_summary = _predicate_summary(slow)
     assert fast_summary.keys() == slow_summary.keys()
     for key in fast_summary:
         assert fast_summary[key] == pytest.approx(slow_summary[key],
@@ -85,12 +87,11 @@ def _assert_same_profiles(fast, slow):
                          PRETRAIN_POINTS, ids=[p[0] for p in PRETRAIN_POINTS])
 def test_pretraining_point_equivalence(name, model, training):
     columnar = build_iteration_trace(model, training)
-    reference = reference_iteration_trace(model, training)
-    _assert_same_kernels(columnar, reference)
+    assert_frozen(f"pretrain/{name}", columnar)
 
     device = mi100()
     _assert_same_profiles(profile_trace(columnar, device),
-                          reference_profile(reference, device))
+                          _scalar_profile(columnar, device))
 
 
 @pytest.mark.parametrize("device_name", sorted(DEVICES))
@@ -100,27 +101,23 @@ def test_devices_equivalence(device_name):
     trace = build_iteration_trace(model, training)
     device = DEVICES[device_name]()
     _assert_same_profiles(profile_trace(trace, device),
-                          reference_profile(trace, device))
+                          _scalar_profile(trace, device))
 
 
 def test_inference_equivalence():
-    model, training = BERT_BASE, training_point(1, 8, Precision.MIXED)
-    columnar = build_inference_trace(model, training)
-    reference = reference_inference_trace(model, training)
-    _assert_same_kernels(columnar, reference)
+    columnar = build_inference_trace(*INFERENCE)
+    assert_frozen("inference/base-ph1-b8-mixed", columnar)
     device = mi100()
     _assert_same_profiles(profile_trace(columnar, device),
-                          reference_profile(reference, device))
+                          _scalar_profile(columnar, device))
 
 
 def test_finetuning_equivalence():
-    model, training = BERT_BASE, training_point(1, 8, Precision.FP32)
-    columnar = build_finetuning_trace(model, training)
-    reference = reference_finetuning_trace(model, training)
-    _assert_same_kernels(columnar, reference)
+    columnar = build_finetuning_trace(*FINETUNING)
+    assert_frozen("finetuning/base-ph1-b8-fp32", columnar)
     device = mi100()
     _assert_same_profiles(profile_trace(columnar, device),
-                          reference_profile(reference, device))
+                          _scalar_profile(columnar, device))
 
 
 def test_region_breakdown_equivalence():
@@ -129,7 +126,7 @@ def test_region_breakdown_equivalence():
                                   training_point(1, 32, Precision.FP32))
     device = mi100()
     fast = profile_trace(trace, device)
-    slow = reference_profile(trace, device)
+    slow = _scalar_profile(trace, device)
     fast_regions = region_breakdown(fast)
     slow_regions = region_breakdown(slow)
     assert fast_regions.keys() == slow_regions.keys()
@@ -161,7 +158,7 @@ def test_mutated_trace_still_equivalent():
     half = trace.kernels[:len(trace.kernels) // 2]
     truncated = trace.replaced(half)
     fast = profile_trace(truncated, device)
-    slow = reference_profile(truncated, device)
+    slow = _scalar_profile(truncated, device)
     _assert_same_profiles(fast, slow)
 
 

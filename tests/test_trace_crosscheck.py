@@ -4,27 +4,36 @@ The trace generator *claims* the network manifests as the GEMMs of
 Table 2b.  These tests run the real NumPy model under the op recorder and
 compare the multiset of executed forward matmuls against the analytic
 trace's forward GEMM kernels — shape for shape (as FLOP counts, which are
-orientation-invariant) and count for count.
+orientation-invariant) and count for count: on BERT Tiny at one point, and
+on generated small models and operating points (the strategies of
+``tests/test_iteration_layout.py``).
+
+Only the forward pass is cross-checked.  The recorder sees the matmuls
+the model's forward code issues; the gradients of ``loss.backward()`` are
+computed inside the autograd engine and record no matmul (BERT Tiny: 20
+forward records, 0 backward), so the backward GEMMs stay pinned by the
+closed forms of ``tests/test_iteration_layout.py`` alone.
 """
 
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.config import BERT_TINY, Precision, TrainingConfig
 from repro.model import BertForPreTraining
 from repro.ops.base import Phase
 from repro.tensor import recording
 from repro.trace.bert_trace import build_iteration_trace
+from tests.test_iteration_layout import bert_configs, training_configs
 
 
-@pytest.fixture(scope="module")
-def setup():
-    training = TrainingConfig(batch_size=3, seq_len=16)
-    model = BertForPreTraining(BERT_TINY, seed=0, dropout_p=0.0)
+def _executed_matmuls(config, training) -> list:
+    """The matmuls one pre-training loss of the NumPy model executes."""
+    model = BertForPreTraining(config, seed=0, dropout_p=0.0)
     rng = np.random.default_rng(1)
-    tokens = rng.integers(4, BERT_TINY.vocab_size,
+    tokens = rng.integers(4, config.vocab_size,
                           size=(training.batch_size, training.seq_len))
     labels = np.full_like(tokens, -100)
     labels[:, 5] = 7
@@ -32,8 +41,14 @@ def setup():
 
     with recording.capture() as ops:
         model.loss(tokens, labels, nsp)
+    return recording.matmuls(ops)
+
+
+@pytest.fixture(scope="module")
+def setup():
+    training = TrainingConfig(batch_size=3, seq_len=16)
     trace = build_iteration_trace(BERT_TINY, training)
-    return training, trace, recording.matmuls(ops)
+    return training, trace, _executed_matmuls(BERT_TINY, training)
 
 
 def _recorded_flops(matmuls) -> Counter:
@@ -120,3 +135,11 @@ class TestTraceMatchesExecution:
         for record in recording.matmuls(ops):
             m, n, k, _ = record.matmul_mnk()
             assert min(m, n, k) > 1, record
+
+
+@given(config=bert_configs(), training=training_configs)
+@settings(max_examples=15, deadline=None)
+def test_generated_forward_gemm_flop_multisets_match(config, training):
+    matmuls = _executed_matmuls(config, training)
+    trace = build_iteration_trace(config, training)
+    assert _recorded_flops(matmuls) == _trace_forward_gemm_flops(trace)
