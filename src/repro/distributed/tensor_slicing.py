@@ -66,7 +66,7 @@ def build_sliced_iteration_trace(model: BertConfig, training: TrainingConfig,
     """
     with spans.span("trace.build_sliced", model=model.name,
                     point=training.label, ways=ways):
-        table = layout_table(model.num_layers, pretraining_sections(
+        table = layout_table(model.num_layers, *pretraining_sections(
             model, training, slicing=ways,
             inventory=sliced_parameter_inventory(model, ways)))
         spans.annotate(kernels=len(table))

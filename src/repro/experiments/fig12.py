@@ -18,14 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.config import BERT_LARGE, BertConfig, Precision
+from repro.config import BERT_LARGE, BertConfig
 from repro.experiments.common import default_device
 from repro.fusion.gemm_fusion import GemmFusionResult, fusion_sweep
 from repro.fusion.passes import FusionImpact, fusion_impact
 from repro.hw.device import DeviceModel
 from repro.ops.base import DType, Phase
 from repro.ops.reduction import layernorm_kernels
-from repro.optim.kernels import adam_kernels
+from repro.optim.kernels import optimizer_kernels
 from repro.report.tables import format_table
 from repro.trace.parameters import bert_parameter_inventory
 
@@ -67,8 +67,8 @@ def adam_fusion_impact(model: BertConfig,
                        device: DeviceModel) -> FusionImpact:
     """Unfused vs. multi-tensor fused Adam over the whole model."""
     inventory = bert_parameter_inventory(model)
-    unfused = adam_kernels(inventory, precision=Precision.FP32, fused=False)
-    fused = adam_kernels(inventory, precision=Precision.FP32, fused=True)
+    unfused = optimizer_kernels("adam", inventory, fused=False)  # FP32
+    fused = optimizer_kernels("adam", inventory, fused=True)
     return fusion_impact(unfused, fused, device)
 
 

@@ -9,63 +9,32 @@ assumed — the device model prices the fused trace like any other.
 
 The pass fuses within ``fusion_group`` labels, which the trace generator
 assigns to chains with actual data flow (GeLU steps, the DR+RC+LN tail,
-scale+mask+softmax+dropout, LAMB's multi-tensor stages).  Kernels in
-*different* groups — e.g. LAMB stages of different layers, which touch
-disjoint data — are never merged, reflecting the paper's observation that
-fusing them would not reduce memory traffic.
+scale+mask+softmax+dropout).  Kernels in *different* groups — e.g. the
+update steps of different parameter tensors, which touch disjoint data —
+are never merged, reflecting the paper's observation that fusing them
+would not reduce memory traffic; the optimizer's fused form is emitted
+directly by :mod:`repro.optim.kernels`.
 
-:class:`ElementwiseChainFusionPass` is the columnar implementation: chains
-are found by run-length grouping over the ``(fusion_code, phase, layer)``
-code columns and collapsed with ``reduceat`` aggregations — no per-kernel
-Python scan.  Its output is pinned bit-exactly by the kernel digests of
-``tests/test_trace_digests.py``, frozen from the per-kernel scan it
-replaced, and its FLOP/byte conservation by ``tests/test_pass_invariants.py``.
+:class:`ElementwiseChainFusionPass` is the one implementation of chain
+fusion: chains are found by run-length grouping over the
+``(fusion_code, phase, layer)`` code columns and collapsed with
+``reduceat`` aggregations — no per-kernel Python scan.  Its output is
+pinned bit-exactly by the kernel digests of ``tests/test_trace_digests.py``,
+frozen from the per-kernel scan it replaced, and its FLOP/byte
+conservation by ``tests/test_pass_invariants.py``.  :func:`fusion_impact`
+prices an unfused and a fused table side by side (Fig. 12a).
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.ops.base import Kernel, OpClass
+from repro.ops.base import OpClass
 from repro.trace.kernel_table import (DTYPE_BYTES, PHASES, KernelTable,
                                       code_of)
 from repro.trace.passes import PassContext, TracePass
-
-
-def fuse_chain(kernels: list[Kernel]) -> Kernel:
-    """Fuse a producer-consumer elementwise/reduction chain into one kernel.
-
-    Each intermediate hand-off (the principal tensor between consecutive
-    kernels) stops being written by the producer and read by the consumer;
-    all side inputs (masks, residuals) and side outputs (saved masks,
-    statistics) keep their traffic.  FLOPs are unchanged — fusion saves
-    memory traffic and launches, not arithmetic.
-    """
-    if not kernels:
-        raise ValueError("cannot fuse an empty chain")
-    if len(kernels) == 1:
-        return kernels[0]
-    first = kernels[0]
-    flops = sum(k.flops for k in kernels)
-    bytes_read = sum(k.bytes_read for k in kernels)
-    bytes_written = sum(k.bytes_written for k in kernels)
-    for producer, consumer in zip(kernels, kernels[1:]):
-        handoff = producer.n_elements * producer.dtype.bytes
-        bytes_written -= min(handoff, producer.bytes_written)
-        bytes_read -= min(handoff, consumer.bytes_read)
-    has_reduction = any(k.op_class is OpClass.REDUCTION for k in kernels)
-    return dataclasses.replace(
-        first,
-        name=f"fused.{first.fusion_group}.{first.phase.value}",
-        op_class=OpClass.REDUCTION if has_reduction else OpClass.ELEMENTWISE,
-        flops=flops,
-        bytes_read=max(0, bytes_read),
-        bytes_written=max(0, bytes_written),
-        n_elements=max(k.n_elements for k in kernels),
-    )
 
 
 class ElementwiseChainFusionPass(TracePass):
@@ -74,8 +43,12 @@ class ElementwiseChainFusionPass(TracePass):
     A chain is a maximal run of consecutive rows sharing
     ``(fusion_code, phase, layer)`` with a fusion group set and no GEMMs.
     Runs collapse to their first row; the fused row's costs come from
-    ``reduceat`` aggregations with the per-hand-off byte corrections of
-    :func:`fuse_chain` applied as masked pairwise arrays.
+    ``reduceat`` aggregations.  Each intermediate hand-off (the principal
+    tensor between consecutive rows) stops being written by the producer
+    and read by the consumer, a masked pairwise correction; side inputs
+    (masks, residuals) and side outputs (saved masks, statistics) keep
+    their traffic.  FLOPs are unchanged — fusion saves memory traffic and
+    launches, not arithmetic.
     """
 
     name = "fuse_elementwise"
@@ -192,15 +165,16 @@ class FusionImpact:
         return _ratio(self.time_before, self.time_after, "time")
 
 
-def fusion_impact(before: list[Kernel], after: list[Kernel],
-                  device) -> FusionImpact:
-    """Compare an unfused and a fused kernel set on a device."""
+def fusion_impact(before, after, device) -> FusionImpact:
+    """Compare an unfused and a fused kernel set (tables or kernel lists)
+    on a device."""
     from repro.hw.timing import trace_time
 
+    before, after = KernelTable.coerce(before), KernelTable.coerce(after)
     return FusionImpact(
         kernels_before=len(before), kernels_after=len(after),
-        bytes_before=sum(k.bytes_total for k in before),
-        bytes_after=sum(k.bytes_total for k in after),
+        bytes_before=int(before.bytes_total.sum()),
+        bytes_after=int(after.bytes_total.sum()),
         time_before=trace_time(before, device),
         time_after=trace_time(after, device),
     )

@@ -129,7 +129,7 @@ def build_grid_trace(points: Iterable, *,
             model = key[0]
             with spans.span("grid.stamp", model=model.name,
                             points=len(trainings)):
-                table = layout_table(model.num_layers, pretraining_sections(
+                table = layout_table(model.num_layers, *pretraining_sections(
                     model, LaneTraining(trainings)))
                 spans.annotate(kernels=len(table))
             rows_per_point = len(table) // len(trainings)

@@ -2,11 +2,10 @@
 
 from repro.optim.adam import Adam, Sgd
 from repro.optim.base import Optimizer
-from repro.optim.kernels import (MULTI_TENSOR_BATCH, adam_kernels,
-                                 lamb_kernels, optimizer_kernels, sgd_kernels)
+from repro.optim.kernels import MULTI_TENSOR_BATCH, optimizer_kernels
 from repro.optim.lamb import Lamb
 
 __all__ = [
     "Adam", "Lamb", "MULTI_TENSOR_BATCH", "Optimizer", "Sgd",
-    "adam_kernels", "lamb_kernels", "optimizer_kernels", "sgd_kernels",
+    "optimizer_kernels",
 ]

@@ -44,7 +44,8 @@ def build_inference_trace(model: BertConfig,
                                 component=Component.OUTPUT,
                                 name_prefix="mlm.softmax"))
 
-    # Forward only: empty encoder-BWD and embedding-BWD/optimizer sections.
+    # Forward only: empty encoder-BWD and embedding-BWD sections, no
+    # optimizer tail.
     table = layout_table(model.num_layers, [
         _strip_dropout(embedding_forward_kernels(model, training)),
         _strip_dropout(transformer_layer_forward_kernels(model, training)),
@@ -114,11 +115,11 @@ def build_finetuning_trace(model: BertConfig, training: TrainingConfig,
     Same Transformer/embedding work and optimizer structure as
     pre-training; only the output head shrinks to the task classifier.
     """
-    sections = pretraining_sections(model, training)
+    sections, optimizer = pretraining_sections(model, training)
     sections[2] = (  # the task head replaces the MLM + NSP heads
         finetuning_head_forward_kernels(model, training, num_labels)
         + finetuning_head_backward_kernels(model, training, num_labels))
-    table = layout_table(model.num_layers, sections)
+    table = layout_table(model.num_layers, sections, optimizer)
     return Trace(model, training, table)
 
 

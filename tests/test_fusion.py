@@ -3,17 +3,31 @@
 import pytest
 
 from repro.config import BERT_LARGE, Precision, training_point
-from repro.fusion import (fuse_chain, fused_qkv_shapes, fusion_impact,
-                          qkv_fusion_comparison)
+from repro.fusion import (ElementwiseChainFusionPass, fused_qkv_shapes,
+                          fusion_impact, qkv_fusion_comparison)
 from repro.hw import mi100
 from repro.ops.base import Component, DType, Phase
 from repro.ops.elementwise import gelu_kernels
-from repro.trace import build_iteration_trace, build_pipeline
+from repro.trace import (KernelTable, PassContext, build_iteration_trace,
+                         build_pipeline)
 
 
 @pytest.fixture(scope="module")
 def device():
     return mi100()
+
+
+def fuse(table: KernelTable) -> KernelTable:
+    """:class:`ElementwiseChainFusionPass` over one table."""
+    ctx = PassContext(BERT_LARGE, training_point(1, 32, Precision.FP32))
+    return ElementwiseChainFusionPass().apply(table, ctx)
+
+
+def fused_kernel(kernels):
+    """The one fused kernel the pass makes of a one-chain table."""
+    fused = fuse(KernelTable.from_kernels(kernels))
+    assert len(fused) == 1
+    return fused.kernel(0)
 
 
 class TestChainFusion:
@@ -23,11 +37,11 @@ class TestChainFusion:
                             phase=Phase.FORWARD, fusion_group="g")
 
     def test_flops_conserved(self, gelu_chain):
-        fused = fuse_chain(gelu_chain)
+        fused = fused_kernel(gelu_chain)
         assert fused.flops == sum(k.flops for k in gelu_chain)
 
     def test_intermediate_traffic_removed(self, gelu_chain):
-        fused = fuse_chain(gelu_chain)
+        fused = fused_kernel(gelu_chain)
         handoffs = (len(gelu_chain) - 1) * (1 << 20) * 4
         assert fused.bytes_written == (sum(k.bytes_written
                                            for k in gelu_chain) - handoffs)
@@ -36,15 +50,17 @@ class TestChainFusion:
 
     def test_side_inputs_preserved(self, gelu_chain):
         # The final multiply's second operand (x itself) must survive.
-        fused = fuse_chain(gelu_chain)
+        fused = fused_kernel(gelu_chain)
         assert fused.bytes_read >= 2 * (1 << 20) * 4
 
     def test_single_kernel_passthrough(self, gelu_chain):
-        assert fuse_chain(gelu_chain[:1]) is gelu_chain[0]
+        single = KernelTable.from_kernels(gelu_chain[:1])
+        assert fuse(single) is single
+        assert fused_kernel(gelu_chain[:1]) == gelu_chain[0]
 
-    def test_empty_chain_rejected(self):
-        with pytest.raises(ValueError):
-            fuse_chain([])
+    def test_empty_table_passes_through(self):
+        empty = KernelTable.from_kernels([])
+        assert fuse(empty) is empty
 
     def test_trace_level_fusion_reduces_kernels_not_flops(self):
         trace = build_iteration_trace(BERT_LARGE,
@@ -81,7 +97,8 @@ class TestChainFusion:
     def test_fusion_impact_ratios(self, device):
         chain = gelu_kernels(n_elements=1 << 22, dtype=DType.FP32,
                              phase=Phase.FORWARD, fusion_group="g")
-        impact = fusion_impact(chain, [fuse_chain(chain)], device)
+        table = KernelTable.from_kernels(chain)
+        impact = fusion_impact(table, fuse(table), device)
         assert impact.kernel_ratio == len(chain)
         assert impact.bytes_ratio > 2.0
         assert impact.time_ratio > 2.0

@@ -1,13 +1,17 @@
 """Tests for the executable optimizers and their kernel emission."""
 
+import functools
+
 import numpy as np
 import pytest
 
 from repro.config import BERT_LARGE, BERT_TINY, Precision
-from repro.ops.base import Component, DType, Region
-from repro.optim import (MULTI_TENSOR_BATCH, Adam, Lamb, Sgd, adam_kernels,
-                         lamb_kernels, optimizer_kernels, sgd_kernels)
+from repro.experiments import fig12
+from repro.hw.device import default_device
+from repro.ops.base import Component, DType, Kernel, Region
+from repro.optim import MULTI_TENSOR_BATCH, Adam, Lamb, Sgd, optimizer_kernels
 from repro.tensor.module import Parameter
+from repro.trace.kernel_table import code_of
 from repro.trace.parameters import bert_parameter_inventory
 
 
@@ -95,6 +99,11 @@ class TestNumericOptimizers:
             Lamb([])
 
 
+lamb_kernels = functools.partial(optimizer_kernels, "lamb")
+adam_kernels = functools.partial(optimizer_kernels, "adam")
+sgd_kernels = functools.partial(optimizer_kernels, "sgd")
+
+
 class TestOptimizerKernels:
     @pytest.fixture(scope="class")
     def inventory(self):
@@ -102,21 +111,20 @@ class TestOptimizerKernels:
 
     def test_lamb_stage1_reads_four_times_model(self, inventory):
         # Takeaway 7.
-        kernels = lamb_kernels(inventory, fused=True)
+        table = lamb_kernels(inventory, fused=True)
         params = sum(t.n_elements for t in inventory)
-        stage1 = [k for k in kernels if k.region is Region.OPT_STAGE1]
-        assert sum(k.bytes_read for k in stage1) == 4 * params * 4
+        stage1 = table.mask(region=Region.OPT_STAGE1)
+        assert table.bytes_read[stage1].sum() == 4 * params * 4
 
     def test_lamb_fused_kernel_count(self, inventory):
-        kernels = lamb_kernels(inventory, fused=True)
+        table = lamb_kernels(inventory, fused=True)
         groups = BERT_LARGE.num_layers + 2
-        assert len(kernels) == 1 + 2 * groups  # norm + stage1/2 per group
+        assert len(table) == 1 + 2 * groups  # norm + stage1/2 per group
 
     def test_lamb_has_global_norm_first(self, inventory):
-        kernels = lamb_kernels(inventory, fused=True)
-        assert kernels[0].region is Region.OPT_NORM
-        assert kernels[0].bytes_read == sum(t.n_elements
-                                            for t in inventory) * 4
+        first = lamb_kernels(inventory, fused=True).kernel(0)
+        assert first.region is Region.OPT_NORM
+        assert first.bytes_read == sum(t.n_elements for t in inventory) * 4
 
     def test_unfused_lamb_many_more_kernels(self, inventory):
         fused = lamb_kernels(inventory, fused=True)
@@ -127,15 +135,14 @@ class TestOptimizerKernels:
         fp32 = lamb_kernels(inventory, precision=Precision.FP32)
         mixed = lamb_kernels(inventory, precision=Precision.MIXED)
         assert len(mixed) == len(fp32) + 2
-        cast = [k for k in mixed if "cast" in k.name]
-        assert len(cast) == 2
+        assert mixed.name_contains("cast").sum() == 2
         # LAMB stages themselves are identical (updates stay FP32).
-        assert all(k.dtype is DType.FP32 for k in mixed)
+        assert (mixed.dtype == code_of(DType.FP32)).all()
 
     def test_adam_fused_batches(self, inventory):
-        kernels = adam_kernels(inventory, fused=True)
+        table = adam_kernels(inventory, fused=True)
         expected = -(-len(inventory) // MULTI_TENSOR_BATCH)
-        assert len(kernels) == expected
+        assert len(table) == expected
 
     def test_adam_kernel_count_ratio_near_250(self, inventory):
         # Fig. 12a.
@@ -146,8 +153,7 @@ class TestOptimizerKernels:
     def test_adam_traffic_ratio_in_band(self, inventory):
         fused = adam_kernels(inventory, fused=True)
         unfused = adam_kernels(inventory, fused=False)
-        ratio = (sum(k.bytes_total for k in unfused)
-                 / sum(k.bytes_total for k in fused))
+        ratio = unfused.bytes_total.sum() / fused.bytes_total.sum()
         assert 5.0 <= ratio <= 9.0
 
     def test_sgd_fused_single_kernel(self, inventory):
@@ -161,5 +167,22 @@ class TestOptimizerKernels:
             optimizer_kernels("adagrad", tiny)
 
     def test_all_optimizer_kernels_attributed(self, inventory):
-        for k in lamb_kernels(inventory):
+        for k in lamb_kernels(inventory).to_kernels():
             assert k.component is Component.OPTIMIZER
+
+
+def test_optimizer_emission_builds_no_kernel_objects(monkeypatch):
+    """The update phase and the Fig. 12a Adam study are column
+    arithmetic: no :class:`Kernel` is constructed on their path."""
+    def refuse(self):
+        raise AssertionError(f"Kernel object built: {self.name}")
+
+    monkeypatch.setattr(Kernel, "__post_init__", refuse)
+    inventory = bert_parameter_inventory(BERT_LARGE)
+    for name in ("lamb", "adam", "sgd"):
+        for fused in (True, False):
+            for precision in Precision:
+                assert len(optimizer_kernels(name, inventory, fused=fused,
+                                             precision=precision))
+    assert fig12.adam_fusion_impact(BERT_LARGE,
+                                    default_device()).kernels_before > 0

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.config import BERT_TINY, BertConfig, TrainingConfig
 from repro.distributed import LinkSpec, ring_allreduce_time
-from repro.fusion import fuse_chain
+from repro.fusion import ElementwiseChainFusionPass
 from repro.hw import mi100, shape_efficiency
 from repro.ops.base import (AccessPattern, Component, DType, Kernel, OpClass,
                             Phase, Region)
@@ -14,6 +14,7 @@ from repro.ops.elementwise import elementwise
 from repro.ops.gemm import GemmShape
 from repro.tensor import functional as F
 from repro.tensor.tensor import Tensor
+from repro.trace import PassContext
 from repro.trace.kernel_table import KernelTable
 from repro.trace.parameters import bert_parameter_inventory
 
@@ -78,7 +79,11 @@ class TestFusionProperties:
                              region=Region.FC_GELU, inputs=1, outputs=1,
                              flops_per_element=1.0, fusion_group="g")
                  for i in range(steps)]
-        fused = fuse_chain(chain)
+        table = ElementwiseChainFusionPass().apply(
+            KernelTable.from_kernels(chain),
+            PassContext(BERT_TINY, TrainingConfig()))
+        assert len(table) == 1
+        fused = table.kernel(0)
         assert fused.flops == sum(k.flops for k in chain)
         assert fused.bytes_total < sum(k.bytes_total for k in chain)
         # A pure chain collapses to one read + one write.

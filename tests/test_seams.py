@@ -10,7 +10,7 @@ from repro.distributed import (PCIE4, XGMI, data_parallel_timeline,
 from repro.hw import kernel_time, mi100, simulate_kernel
 from repro.ops.base import (AccessPattern, Component, DType, Kernel, OpClass,
                             Phase, Region)
-from repro.optim import lamb_kernels, sgd_kernels
+from repro.optim import optimizer_kernels
 from repro.tensor.module import Linear, Module, Parameter
 from repro.tensor.tensor import Tensor
 from repro.trace import bert_parameter_inventory
@@ -82,15 +82,15 @@ class TestConfigSeams:
 class TestOptimizerKernelSeams:
     def test_sgd_unfused_kernel_count(self):
         inventory = bert_parameter_inventory(BERT_TINY)
-        kernels = sgd_kernels(inventory, fused=False)
-        assert len(kernels) == 4 * len(inventory)
+        table = optimizer_kernels("sgd", inventory, fused=False)
+        assert len(table) == 4 * len(inventory)
 
     def test_lamb_unfused_has_per_tensor_norms(self):
         inventory = bert_parameter_inventory(BERT_TINY)
-        kernels = lamb_kernels(inventory, fused=False)
-        norms = [k for k in kernels if "norm_param" in k.name
-                 or "norm_update" in k.name]
-        assert len(norms) == 2 * len(inventory)
+        table = optimizer_kernels("lamb", inventory, fused=False)
+        norms = (table.name_contains("norm_param")
+                 | table.name_contains("norm_update"))
+        assert norms.sum() == 2 * len(inventory)
 
 
 class TestTimingSeams:

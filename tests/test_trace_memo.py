@@ -2,10 +2,14 @@
 
 ``iteration_trace`` hands every reader in the process one frozen trace
 per ``(model, training)``; ``build_iteration_trace`` always builds, so the
-benchmarks that time it keep timing real builds.
+benchmarks that time it keep timing real builds.  The parameter
+inventory every build's optimizer tail reads is memoized per model config
+the same way.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -14,8 +18,9 @@ from repro.config import BERT_LARGE, BERT_TINY, Precision, training_point
 from repro.experiments.common import run_point
 from repro.hw.device import mi100
 from repro.obs import metrics
-from repro.trace.bert_trace import (build_iteration_trace,
+from repro.trace.bert_trace import (TRACE_MEMO_SIZE, build_iteration_trace,
                                     clear_iteration_traces, iteration_trace)
+from repro.trace.parameters import bert_parameter_inventory
 from repro.trace.kernel_table import KernelTable
 
 POINT = (BERT_TINY, training_point(1, 4, Precision.FP32))
@@ -91,3 +96,16 @@ def test_builder_returns_a_fresh_trace_every_call():
 def test_run_point_builds_through_the_memo():
     trace, _ = run_point(*POINT, mi100())
     assert trace is iteration_trace(*POINT)
+
+
+def test_parameter_inventory_is_one_tuple_per_config():
+    bert_parameter_inventory.cache_clear()
+    inventory = bert_parameter_inventory(BERT_TINY)
+    assert isinstance(inventory, tuple)
+    assert bert_parameter_inventory(BERT_TINY) is inventory
+    twin = dataclasses.replace(BERT_TINY)  # equal, but another object
+    assert twin is not BERT_TINY
+    assert bert_parameter_inventory(twin) is inventory
+    info = bert_parameter_inventory.cache_info()
+    assert (info.currsize, info.hits, info.misses) == (1, 2, 1)
+    assert info.maxsize == TRACE_MEMO_SIZE
