@@ -238,10 +238,19 @@ class KernelTable:
 
     @classmethod
     def concat(cls, tables: Sequence["KernelTable"]) -> "KernelTable":
-        """Concatenate tables, merging their pools."""
-        columns = {column: np.concatenate([getattr(t, column) for t in tables])
+        """Concatenate tables, merging their pools (a pool only one table
+        fills is kept unhashed: the others' codes into it are all ``-1``)."""
+        def stacked(column):
+            return np.concatenate([getattr(t, column) for t in tables])
+
+        columns = {column: stacked(column)
                    for column in _ROW_COLUMNS if column not in _POOLS}
         for column, pool in _POOLS.items():
+            filled = [getattr(t, pool) for t in tables if getattr(t, pool)]
+            if len(filled) <= 1:
+                columns[column] = stacked(column)
+                columns[pool] = filled[0] if filled else ()
+                continue
             merged: dict = {}
             columns[column] = np.concatenate(
                 [_remap(getattr(t, column), getattr(t, pool), merged)
