@@ -17,8 +17,7 @@ from repro.ops.gemm import (GemmShape, attention_output_gemms,
 from repro.ops.intensity import (Boundedness, IntensityRecord,
                                  bandwidth_demand, group_intensity,
                                  kernel_intensity)
-from repro.ops.reduction import (global_l2_norm, layernorm_kernels, reduction,
-                                 softmax_kernels)
+from repro.ops.reduction import layernorm_kernels, reduction, softmax_kernels
 from repro.ops.windowed_attention import (WindowConfig,
                                           windowed_attention_op_kernels,
                                           windowed_context_gemm,
@@ -30,9 +29,9 @@ __all__ = [
     "WindowConfig", "attention_output_gemms", "attention_score_gemms",
     "bandwidth_demand", "dropout_backward", "dropout_forward", "elementwise",
     "fused_attention_backward_kernel", "fused_attention_forward_kernel",
-    "fused_attention_kernels", "gelu_kernels", "global_l2_norm",
-    "group_intensity", "kernel_intensity", "layernorm_kernels",
-    "linear_layer_gemms", "reduction", "residual_add", "softmax_kernels",
+    "fused_attention_kernels", "gelu_kernels", "group_intensity",
+    "kernel_intensity", "layernorm_kernels", "linear_layer_gemms",
+    "reduction", "residual_add", "softmax_kernels",
     "windowed_attention_op_kernels", "windowed_context_gemm",
     "windowed_score_gemm",
 ]

@@ -149,18 +149,3 @@ def layernorm_kernels(*, rows: int, row_len: int, dtype: DType, phase: Phase,
             reduced_elements=rows if is_reduce else 1,
             layer_index=layer_index, fusion_group=fusion_group))
     return kernels
-
-
-def global_l2_norm(name: str, *, n_elements: int, dtype: DType,
-                   component: Component = Component.OPTIMIZER,
-                   region: Region = Region.OPT_NORM) -> Kernel:
-    """L2-norm reduction across all model gradients.
-
-    LAMB must normalize across every layer's gradients before any parameter
-    can be updated, serializing the update against the whole backprop
-    (Sec. 3.2.3, Takeaway 7 discussion).
-    """
-    return reduction(name, n_elements=n_elements, dtype=dtype,
-                     phase=Phase.OPTIMIZER, component=component, region=region,
-                     inputs=1, outputs=0, flops_per_element=2.0,
-                     reduced_elements=1)

@@ -8,8 +8,10 @@ from repro.ops.elementwise import (GELU_BACKWARD_STEPS, GELU_FORWARD_STEPS,
                                    dropout_backward, dropout_forward,
                                    elementwise, gelu_kernels, residual_add)
 from repro.ops.reduction import (LAYERNORM_UNFUSED_FORWARD_STEPS,
-                                 global_l2_norm, layernorm_kernels,
-                                 reduction, softmax_kernels)
+                                 layernorm_kernels, reduction,
+                                 softmax_kernels)
+from repro.optim import optimizer_kernels
+from repro.trace.parameters import ParamTensor
 
 
 def _make_kernel(**overrides) -> Kernel:
@@ -155,7 +157,9 @@ class TestReductions:
         assert traffic(fused=False) > 4 * traffic(fused=True)
 
     def test_global_l2_norm_reads_everything_once(self):
-        k = global_l2_norm("norm", n_elements=1000, dtype=DType.FP32)
+        # LAMB's first row: the L2 norm over every gradient.
+        inventory = [ParamTensor("p", (1000,), Component.TRANSFORMER)]
+        k = optimizer_kernels("lamb", inventory).kernel(0)
         assert k.bytes_read == 4000
         assert k.phase is Phase.OPTIMIZER
         assert k.region is Region.OPT_NORM
