@@ -17,6 +17,7 @@ from repro.config import BertConfig, Precision, TrainingConfig
 from repro.experiments.common import run_point
 from repro.hw.device import DeviceModel
 from repro.hw.energy import EnergyReport, iteration_energy
+from repro.hw.gemm_model import shape_gemm_terms
 from repro.memoryplan.footprint import MemoryFootprint, training_footprint
 from repro.ops.base import Component, Region
 from repro.profiler.breakdown import region_breakdown, summarize
@@ -122,8 +123,6 @@ _GEMM_FAMILIES = {
 
 
 def _gemm_classes(profile: Profile) -> list[GemmClassSummary]:
-    from repro.hw.gemm_model import gemm_time
-
     table = profile.table
     total = profile.total_time
     summaries = []
@@ -131,20 +130,23 @@ def _gemm_classes(profile: Profile) -> list[GemmClassSummary]:
         rows = np.flatnonzero(table.mask(**filters) & table.is_gemm)
         if not len(rows):
             continue
-        gemms = [(table.gemms[shape], DTYPES[dtype]) for shape, dtype
-                 in zip(table.gemm_code[rows].tolist(),
-                        table.dtype[rows].tolist())]
+        # Price each distinct (shape, dtype) pair of the family once.
+        pairs, counts = np.unique(
+            table.gemm_code[rows].astype(np.int64) * len(DTYPES)
+            + table.dtype[rows], return_counts=True)
+        codes = [divmod(pair, len(DTYPES)) for pair in pairs.tolist()]
+        shapes = [table.gemms[shape] for shape, _ in codes]
+        dtypes = [DTYPES[dtype] for _, dtype in codes]
+        compute_s, memory_s, _ = shape_gemm_terms(shapes, dtypes,
+                                                  profile.device)
         intensities = [shape.arithmetic_intensity(dtype)
-                       for shape, dtype in gemms]
-        memory_bound = sum(
-            1 for shape, dtype in gemms
-            if gemm_time(shape, dtype, profile.device).memory_bound)
+                       for shape, dtype in zip(shapes, dtypes)]
         summaries.append(GemmClassSummary(
             family=family, count=len(rows),
             time_fraction=sum(profile.times[rows].tolist()) / total,
             min_intensity=min(intensities),
             max_intensity=max(intensities),
-            memory_bound_count=memory_bound))
+            memory_bound_count=int(counts[memory_s > compute_s].sum())))
     return summaries
 
 

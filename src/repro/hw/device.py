@@ -110,20 +110,6 @@ class DeviceModel:
         compute-bound (effective peak over peak bandwidth)."""
         return self.gemm_engine(dtype).effective_peak / self.peak_bandwidth
 
-    def achieved_bandwidth(self, access: AccessPattern,
-                           bytes_moved: int) -> float:
-        """Achieved bytes/s for a memory-bound kernel.
-
-        A saturating ramp models occupancy/latency effects: tiny kernels
-        cannot fill the memory system, large streaming kernels approach the
-        pattern's ceiling.
-        """
-        ceiling = self.mem_efficiency[access] * self.peak_bandwidth
-        if bytes_moved <= 0:
-            return ceiling
-        ramp = bytes_moved / (bytes_moved + self.bw_saturation_bytes)
-        return ceiling * ramp
-
     def with_overrides(self, **kwargs) -> "DeviceModel":
         """Copy with fields replaced (for what-if device studies, Sec. 7).
 

@@ -14,11 +14,16 @@ engine's achievable peak, and all three matter for the paper's story that
 
 The final kernel time is the roofline maximum of this compute time and the
 memory streaming time, plus launch overhead.
+
+:func:`gemm_terms` is the one implementation of the model: it prices a
+whole array of GEMM rows at once.  :func:`repro.hw.timing.kernel_times`
+calls it for every GEMM row of a trace, and :func:`gemm_time` is row 0 of
+a batch of one.  The event-driven backend of :mod:`repro.hw.microsim`
+replays the same tiles wave by wave, as a second opinion.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -64,114 +69,88 @@ TILE_CANDIDATES: tuple[tuple[int, int, float], ...] = (
     (32, 32, 0.42),
 )
 
-
-def _tile_efficiency(shape: GemmShape, device: DeviceModel,
-                     tile_m: int, tile_n: int, ceiling: float) -> float:
-    """Efficiency of one candidate tiling."""
-    tiles_m = math.ceil(shape.m / tile_m)
-    tiles_n = math.ceil(shape.n / tile_n)
-    tiles = tiles_m * tiles_n * shape.batch
-
-    # Lanes wasted inside partial tiles.
-    tile_util = (shape.m * shape.n) / (tiles_m * tile_m * tiles_n * tile_n)
-
-    # CUs idle during the final wave.
-    waves = math.ceil(tiles / device.compute_units)
-    wave_util = tiles / (waves * device.compute_units)
-
-    # K-loop prologue/epilogue amortization.
-    k_util = shape.k / (shape.k + device.gemm_k_half)
-
-    return ceiling * tile_util * wave_util * k_util
+# The candidates as (candidates, 1) columns that broadcast against rows.
+_TILE_M, _TILE_N, _TILE_CEILING = (
+    np.array(column)[:, None] for column in zip(*TILE_CANDIDATES))
 
 
-def shape_efficiency(shape: GemmShape, device: DeviceModel) -> float:
-    """Fraction of achievable peak a GEMM shape realizes.
+def shape_dims(shapes: Sequence[GemmShape]) -> np.ndarray:
+    """``(len(shapes), 4)`` int64 array of each ``(m, n, k, batch)``."""
+    return np.array([(s.m, s.n, s.k, s.batch) for s in shapes],
+                    dtype=np.int64).reshape(-1, 4)
 
-    The BLAS library autotunes over macro-tile sizes, so the model takes
-    the best of :data:`TILE_CANDIDATES` — small GEMMs trade per-tile
-    efficiency for occupancy, exactly the regime where fusing the three
-    attention linear GEMMs pays off (Fig. 12b).
+
+def gemm_terms(dims: np.ndarray, flops: np.ndarray, bytes_moved: np.ndarray,
+               peaks: np.ndarray, device: DeviceModel
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Roofline terms of many GEMM rows: the one tile/wave/K-loop model.
+
+    The BLAS library autotunes over macro-tile sizes, so each row takes the
+    best of :data:`TILE_CANDIDATES` — small GEMMs trade per-tile efficiency
+    for occupancy, exactly the regime where fusing the three attention
+    linear GEMMs pays off (Fig. 12b).  Memory time streams each row's bytes
+    once — valid for the K-resident blocking real BLAS libraries use at
+    these sizes — through the GEMM bandwidth ceiling, derated by the
+    occupancy ramp.
+
+    Args:
+        dims: ``(rows, 4)`` int64 ``(m, n, k, batch)`` of the shape that
+            sets each row's tiling (see :func:`shape_dims`).
+        flops: per-row FLOPs; a fused GEMM kernel's exceed its shape's.
+        bytes_moved: per-row device-memory traffic.
+        peaks: per-row achievable FLOP/s of the row's GEMM engine.
+        device: supplies CUs, ``gemm_k_half`` and the bandwidth model.
+
+    Returns:
+        ``(compute_s, memory_s, efficiency)`` float64 arrays; a row's time
+        is ``max(compute_s, memory_s)`` plus the launch overhead.
     """
-    return max(_tile_efficiency(shape, device, tm, tn, ceiling)
-               for tm, tn, ceiling in TILE_CANDIDATES)
+    m, n, k, batch = dims.T
+    cus = device.compute_units
+    # One row per candidate tiling, one column per GEMM row.
+    tiles_m = -(-m // _TILE_M)
+    tiles_n = -(-n // _TILE_N)
+    tiles = tiles_m * tiles_n * batch
+    # Lanes wasted inside partial tiles.
+    tile_util = (m * n) / (tiles_m * _TILE_M * tiles_n * _TILE_N)
+    # CUs idle during the final wave.
+    waves = -(-tiles // cus)
+    wave_util = tiles / (waves * cus)
+    # K-loop prologue/epilogue amortization.
+    k_util = k / (k + device.gemm_k_half)
+    efficiency = (_TILE_CEILING * tile_util * wave_util * k_util).max(axis=0)
+    compute_s = flops / (peaks * efficiency)
+
+    bandwidth = device.gemm_mem_efficiency * device.peak_bandwidth
+    ramp = bytes_moved / (bytes_moved + device.bw_saturation_bytes)
+    # The clamp keeps a zero-byte row at 0 s instead of 0/0; it never binds
+    # for a row that moves bytes.
+    memory_s = bytes_moved / (bandwidth * np.maximum(ramp, 1e-9))
+    return compute_s, memory_s, efficiency
+
+
+def shape_gemm_terms(shapes: Sequence[GemmShape], dtypes: Sequence[DType],
+                     device: DeviceModel
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`gemm_terms` of GEMMs that move exactly their shape's FLOPs and
+    bytes, one row per ``(shape, dtype)`` pair."""
+    return gemm_terms(
+        shape_dims(shapes),
+        np.array([s.flops for s in shapes], dtype=np.int64),
+        np.array([s.bytes_total(dt) for s, dt in zip(shapes, dtypes)],
+                 dtype=np.int64),
+        np.array([device.gemm_engine(dt).effective_peak for dt in dtypes],
+                 dtype=np.float64),
+        device)
 
 
 def gemm_time(shape: GemmShape, dtype: DType,
               device: DeviceModel) -> GemmTimeBreakdown:
-    """Execution-time breakdown of a (batched) GEMM on ``device``.
-
-    Memory time assumes each operand is streamed once — valid for the
-    K-resident blocking real BLAS libraries use at these sizes — through the
-    streaming bandwidth path.
-    """
-    engine = device.gemm_engine(dtype)
-    efficiency = shape_efficiency(shape, device)
-    compute_s = shape.flops / (engine.effective_peak * efficiency)
-
-    bytes_moved = shape.bytes_total(dtype)
-    ceiling = device.gemm_mem_efficiency * device.peak_bandwidth
-    ramp = bytes_moved / (bytes_moved + device.bw_saturation_bytes)
-    memory_s = bytes_moved / (ceiling * ramp)
-
-    return GemmTimeBreakdown(compute_s=compute_s, memory_s=memory_s,
+    """Execution-time breakdown of one (batched) GEMM on ``device``: row 0
+    of :func:`shape_gemm_terms`."""
+    compute_s, memory_s, efficiency = shape_gemm_terms([shape], [dtype],
+                                                       device)
+    return GemmTimeBreakdown(compute_s=float(compute_s[0]),
+                             memory_s=float(memory_s[0]),
                              overhead_s=device.kernel_launch_overhead_s,
-                             efficiency=efficiency)
-
-
-def is_memory_bound(shape: GemmShape, dtype: DType,
-                    device: DeviceModel) -> bool:
-    """Whether the GEMM is limited by memory traffic on ``device``."""
-    return gemm_time(shape, dtype, device).memory_bound
-
-
-# ---------------------------------------------------------------------------
-# Batched (columnar) evaluation.  Must stay in lockstep with the scalar
-# functions above — it applies the same operations in the same order over
-# whole arrays, so the per-shape results are bit-identical; the golden
-# equivalence test (tests/test_profile_engine_golden.py) enforces this.
-# ---------------------------------------------------------------------------
-
-def batch_shape_efficiency(shapes: Sequence[GemmShape],
-                           device: DeviceModel) -> np.ndarray:
-    """:func:`shape_efficiency` evaluated over an array of shapes."""
-    m = np.array([s.m for s in shapes], dtype=np.int64)
-    n = np.array([s.n for s in shapes], dtype=np.int64)
-    k = np.array([s.k for s in shapes], dtype=np.int64)
-    batch = np.array([s.batch for s in shapes], dtype=np.int64)
-    cus = device.compute_units
-
-    efficiency = np.zeros(len(shapes), dtype=np.float64)
-    for tile_m, tile_n, ceiling in TILE_CANDIDATES:
-        tiles_m = -(-m // tile_m)
-        tiles_n = -(-n // tile_n)
-        tiles = tiles_m * tiles_n * batch
-        tile_util = (m * n) / (tiles_m * tile_m * tiles_n * tile_n)
-        waves = -(-tiles // cus)
-        wave_util = tiles / (waves * cus)
-        k_util = k / (k + device.gemm_k_half)
-        efficiency = np.maximum(efficiency,
-                                ceiling * tile_util * wave_util * k_util)
-    return efficiency
-
-
-def batch_gemm_times(shapes: Sequence[GemmShape], dtype: DType,
-                     device: DeviceModel) -> np.ndarray:
-    """Total kernel times of many GEMM shapes of one dtype, vectorized.
-
-    Equivalent to ``[gemm_time(s, dtype, device).total_s for s in shapes]``
-    with the tile/wave/K-loop model applied across the whole array at once.
-    """
-    engine = device.gemm_engine(dtype)
-    efficiency = batch_shape_efficiency(shapes, device)
-    flops = np.array([s.flops for s in shapes], dtype=np.int64)
-    compute_s = flops / (engine.effective_peak * efficiency)
-
-    bytes_moved = np.array([s.bytes_total(dtype) for s in shapes],
-                           dtype=np.int64)
-    ceiling = device.gemm_mem_efficiency * device.peak_bandwidth
-    ramp = bytes_moved / (bytes_moved + device.bw_saturation_bytes)
-    memory_s = bytes_moved / (ceiling * ramp)
-
-    return (np.maximum(compute_s, memory_s)
-            + device.kernel_launch_overhead_s)
+                             efficiency=float(efficiency[0]))

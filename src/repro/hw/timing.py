@@ -13,15 +13,15 @@ Assigns a time to every :class:`~repro.ops.base.Kernel` on a
 Every kernel pays the device's launch overhead — the term that makes the
 unfused-optimizer kernel storms of Fig. 12 expensive despite tiny sizes.
 
-:func:`kernel_times` is the **single timing entry point**: it batches the
-GEMM tile-efficiency and achieved-bandwidth models over a whole columnar
-:class:`~repro.trace.kernel_table.KernelTable` at once, memoizing GEMM
-times per ``(shape, dtype, device)`` since a trace contains only a few
-dozen distinct shapes.  Both :func:`trace_time` and
-:func:`repro.profiler.profiler.profile_trace` are thin wrappers over it,
-so the two can no longer drift apart.  No production path prices one
-kernel at a time: the scalar :func:`kernel_time` is kept only as the
-reference the golden equivalence tests check the batched path against.
+:func:`kernel_times` is the **single timing entry point**: it prices a
+whole columnar :class:`~repro.trace.kernel_table.KernelTable` at once.
+GEMM rows go through :func:`repro.hw.gemm_model.gemm_terms`, memoized per
+``(shape, dtype, device)`` since a trace contains only a few dozen
+distinct shapes; every other row goes through the one achieved-bandwidth
+ramp below.  Both :func:`trace_time` and
+:func:`repro.profiler.profiler.profile_trace` are thin wrappers over it.
+There is no per-kernel timing function: a single kernel is priced as a
+one-row table, and ``tests/golden/time_digests.json`` freezes the times.
 """
 
 from __future__ import annotations
@@ -32,10 +32,9 @@ from typing import Iterable
 import numpy as np
 
 from repro.hw.device import DeviceModel
-from repro.hw.gemm_model import (batch_gemm_times, batch_shape_efficiency,
-                                 gemm_time)
+from repro.hw.gemm_model import gemm_terms, shape_dims, shape_gemm_terms
 from repro.obs import metrics, spans
-from repro.ops.base import DType, Kernel, OpClass
+from repro.ops.base import DType, Kernel
 from repro.trace.kernel_table import ACCESS_PATTERNS, DTYPES, KernelTable
 
 #: GEMM-time memo traffic, labeled ``result=hit|miss``.  One lookup per
@@ -52,41 +51,6 @@ def _vector_peak(device: DeviceModel, dtype: DType) -> float:
         tflops = device.vector_tflops[DType.FP32]
     return tflops * 1e12
 
-
-def kernel_time(kernel: Kernel, device: DeviceModel) -> float:
-    """Execution time of one kernel, in seconds."""
-    if kernel.op_class is OpClass.COMMUNICATION:
-        raise ValueError(
-            f"communication kernel {kernel.name!r} must be priced by "
-            "repro.distributed, not the device timing model")
-
-    if kernel.op_class.is_gemm:
-        if kernel.gemm is None:
-            raise ValueError(f"GEMM kernel {kernel.name!r} missing shape")
-        if kernel.flops == kernel.gemm.flops:
-            return gemm_time(kernel.gemm, kernel.dtype, device).total_s
-        # Fused GEMM kernel (e.g. fused attention): the anchor shape sets
-        # the tiling efficiency; totals come from the kernel record.
-        from repro.hw.gemm_model import shape_efficiency
-
-        engine = device.gemm_engine(kernel.dtype)
-        efficiency = shape_efficiency(kernel.gemm, device)
-        compute_s = kernel.flops / (engine.effective_peak * efficiency)
-        ceiling = device.gemm_mem_efficiency * device.peak_bandwidth
-        ramp = kernel.bytes_total / (kernel.bytes_total
-                                     + device.bw_saturation_bytes)
-        memory_s = kernel.bytes_total / (ceiling * max(ramp, 1e-9))
-        return max(compute_s, memory_s) + device.kernel_launch_overhead_s
-
-    bandwidth = device.achieved_bandwidth(kernel.access, kernel.bytes_total)
-    memory_s = kernel.bytes_total / bandwidth if kernel.bytes_total else 0.0
-    compute_s = kernel.flops / _vector_peak(device, kernel.dtype)
-    return max(memory_s, compute_s) + device.kernel_launch_overhead_s
-
-
-# ---------------------------------------------------------------------------
-# Batched evaluation over a columnar table
-# ---------------------------------------------------------------------------
 
 # Per-device memo of GEMM total times keyed by (GemmShape, DType).  Devices
 # are frozen dataclasses whose dict-valued fields make them unhashable, so
@@ -110,14 +74,20 @@ def _device_gemm_memo(device: DeviceModel) -> dict:
     return memo
 
 
+def _gemm_totals(compute_s: np.ndarray, memory_s: np.ndarray,
+                 device: DeviceModel) -> np.ndarray:
+    """GEMM row times: the larger roofline term plus launch overhead."""
+    return np.maximum(compute_s, memory_s) + device.kernel_launch_overhead_s
+
+
 def _gemm_rows_times(table: KernelTable, rows: np.ndarray,
                      device: DeviceModel, out: np.ndarray) -> None:
     """Fill ``out[rows]`` with GEMM kernel times.
 
     Pure GEMMs (kernel flops match the shape's) are memoized per
-    ``(shape, dtype, device)`` and evaluated through the batched tile/wave
-    model; fused GEMM records (flops beyond the anchor shape) take their
-    efficiency from the anchor shape and their costs from their own row.
+    ``(shape, dtype, device)``; fused GEMM records (flops beyond the anchor
+    shape) take their tiling from the anchor shape and their costs from
+    their own row.  Both price through :func:`gemm_terms`.
     """
     memo = _device_gemm_memo(device)
     missing_shape = rows[table.gemm_code[rows] < 0]
@@ -125,54 +95,42 @@ def _gemm_rows_times(table: KernelTable, rows: np.ndarray,
         name = table.names[int(table.name_code[missing_shape[0]])]
         raise ValueError(f"GEMM kernel {name!r} missing shape")
 
+    gemm_code = table.gemm_code[rows]
     shape_flops = np.array([s.flops for s in table.gemms], dtype=np.int64)
-    pure = table.flops[rows] == shape_flops[table.gemm_code[rows]]
+    pure = table.flops[rows] == shape_flops[gemm_code]
     fused = rows[~pure]
     if len(fused):
-        # kernel_time's fused branch, vectorized in the same order.
-        peak = np.array([device.gemm_engine(DTYPES[code]).effective_peak
-                         for code in table.dtype[fused].tolist()])
-        efficiency = batch_shape_efficiency(
-            [table.gemms[code] for code in table.gemm_code[fused].tolist()],
-            device)
-        compute_s = table.flops[fused] / (peak * efficiency)
-        bytes_total = table.bytes_read[fused] + table.bytes_written[fused]
-        ceiling = device.gemm_mem_efficiency * device.peak_bandwidth
-        ramp = bytes_total / (bytes_total + device.bw_saturation_bytes)
-        memory_s = bytes_total / (ceiling * np.maximum(ramp, 1e-9))
-        out[fused] = (np.maximum(compute_s, memory_s)
-                      + device.kernel_launch_overhead_s)
+        peaks = np.array([device.gemm_engine(dt).effective_peak
+                          for dt in DTYPES], dtype=np.float64)
+        compute_s, memory_s, _ = gemm_terms(
+            shape_dims(table.gemms)[gemm_code[~pure]],
+            table.flops[fused],
+            table.bytes_read[fused] + table.bytes_written[fused],
+            peaks[table.dtype[fused]], device)
+        out[fused] = _gemm_totals(compute_s, memory_s, device)
 
     pure_rows = rows[pure]
     if not len(pure_rows):
         return
     # One lookup key per (shape, dtype) pair; a trace has a few dozen.
-    pair = (table.gemm_code[pure_rows].astype(np.int64) * len(DTYPES)
+    pair = (gemm_code[pure].astype(np.int64) * len(DTYPES)
             + table.dtype[pure_rows])
     unique_pairs, inverse = np.unique(pair, return_inverse=True)
-    lookups = len(unique_pairs)
-    values = np.empty(len(unique_pairs), dtype=np.float64)
-    todo: list[tuple[int, int, int]] = []  # (slot, gemm code, dtype code)
-    for slot, pair_code in enumerate(unique_pairs):
-        gemm_code, dtype_code = divmod(int(pair_code), len(DTYPES))
-        cached = memo.get((table.gemms[gemm_code], DTYPES[dtype_code]))
-        if cached is None:
-            todo.append((slot, gemm_code, dtype_code))
-        else:
-            values[slot] = cached
-    # Batch the misses through the vectorized tile/wave model, per dtype.
-    for dtype_code in sorted({t[2] for t in todo}):
-        group = [t for t in todo if t[2] == dtype_code]
-        shapes = [table.gemms[g] for _, g, _ in group]
-        times = batch_gemm_times(shapes, DTYPES[dtype_code], device)
-        for (slot, gemm_code, _), time_s in zip(group, times):
-            time_s = float(time_s)
-            values[slot] = time_s
-            memo[(table.gemms[gemm_code], DTYPES[dtype_code])] = time_s
+    gemm_codes, dtype_codes = np.divmod(unique_pairs, len(DTYPES))
+    keys = [(table.gemms[gemm], DTYPES[dtype]) for gemm, dtype
+            in zip(gemm_codes.tolist(), dtype_codes.tolist())]
+    values = np.array([memo.get(key, np.nan) for key in keys])
+    todo = np.isnan(values).nonzero()[0]
     if len(todo):
+        misses = [keys[slot] for slot in todo.tolist()]
+        compute_s, memory_s, _ = shape_gemm_terms(
+            [shape for shape, _ in misses], [dtype for _, dtype in misses],
+            device)
+        values[todo] = _gemm_totals(compute_s, memory_s, device)
+        memo.update(zip(misses, values[todo].tolist()))
         _MEMO_LOOKUPS.inc(len(todo), result="miss")
-    if lookups - len(todo):
-        _MEMO_LOOKUPS.inc(lookups - len(todo), result="hit")
+    if len(keys) - len(todo):
+        _MEMO_LOOKUPS.inc(len(keys) - len(todo), result="hit")
     out[pure_rows] = values[inverse]
 
 
@@ -182,8 +140,7 @@ def kernel_times(kernels: "KernelTable | Iterable[Kernel]",
 
     Accepts a :class:`KernelTable`, a table-backed
     :class:`~repro.trace.builder.Trace`, or any kernel iterable (converted
-    to a table first).  Per-kernel results are identical to calling
-    :func:`kernel_time` row by row.
+    to a table first).
     """
     table = KernelTable.coerce(kernels)
     with spans.span("timing.kernel_times", kernels=len(table),
@@ -212,8 +169,10 @@ def _kernel_times_table(table: KernelTable,
         dtype_code = table.dtype[other]
         access_code = table.access[other]
 
-        # device.achieved_bandwidth, batched: per-pattern ceiling scaled by
-        # the occupancy ramp; zero-byte kernels take the compute path only.
+        # Achieved bandwidth: the access pattern's ceiling scaled by an
+        # occupancy ramp, so tiny kernels cannot fill the memory system and
+        # large ones approach the ceiling.  Zero-byte kernels take the
+        # compute path only.
         ceilings = np.array(
             [device.mem_efficiency[p] * device.peak_bandwidth
              for p in ACCESS_PATTERNS], dtype=np.float64)

@@ -19,7 +19,7 @@ views can share one.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable
 
 from repro.config import BertConfig, TrainingConfig
 from repro.ops.base import Component, Kernel, OpClass, Phase, Region
@@ -124,8 +124,3 @@ class Trace:
         if "predicate" in filters:
             return len(self.select(**filters))
         return int(self._table.mask(**filters).sum())
-
-    def replaced(self, kernels: Iterable[Kernel]) -> "Trace":
-        """A trace of the same configs over a different kernel sequence."""
-        return Trace(self.model, self.training,
-                     KernelTable.from_kernels(kernels))

@@ -4,18 +4,51 @@ import pytest
 
 from repro.hw.device import (DeviceModel, GemmEngineSpec,
                              balanced_accelerator, mi100)
-from repro.hw.gemm_model import gemm_time, is_memory_bound, shape_efficiency
+from repro.hw.gemm_model import gemm_time
 from repro.hw.roofline import attainable, classify_kernels, place, ridge_point
-from repro.hw.timing import kernel_time, trace_time
+from repro.hw.timing import kernel_times, trace_time
 from repro.ops.base import (AccessPattern, Component, DType, Kernel, OpClass,
                             Phase, Region)
 from repro.ops.gemm import GemmShape
 from repro.ops.intensity import Boundedness, IntensityRecord
+from repro.trace.kernel_table import KernelTable
 
 
 @pytest.fixture
 def device():
     return mi100()
+
+
+def one_row_time(kernel: Kernel, device: DeviceModel) -> float:
+    """One kernel's time: ``kernel_times`` on a one-row table."""
+    return float(kernel_times(KernelTable.from_kernels([kernel]), device)[0])
+
+
+def streamed_kernel(access: AccessPattern, n_bytes: int) -> Kernel:
+    """A zero-FLOP kernel that reads ``n_bytes`` with ``access``."""
+    return Kernel(name="stream", op_class=OpClass.ELEMENTWISE,
+                  phase=Phase.FORWARD, component=Component.TRANSFORMER,
+                  region=Region.DR_RC_LN, flops=0, bytes_read=n_bytes,
+                  bytes_written=0, access=access)
+
+
+def ramp_time(device: DeviceModel, access: AccessPattern,
+              n_bytes: int) -> float:
+    """Closed form of a zero-FLOP kernel's time: the access pattern's
+    bandwidth ceiling derated by the occupancy ramp, plus launch."""
+    ramp = n_bytes / (n_bytes + device.bw_saturation_bytes)
+    return (n_bytes / (device.mem_efficiency[access] * device.peak_bandwidth
+                       * ramp)
+            + device.kernel_launch_overhead_s)
+
+
+def achieved_bandwidth(device: DeviceModel, access: AccessPattern,
+                       n_bytes: int) -> float:
+    """Bytes/s a zero-FLOP kernel sustains, launch overhead excluded."""
+    time_s = one_row_time(streamed_kernel(access, n_bytes), device)
+    assert time_s == pytest.approx(ramp_time(device, access, n_bytes),
+                                   rel=1e-12)
+    return n_bytes / (time_s - device.kernel_launch_overhead_s)
 
 
 class TestDeviceModel:
@@ -30,14 +63,14 @@ class TestDeviceModel:
                 > device.machine_balance(DType.FP32))
 
     def test_achieved_bandwidth_saturates(self, device):
-        small = device.achieved_bandwidth(AccessPattern.STREAMING, 1024)
-        large = device.achieved_bandwidth(AccessPattern.STREAMING, 1 << 30)
+        small = achieved_bandwidth(device, AccessPattern.STREAMING, 1024)
+        large = achieved_bandwidth(device, AccessPattern.STREAMING, 1 << 30)
         assert small < large <= device.peak_bandwidth
 
     def test_access_pattern_ordering(self, device):
         size = 1 << 26
-        streaming = device.achieved_bandwidth(AccessPattern.STREAMING, size)
-        irregular = device.achieved_bandwidth(AccessPattern.IRREGULAR, size)
+        streaming = achieved_bandwidth(device, AccessPattern.STREAMING, size)
+        irregular = achieved_bandwidth(device, AccessPattern.IRREGULAR, size)
         assert irregular < streaming
 
     def test_unknown_dtype_falls_back_to_fp32(self, device):
@@ -68,22 +101,25 @@ class TestGemmTiming:
     def test_efficiency_bounded(self, device):
         for shape in (GemmShape(4096, 4096, 1024), GemmShape(17, 33, 7),
                       GemmShape(128, 128, 64, batch=512)):
-            eff = shape_efficiency(shape, device)
+            eff = gemm_time(shape, DType.FP32, device).efficiency
             assert 0.0 < eff <= 1.0
 
     def test_large_square_gemm_is_efficient(self, device):
-        assert shape_efficiency(GemmShape(4096, 4096, 4096), device) > 0.8
+        big = GemmShape(4096, 4096, 4096)
+        assert gemm_time(big, DType.FP32, device).efficiency > 0.8
 
     def test_small_gemm_is_inefficient(self, device):
-        assert (shape_efficiency(GemmShape(64, 64, 64), device)
-                < shape_efficiency(GemmShape(4096, 4096, 4096), device))
+        small = GemmShape(64, 64, 64)
+        big = GemmShape(4096, 4096, 4096)
+        assert (gemm_time(small, DType.FP32, device).efficiency
+                < gemm_time(big, DType.FP32, device).efficiency)
 
     def test_fc_gemm_compute_bound_attention_memory_bound(self, device):
         # Takeaway 6 at the shape level (Ph1-B32).
         fc = GemmShape(m=4096, n=4096, k=1024)
         score = GemmShape(m=128, n=128, k=64, batch=512)
-        assert not is_memory_bound(fc, DType.FP32, device)
-        assert is_memory_bound(score, DType.FP32, device)
+        assert not gemm_time(fc, DType.FP32, device).memory_bound
+        assert gemm_time(score, DType.FP32, device).memory_bound
 
     def test_time_includes_launch_overhead(self, device):
         tiny = GemmShape(1, 1, 1)
@@ -104,12 +140,12 @@ class TestGemmTiming:
                           device).total_s
         assert large == pytest.approx(2 * small, rel=0.2)
 
-    def test_missing_shape_rejected_by_kernel_time(self, device):
+    def test_missing_shape_rejected_by_kernel_times(self, device):
         k = Kernel(name="g", op_class=OpClass.GEMM, phase=Phase.FORWARD,
                    component=Component.TRANSFORMER, region=Region.FC_GEMM,
                    flops=10, bytes_read=10, bytes_written=10)
-        with pytest.raises(ValueError):
-            kernel_time(k, device)
+        with pytest.raises(ValueError, match="missing shape"):
+            one_row_time(k, device)
 
 
 class TestKernelTiming:
@@ -121,14 +157,13 @@ class TestKernelTiming:
 
     def test_memory_bound_time_matches_bandwidth(self, device):
         n_bytes = 1 << 28
-        t = kernel_time(self._ew(n_bytes), device)
-        bw = device.achieved_bandwidth(AccessPattern.STREAMING, n_bytes)
-        assert t == pytest.approx(n_bytes / bw
-                                  + device.kernel_launch_overhead_s)
+        t = one_row_time(self._ew(n_bytes), device)
+        assert t == pytest.approx(
+            ramp_time(device, AccessPattern.STREAMING, n_bytes))
 
     def test_flop_heavy_kernel_limited_by_vector_pipe(self, device):
         heavy = self._ew(1024, flops=10**12)
-        t = kernel_time(heavy, device)
+        t = one_row_time(heavy, device)
         assert t >= 10**12 / (device.vector_tflops[DType.FP32] * 1e12)
 
     def test_communication_kernels_rejected(self, device):
@@ -138,12 +173,12 @@ class TestKernelTiming:
                    region=Region.COMM_ALLREDUCE, flops=0, bytes_read=0,
                    bytes_written=0)
         with pytest.raises(ValueError):
-            kernel_time(k, device)
+            one_row_time(k, device)
 
     def test_trace_time_is_additive(self, device):
         kernels = [self._ew(1 << 20) for _ in range(5)]
         assert trace_time(kernels, device) == pytest.approx(
-            5 * kernel_time(kernels[0], device))
+            5 * one_row_time(kernels[0], device))
 
 
 class TestRoofline:

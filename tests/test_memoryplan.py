@@ -11,7 +11,8 @@ from repro.memoryplan import (CheckpointingPass, checkpoint_segments,
                               max_batch_size, recompute_overhead,
                               training_footprint)
 from repro.ops.base import Component, Phase
-from repro.trace import build_iteration_trace, build_pipeline
+from repro.trace import Trace, build_iteration_trace, build_pipeline
+from repro.trace.kernel_table import KernelTable
 
 
 class TestSegments:
@@ -97,8 +98,8 @@ class TestCheckpointTransform:
     def test_trace_without_layers_passthrough(self):
         base = build_iteration_trace(BERT_TINY,
                                      TrainingConfig(batch_size=2, seq_len=16))
-        empty = base.replaced([k for k in base.kernels
-                               if k.component is Component.OPTIMIZER])
+        empty = Trace(base.model, base.training, KernelTable.from_kernels(
+            [k for k in base.kernels if k.component is Component.OPTIMIZER]))
         assert len(build_pipeline("checkpointing").run(empty)) == len(empty)
 
 

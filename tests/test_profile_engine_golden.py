@@ -1,5 +1,4 @@
-"""Golden equivalence: the columnar engine vs. frozen digests and the
-scalar timing oracle.
+"""Golden equivalence: the columnar engine vs. frozen digests.
 
 The layer-templated trace build, the batched GEMM/bandwidth timing of
 ``kernel_times`` and the masked-reduction aggregation of ``Profile`` are
@@ -10,10 +9,10 @@ exercise, this suite requires:
 * the kernel sequence frozen in ``tests/golden/trace_digests.json``
   (count, order, and full record equality; see
   ``tests/test_trace_digests.py``);
-* bit-identical per-kernel times against the scalar
-  :func:`repro.hw.timing.kernel_time` — the vectorized models apply the
-  same float64 operations in the same order as the scalar ones, so
-  ``==``, not ``approx``;
+* the per-kernel times frozen in ``tests/golden/time_digests.json`` — a
+  sha256 of the float64 column, computed once from the scalar per-kernel
+  timing path, so a match is ``==``, not ``approx`` (see
+  ``tests/test_time_digests.py``);
 * matching totals and breakdown fractions against predicate scans of
   :meth:`Profile.fraction_where` (``rel=1e-12``: masked sums and
   predicate scans add in different orders).
@@ -25,29 +24,27 @@ import numpy as np
 import pytest
 
 from repro.config import BERT_TINY, Precision, training_point
-from repro.hw.device import a100_like, mi100, v100_like
-from repro.hw.timing import kernel_time, kernel_times
 from repro.ops.base import Component
 from repro.profiler.breakdown import region_breakdown, summarize
-from repro.profiler.profiler import Profile, profile_trace
+from repro.profiler.profiler import profile_trace
+from repro.trace import build_pipeline
 from repro.trace.bert_trace import build_iteration_trace
+from repro.trace.builder import Trace
+from repro.trace.kernel_table import KernelTable
 from repro.trace.variants import build_finetuning_trace, build_inference_trace
+from tests.test_time_digests import (DEVICES, TINY_PH1_B4_FP32,
+                                     TINY_PH1_B32_FP32, TINY_PH2_B4_MIXED,
+                                     assert_times_frozen)
 from tests.test_trace_digests import (FINETUNING, INFERENCE, PRETRAIN_POINTS,
                                       assert_frozen)
 
-DEVICES = {"mi100": mi100, "v100": v100_like, "a100": a100_like}
-
-
-def _scalar_profile(trace, device) -> Profile:
-    """``trace`` timed kernel by kernel through the scalar ``kernel_time``."""
-    times = [kernel_time(k, device) for k in trace.kernels]
-    return Profile(device, trace.table, np.array(times, dtype=np.float64))
+mi100 = DEVICES["mi100"]
 
 
 def _predicate_summary(profile) -> dict[str, float]:
     """Headline fractions by predicate scans over the profile's records."""
     return {
-        "total_time_s": profile.total_time,
+        "total_time_s": sum(r.time_s for r in profile.records),
         "transformer": profile.fraction_where(
             lambda k: k.component is Component.TRANSFORMER),
         "output": profile.fraction_where(
@@ -62,25 +59,18 @@ def _predicate_summary(profile) -> dict[str, float]:
     }
 
 
-def _assert_same_profiles(fast, slow):
-    times_fast = fast.times
-    times_slow = np.array([r.time_s for r in slow.records])
-    assert len(times_fast) == len(times_slow)
-    # Bit-identical: same float64 operations in the same order.
-    mismatched = (times_fast != times_slow).nonzero()[0]
-    assert len(mismatched) == 0, (
-        f"{len(mismatched)} kernel times differ; first at row "
-        f"{mismatched[0]}: {times_fast[mismatched[0]]!r} vs "
-        f"{times_slow[mismatched[0]]!r} "
-        f"({slow.records[mismatched[0]].kernel.name})")
+def _assert_masked_sums_match_scans(profile) -> None:
+    masked = summarize(profile)
+    scanned = _predicate_summary(profile)
+    assert masked.keys() == scanned.keys()
+    for key in masked:
+        assert masked[key] == pytest.approx(scanned[key], rel=1e-12), key
 
-    assert fast.total_time == pytest.approx(slow.total_time, rel=1e-12)
-    fast_summary = summarize(fast)
-    slow_summary = _predicate_summary(slow)
-    assert fast_summary.keys() == slow_summary.keys()
-    for key in fast_summary:
-        assert fast_summary[key] == pytest.approx(slow_summary[key],
-                                                  rel=1e-12), key
+
+def _assert_frozen_profile(case: str, profile) -> None:
+    """Times frozen for ``case``; masked summaries equal predicate scans."""
+    assert_times_frozen(case, profile.times)
+    _assert_masked_sums_match_scans(profile)
 
 
 @pytest.mark.parametrize("name,model,training",
@@ -88,78 +78,70 @@ def _assert_same_profiles(fast, slow):
 def test_pretraining_point_equivalence(name, model, training):
     columnar = build_iteration_trace(model, training)
     assert_frozen(f"pretrain/{name}", columnar)
-
-    device = mi100()
-    _assert_same_profiles(profile_trace(columnar, device),
-                          _scalar_profile(columnar, device))
+    _assert_frozen_profile(f"mi100/pretrain/{name}",
+                           profile_trace(columnar, mi100()))
 
 
 @pytest.mark.parametrize("device_name", sorted(DEVICES))
 def test_devices_equivalence(device_name):
     """The batched timing path matches on every device model."""
-    model, training = BERT_TINY, training_point(2, 4, Precision.MIXED)
-    trace = build_iteration_trace(model, training)
-    device = DEVICES[device_name]()
-    _assert_same_profiles(profile_trace(trace, device),
-                          _scalar_profile(trace, device))
+    trace = build_iteration_trace(*TINY_PH2_B4_MIXED)
+    _assert_frozen_profile(f"{device_name}/tiny-ph2-b4-mixed",
+                           profile_trace(trace, DEVICES[device_name]()))
 
 
 def test_inference_equivalence():
     columnar = build_inference_trace(*INFERENCE)
     assert_frozen("inference/base-ph1-b8-mixed", columnar)
-    device = mi100()
-    _assert_same_profiles(profile_trace(columnar, device),
-                          _scalar_profile(columnar, device))
+    _assert_frozen_profile("mi100/inference/base-ph1-b8-mixed",
+                           profile_trace(columnar, mi100()))
 
 
 def test_finetuning_equivalence():
     columnar = build_finetuning_trace(*FINETUNING)
     assert_frozen("finetuning/base-ph1-b8-fp32", columnar)
-    device = mi100()
-    _assert_same_profiles(profile_trace(columnar, device),
-                          _scalar_profile(columnar, device))
+    _assert_frozen_profile("mi100/finetuning/base-ph1-b8-fp32",
+                           profile_trace(columnar, mi100()))
 
 
 def test_region_breakdown_equivalence():
-    """Region fractions of the batched and scalar-timed profiles match."""
-    trace = build_iteration_trace(BERT_TINY,
-                                  training_point(1, 32, Precision.FP32))
-    device = mi100()
-    fast = profile_trace(trace, device)
-    slow = _scalar_profile(trace, device)
-    fast_regions = region_breakdown(fast)
-    slow_regions = region_breakdown(slow)
-    assert fast_regions.keys() == slow_regions.keys()
-    for region, entry in fast_regions.items():
-        assert entry.fraction == pytest.approx(
-            slow_regions[region].fraction, rel=1e-12), region
+    """Region fractions of the frozen profile match predicate scans."""
+    profile = profile_trace(build_iteration_trace(*TINY_PH1_B32_FP32),
+                            mi100())
+    assert_times_frozen("mi100/tiny-ph1-b32-fp32", profile.times)
+    for region, entry in region_breakdown(profile).items():
+        scanned = profile.fraction_where(
+            lambda k, r=region: (k.component is Component.TRANSFORMER
+                                 and k.region is r))
+        assert entry.fraction == pytest.approx(scanned, rel=1e-12), region
 
 
-def test_kernel_times_matches_scalar_rowwise():
-    """kernel_times == [kernel_time(k) for k] including fused-GEMM rows."""
-    from repro.trace import build_pipeline
-
-    trace = build_iteration_trace(BERT_TINY,
-                                  training_point(1, 4, Precision.FP32))
-    # fused_attention produces fused-GEMM records.
+def test_kernel_times_matches_frozen_fused_rows():
+    """Fused-GEMM rows (FLOPs beyond their anchor shape) keep their times."""
+    trace = build_iteration_trace(*TINY_PH1_B4_FP32)
     fused = build_pipeline("fused_attention").run(trace)
-    device = mi100()
-    batched = kernel_times(fused, device)
-    scalar = np.array([kernel_time(k, device) for k in fused.kernels])
-    assert (batched == scalar).all()
+    table = fused.table
+    shape_flops = np.array([s.flops for s in table.gemms])
+    gemm_rows = table.is_gemm.nonzero()[0]
+    assert (table.flops[gemm_rows]
+            > shape_flops[table.gemm_code[gemm_rows]]).any()
+    _assert_frozen_profile("mi100/tiny-ph1-b4-fp32/fused_attention",
+                           profile_trace(fused, mi100()))
 
 
 def test_mutated_trace_still_equivalent():
-    """A trace rebuilt from an edited kernel list (``Trace.replaced``)
-    profiles identically through both engines."""
-    training = training_point(1, 4, Precision.FP32)
-    trace = build_iteration_trace(BERT_TINY, training)
+    """A trace rebuilt from an edited kernel list prices each kept kernel
+    exactly as the frozen full trace does."""
+    trace = build_iteration_trace(*TINY_PH1_B4_FP32)
     device = mi100()
+    full = profile_trace(trace, device)
+    assert_times_frozen("mi100/tiny-ph1-b4-fp32", full.times)
     half = trace.kernels[:len(trace.kernels) // 2]
-    truncated = trace.replaced(half)
-    fast = profile_trace(truncated, device)
-    slow = _scalar_profile(truncated, device)
-    _assert_same_profiles(fast, slow)
+    truncated = profile_trace(
+        Trace(trace.model, trace.training, KernelTable.from_kernels(half)),
+        device)
+    assert (truncated.times == full.times[:len(half)]).all()
+    _assert_masked_sums_match_scans(truncated)
 
 
 def test_pickle_roundtrip_preserves_equivalence():

@@ -1,5 +1,7 @@
 """Property-based tests (hypothesis) on core invariants."""
 
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from repro.config import BERT_TINY, BertConfig, TrainingConfig
 from repro.distributed import LinkSpec, ring_allreduce_time
 from repro.fusion import ElementwiseChainFusionPass
-from repro.hw import mi100, shape_efficiency
+from repro.hw import gemm_time, mi100
 from repro.ops.base import (AccessPattern, Component, DType, Kernel, OpClass,
                             Phase, Region)
 from repro.ops.elementwise import elementwise
@@ -39,9 +41,25 @@ class TestGemmShapeProperties:
 
     @given(m=dims, n=dims, k=dims, batch=st.integers(1, 16))
     def test_efficiency_in_unit_interval(self, m, n, k, batch):
-        eff = shape_efficiency(GemmShape(m=m, n=n, k=k, batch=batch),
-                               mi100())
+        eff = gemm_time(GemmShape(m=m, n=n, k=k, batch=batch), DType.FP32,
+                        mi100()).efficiency
         assert 0.0 < eff <= 1.0
+
+    @given(tiles_m=st.integers(1, 32), tiles_n=st.integers(1, 32),
+           multiple=st.integers(1, 4), k=dims,
+           dtype=st.sampled_from((DType.FP32, DType.FP16)))
+    def test_aligned_efficiency_is_the_k_loop_closed_form(
+            self, tiles_m, tiles_n, multiple, k, dtype):
+        """No tile or wave is partial: only the K loop costs efficiency."""
+        device = mi100()
+        cus = device.compute_units
+        # A multiple of the smallest batch that makes the 128x128 tile
+        # count a whole number of waves.
+        batch = cus // math.gcd(tiles_m * tiles_n, cus) * multiple
+        shape = GemmShape(m=128 * tiles_m, n=128 * tiles_n, k=k, batch=batch)
+        assert (shape.m // 128) * (shape.n // 128) * batch % cus == 0
+        eff = gemm_time(shape, dtype, device).efficiency
+        assert eff == k / (k + device.gemm_k_half)
 
     @given(m=dims, n=dims, k=dims)
     def test_intensity_below_smallest_dim(self, m, n, k):

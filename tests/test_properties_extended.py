@@ -8,11 +8,11 @@ from repro.distributed import LinkSpec, simulate_ring_allreduce
 from repro.distributed.pipeline import pipeline_bubble_fraction
 from repro.hw import default_energy_spec, kernel_energy, mi100
 from repro.hw.microsim import simulate_kernel
-from repro.hw.timing import kernel_time
 from repro.ops.base import (AccessPattern, Component, DType, Kernel, OpClass,
                             Phase, Region)
 from repro.ops.elementwise import elementwise
 from repro.ops.gemm import GemmShape
+from tests.test_hw import achieved_bandwidth, one_row_time
 
 DEVICE = mi100()
 
@@ -34,7 +34,7 @@ class TestBackendAgreementProperties:
         """The wave simulation adds tail effects on top of the closed
         form; it may be slower but never meaningfully faster."""
         kernel = _gemm_kernel(GemmShape(m=m, n=n, k=k, batch=batch))
-        analytical = kernel_time(kernel, DEVICE)
+        analytical = one_row_time(kernel, DEVICE)
         simulated = simulate_kernel(kernel, DEVICE).time_s
         assert simulated > 0.5 * analytical
 
@@ -45,7 +45,7 @@ class TestBackendAgreementProperties:
                              phase=Phase.FORWARD,
                              component=Component.TRANSFORMER,
                              region=Region.DR_RC_LN, inputs=2, outputs=1)
-        analytical = kernel_time(kernel, DEVICE)
+        analytical = one_row_time(kernel, DEVICE)
         simulated = simulate_kernel(kernel, DEVICE).time_s
         assert 0.5 < simulated / analytical < 2.0
 
@@ -130,12 +130,12 @@ class TestBandwidthModelProperties:
     @settings(max_examples=50)
     def test_achieved_bandwidth_bounded_by_peak(self, size):
         for access in AccessPattern:
-            achieved = DEVICE.achieved_bandwidth(access, size)
+            achieved = achieved_bandwidth(DEVICE, access, size)
             assert 0 < achieved <= DEVICE.peak_bandwidth
 
     @given(size=st.integers(1, 1 << 28))
     @settings(max_examples=40)
     def test_achieved_bandwidth_monotone_in_size(self, size):
-        small = DEVICE.achieved_bandwidth(AccessPattern.STREAMING, size)
-        large = DEVICE.achieved_bandwidth(AccessPattern.STREAMING, 2 * size)
+        small = achieved_bandwidth(DEVICE, AccessPattern.STREAMING, size)
+        large = achieved_bandwidth(DEVICE, AccessPattern.STREAMING, 2 * size)
         assert large >= small

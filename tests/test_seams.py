@@ -7,13 +7,14 @@ from repro.config import BERT_LARGE, BERT_TINY, Precision, TrainingConfig, train
 from repro.distributed import (PCIE4, XGMI, data_parallel_timeline,
                                hybrid_timeline, single_device_timeline,
                                tensor_slicing_timeline)
-from repro.hw import kernel_time, mi100, simulate_kernel
+from repro.hw import mi100, simulate_kernel
 from repro.ops.base import (AccessPattern, Component, DType, Kernel, OpClass,
                             Phase, Region)
 from repro.optim import optimizer_kernels
 from repro.tensor.module import Linear, Module, Parameter
 from repro.tensor.tensor import Tensor
 from repro.trace import bert_parameter_inventory
+from tests.test_hw import one_row_time
 
 
 class TestTensorSeams:
@@ -107,8 +108,8 @@ class TestTimingSeams:
                           bytes_read=1 << 26, bytes_written=1 << 26,
                           dtype=DType.FP32, access=access,
                           n_elements=1 << 24)
-        fast = kernel_time(build(AccessPattern.STREAMING), device)
-        slow = kernel_time(build(AccessPattern.IRREGULAR), device)
+        fast = one_row_time(build(AccessPattern.STREAMING), device)
+        slow = one_row_time(build(AccessPattern.IRREGULAR), device)
         assert slow > 2 * fast
         # The event backend respects the same ordering.
         assert (simulate_kernel(build(AccessPattern.IRREGULAR),

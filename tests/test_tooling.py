@@ -16,13 +16,20 @@ from repro.ops.windowed_attention import (WindowConfig,
                                           windowed_attention_op_kernels,
                                           windowed_score_gemm)
 from repro.profiler import profile_trace, to_csv, to_json, write_csv
-from repro.trace import build_iteration_trace, validate_trace
+from repro.trace import Trace, build_iteration_trace, validate_trace
+from repro.trace.kernel_table import KernelTable
 
 
 @pytest.fixture(scope="module")
 def tiny_trace():
     return build_iteration_trace(BERT_TINY,
                                  TrainingConfig(batch_size=2, seq_len=16))
+
+
+def _rebuilt(trace, kernels) -> Trace:
+    """``trace``'s configs over an edited kernel sequence."""
+    return Trace(trace.model, trace.training,
+                 KernelTable.from_kernels(kernels))
 
 
 class TestTraceValidation:
@@ -45,7 +52,7 @@ class TestTraceValidation:
         assert validate_trace(trace).ok
 
     def test_detects_phase_disorder(self, tiny_trace):
-        shuffled = tiny_trace.replaced(list(reversed(tiny_trace.kernels)))
+        shuffled = _rebuilt(tiny_trace, list(reversed(tiny_trace.kernels)))
         report = validate_trace(shuffled)
         assert not report.ok
 
@@ -55,7 +62,7 @@ class TestTraceValidation:
         index = next(i for i, k in enumerate(kernels) if k.op_class.is_gemm)
         kernels[index] = dataclasses.replace(kernels[index],
                                              flops=kernels[index].flops - 1)
-        report = validate_trace(tiny_trace.replaced(kernels))
+        report = validate_trace(_rebuilt(tiny_trace, kernels))
         assert any("flops" in e for e in report.errors)
         with pytest.raises(ValueError):
             report.raise_if_invalid()
@@ -66,7 +73,7 @@ class TestTraceValidation:
         index = next(i for i, k in enumerate(kernels) if k.op_class.is_gemm)
         kernels[index] = dataclasses.replace(kernels[index],
                                              flops=kernels[index].flops * 2)
-        report = validate_trace(tiny_trace.replaced(kernels))
+        report = validate_trace(_rebuilt(tiny_trace, kernels))
         assert report.ok
         assert any("fused GEMM" in w for w in report.warnings)
 
@@ -77,7 +84,7 @@ class TestTraceValidation:
                      if k.component is Component.TRANSFORMER)
         kernels[index] = dataclasses.replace(kernels[index],
                                              layer_index=None)
-        assert not validate_trace(tiny_trace.replaced(kernels)).ok
+        assert not validate_trace(_rebuilt(tiny_trace, kernels)).ok
 
     def test_inference_trace_valid_as_non_training(self):
         from repro.trace import build_inference_trace

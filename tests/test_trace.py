@@ -10,6 +10,7 @@ from repro.trace.bert_trace import (build_iteration_trace,
                                     transformer_layer_backward_kernels,
                                     transformer_layer_forward_kernels)
 from repro.trace.builder import Trace
+from repro.trace.kernel_table import KernelTable
 from repro.trace.parameters import (bert_parameter_inventory, group_by_layer,
                                     total_parameters)
 
@@ -59,7 +60,8 @@ class TestTraceBuilder:
     def test_replaced_preserves_configs(self):
         trace = build_iteration_trace(BERT_TINY,
                                       TrainingConfig(batch_size=2, seq_len=16))
-        other = trace.replaced(trace.kernels[:3])
+        other = Trace(trace.model, trace.training,
+                      KernelTable.from_kernels(trace.kernels[:3]))
         assert len(other) == 3 and other.model is trace.model
 
 
