@@ -6,13 +6,20 @@ the whole grid stamped into a single KernelTable and timed in one batched
 tile/wave-model evaluation — cold per repeat (fresh device, so the GEMM
 memo starts empty: what a first sweep over a new grid pays).
 
+It also times a cold :func:`repro.grid.engine.grid_summaries` over the
+same 1000 points (fresh device and an empty disk cache per repeat): the
+sweep path, stamping through per-point summary rows.
+
 A handful of sampled points are cross-checked against
-:func:`repro.experiments.common.run_point` for bit-identical totals, so
-the benchmark cannot silently time a diverged fast path.
+:func:`repro.experiments.common.run_point` — bit-identical totals, and
+summary rows ``==`` :func:`repro.profiler.breakdown.summarize` of the
+point's own profile — so the benchmark cannot silently time a diverged
+fast path.
 
 Writes ``BENCH_grid_engine.json`` at the repo root and exits non-zero if
-the grid takes longer than ``MAX_GRID_SECONDS`` end-to-end, so CI catches
-the engine regressing into per-point work.
+the grid takes longer than ``MAX_GRID_SECONDS`` end-to-end or the
+summaries longer than ``MAX_SUMMARIES_SECONDS``, so CI catches the engine
+(or its summaries) regressing into per-point work.
 
 Run: ``PYTHONPATH=src python benchmarks/bench_grid_engine.py``
 """
@@ -27,7 +34,7 @@ from pathlib import Path
 
 from repro.config import BERT_LARGE, Precision, TrainingConfig
 from repro.experiments.common import run_point
-from repro.grid.engine import grid_points, profile_grid
+from repro.grid.engine import grid_points, grid_summaries, profile_grid
 from repro.hw.device import mi100
 from repro.runner.cache import configure_cache, reset_cache
 from repro.trace.bert_trace import clear_iteration_traces
@@ -37,6 +44,12 @@ from repro.trace.bert_trace import clear_iteration_traces
 #: on its last recorded run (5.28 ms per point), rounded down, so the
 #: engine regressing into per-point work fails.
 MAX_GRID_SECONDS = 0.5
+
+#: Maximum acceptable cold ``grid_summaries`` time for the same grid:
+#: about 1.5x the 0.17-0.22 s measured with per-block summary rows on a
+#: 2-vCPU host, and below the 0.33-0.36 s the same host took when every
+#: point built its own profile and summary, so that regression fails.
+MAX_SUMMARIES_SECONDS = 0.3
 
 GRID_REPEATS = 3
 
@@ -69,14 +82,33 @@ def _time_grid(points) -> tuple[float, int]:
     return best, rows
 
 
+def _time_summaries(points) -> float:
+    """Best-of-N cold ``grid_summaries`` time: fresh device and an empty
+    disk cache per repeat, so every repeat stamps, prices and reduces."""
+    best = float("inf")
+    for _ in range(GRID_REPEATS):
+        device = mi100()
+        with tempfile.TemporaryDirectory(prefix="bench-grid-sum-") as root:
+            configure_cache(root)
+            start = time.perf_counter()
+            grid_summaries(grid_points(BERT_LARGE, points), device)
+            best = min(best, time.perf_counter() - start)
+    reset_cache()
+    return best
+
+
 def _check_equivalence(points) -> None:
-    """Spot-check grid totals against ``run_point``, bit for bit."""
+    """Spot-check grid totals and summary rows against ``run_point``,
+    bit for bit."""
+    from repro.profiler.breakdown import summarize
+
     device = mi100()
     profile = profile_grid(grid_points(BERT_LARGE, points), device)
     stride = max(1, len(points) // 7)
     with tempfile.TemporaryDirectory(prefix="bench-grid-eq-") as root:
         clear_iteration_traces()
         configure_cache(root)
+        rows = grid_summaries(grid_points(BERT_LARGE, points), device)
         for index in range(0, len(points), stride):
             _, oracle = run_point(BERT_LARGE, points[index], device)
             grid_total = profile.point_total(index)
@@ -85,6 +117,10 @@ def _check_equivalence(points) -> None:
                     f"grid diverged from run_point at point {index} "
                     f"({points[index].label}): {grid_total!r} != "
                     f"{oracle.total_time!r}")
+            if rows[index] != summarize(oracle):
+                raise AssertionError(
+                    f"grid summary row diverged from run_point at point "
+                    f"{index} ({points[index].label})")
     reset_cache()
     clear_iteration_traces()
 
@@ -93,6 +129,7 @@ def run() -> dict:
     points = _points()
     _check_equivalence(points)
     grid_s, rows = _time_grid(points)
+    summaries_s = _time_summaries(points)
     return {
         "model": "BERT Large",
         "device": "mi100",
@@ -102,6 +139,8 @@ def run() -> dict:
         "grid_s": grid_s,
         "grid_per_point_ms": grid_s / len(points) * 1e3,
         "max_grid_seconds": MAX_GRID_SECONDS,
+        "summaries_s": summaries_s,
+        "max_summaries_seconds": MAX_SUMMARIES_SECONDS,
     }
 
 
@@ -111,12 +150,18 @@ def main() -> int:
     print(f"wrote {OUTPUT}")
     print(f"{payload['points']} points ({payload['kernel_rows']} kernel "
           f"rows): grid {payload['grid_s']:.3f}s "
-          f"({payload['grid_per_point_ms']:.3f} ms/pt)")
+          f"({payload['grid_per_point_ms']:.3f} ms/pt), cold summaries "
+          f"{payload['summaries_s']:.3f}s")
+    failed = False
     if payload["grid_s"] > MAX_GRID_SECONDS:
         print(f"FAIL: grid took {payload['grid_s']:.3f}s "
               f"> {MAX_GRID_SECONDS}s")
-        return 1
-    return 0
+        failed = True
+    if payload["summaries_s"] > MAX_SUMMARIES_SECONDS:
+        print(f"FAIL: cold summaries took {payload['summaries_s']:.3f}s "
+              f"> {MAX_SUMMARIES_SECONDS}s")
+        failed = True
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -20,12 +20,13 @@ from repro.hw.energy import EnergyReport, iteration_energy
 from repro.hw.gemm_model import shape_gemm_terms
 from repro.memoryplan.footprint import MemoryFootprint, training_footprint
 from repro.ops.base import Component, Region
+from repro.ops.gemm import dims_bytes, dims_flops
 from repro.profiler.breakdown import region_breakdown, summarize
 from repro.profiler.profiler import Profile
 from repro.report.tables import format_percent, format_table
 from repro.trace.bert_trace import iteration_trace
 from repro.trace.builder import Trace
-from repro.trace.kernel_table import DTYPES
+from repro.trace.kernel_table import DTYPE_BYTES, DTYPES
 from repro.trace.passes import PassManager
 from repro.trace.validate import validate_trace
 
@@ -134,13 +135,12 @@ def _gemm_classes(profile: Profile) -> list[GemmClassSummary]:
         pairs, counts = np.unique(
             table.gemm_code[rows].astype(np.int64) * len(DTYPES)
             + table.dtype[rows], return_counts=True)
-        codes = [divmod(pair, len(DTYPES)) for pair in pairs.tolist()]
-        shapes = [table.gemms[shape] for shape, _ in codes]
-        dtypes = [DTYPES[dtype] for _, dtype in codes]
-        compute_s, memory_s, _ = shape_gemm_terms(shapes, dtypes,
+        shapes, dtypes = np.divmod(pairs, len(DTYPES))
+        dims = table.gemm_dims[shapes]
+        compute_s, memory_s, _ = shape_gemm_terms(dims, dtypes,
                                                   profile.device)
-        intensities = [shape.arithmetic_intensity(dtype)
-                       for shape, dtype in zip(shapes, dtypes)]
+        intensities = (dims_flops(dims)
+                       / dims_bytes(dims, DTYPE_BYTES[dtypes])).tolist()
         summaries.append(GemmClassSummary(
             family=family, count=len(rows),
             time_fraction=sum(profile.times[rows].tolist()) / total,

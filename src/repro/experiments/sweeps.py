@@ -158,7 +158,8 @@ def _sweep_row(model: BertConfig, training: TrainingConfig,
 
 def grid_sweep(model: BertConfig,
                trainings: Iterable[TrainingConfig],
-               device: DeviceModel | None = None) -> list[dict[str, object]]:
+               device: DeviceModel | None = None, *,
+               key: str | None = None) -> list[dict[str, object]]:
     """Profile every training point; return one summary dict per point.
 
     The sweep goes through the batched grid engine
@@ -177,13 +178,16 @@ def grid_sweep(model: BertConfig,
         model: architecture to sweep.
         trainings: training points.
         device: device model (default MI100-like).
+        key: the grid's :meth:`~repro.runner.cache.ResultCache.grid_key`
+            on ``device``, if the caller already hashed it.
     """
     from repro.grid.engine import grid_points, grid_summaries
 
     trainings = list(trainings)
     if trainings:
         try:
-            summaries = grid_summaries(grid_points(model, trainings), device)
+            summaries = grid_summaries(grid_points(model, trainings),
+                                       device, key=key)
         except Exception:
             pass
         else:

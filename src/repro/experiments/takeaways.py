@@ -99,9 +99,8 @@ def run() -> list[TakeawayCheck]:
     table_b1 = trace_b1.table
     encoder = (table_b1.is_gemm
                & table_b1.mask(component=Component.TRANSFORMER))
-    shapes = {table_b1.gemms[code]
-              for code in table_b1.gemm_code[encoder].tolist()}
-    min_gemm_dim = min(min(s.m, s.n, s.k) for s in shapes)
+    min_gemm_dim = int(
+        table_b1.gemm_dims[table_b1.gemm_code[encoder], :3].min())
     checks.append(TakeawayCheck(
         "T5", "Mini-batch of one does not produce matrix-vector ops in "
         "Transformer layers",

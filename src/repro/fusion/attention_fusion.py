@@ -83,10 +83,16 @@ class FusedAttentionPass(TracePass):
             if kernel.name not in names:
                 names.append(kernel.name)
             name_codes[kernel.name] = names.index(kernel.name)
-        gemms = list(out.gemms)
-        if fwd.gemm not in gemms:  # fwd and bwd share the score anchor
-            gemms.append(fwd.gemm)
-        gemm_code = gemms.index(fwd.gemm)
+        # fwd and bwd share the score anchor: one dims row, appended
+        # unless the pool already holds it.
+        anchor = np.array(fwd.gemm.dims, dtype=np.int64)
+        dims = out.gemm_dims
+        held = np.flatnonzero((dims == anchor).all(axis=1))
+        if len(held):
+            gemm_code = int(held[0])
+        else:
+            gemm_code = len(dims)
+            dims = np.vstack([dims, anchor])
 
         # Markers keep their phase/component/layer; everything else comes
         # from the matching template, chosen per marker by phase.
@@ -108,7 +114,7 @@ class FusedAttentionPass(TracePass):
             bytes_read=pick("bytes_read"),
             bytes_written=pick("bytes_written"),
             n_elements=pick("n_elements"),
-            gemm_code=np.int32(gemm_code), gemms=tuple(gemms),
+            gemm_code=np.int32(gemm_code), gemm_dims=dims,
             fusion_code=np.int32(-1))
 
 

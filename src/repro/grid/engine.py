@@ -5,9 +5,11 @@
 the builder's own :func:`~repro.trace.bert_trace.layout_table` over
 lane-vectorized emitters, runs each point's
 :func:`~repro.trace.passes.point_pipeline` on its own row slice, and
-concatenates everything into one table with per-point row ranges.
+concatenates everything into one table with per-point row ranges.  The
+GEMM shapes of every lane stay in the table's dims pool: stamping builds
+no per-shape record, however many points a family holds.
 :func:`profile_grid` then prices the whole grid with a **single**
-:func:`~repro.hw.timing.kernel_times` call — one ``np.unique`` over
+:func:`~repro.hw.timing.kernel_times` call — one dense dedupe of
 (GEMM shape, dtype) pairs covers every point — and hands back per-point
 :class:`~repro.profiler.profiler.Profile` views that are bit-exact
 against the :func:`~repro.experiments.common.run_point` loop.
@@ -15,12 +17,15 @@ against the :func:`~repro.experiments.common.run_point` loop.
 :func:`grid_summaries` is the sweep-facing entry point: one disk-cache
 entry per grid signature (:meth:`~repro.runner.cache.ResultCache.
 grid_key`), per-point breakdown rows positionally aligned with the input.
+The rows come from :meth:`GridProfile.summaries`, one
+:func:`~repro.profiler.breakdown.summary_rows` reduction per
+:class:`Block` of same-structure points, under one span per grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -70,22 +75,38 @@ def _normalize(points: Iterable) -> tuple[GridPoint, ...]:
     return tuple(normalized)
 
 
+class Block(NamedTuple):
+    """Points whose rows share one structure, stacked back to back.
+
+    The rows of ``indices[j]`` (input order) are
+    ``[start + j * rows, start + (j + 1) * rows)``: a stamped family
+    without a pass pipeline is one block, and a point whose pipeline ran
+    on its own rows is a block of one.
+    """
+
+    indices: np.ndarray
+    start: int
+    rows: int
+
+
 class GridTrace:
     """P points stamped into one stacked table, each point's rows contiguous.
 
     ``point_index`` labels every row with its owning point (int32, the
     ``point`` column sweeps export); ``starts``/``stops`` give each
-    point's half-open row range in input order.
+    point's half-open row range in input order; ``blocks`` cover every
+    point once, in stacking order.
     """
 
     def __init__(self, points: tuple[GridPoint, ...], table: KernelTable,
                  point_index: np.ndarray, starts: np.ndarray,
-                 stops: np.ndarray):
+                 stops: np.ndarray, blocks: tuple[Block, ...]):
         self.points = points
         self.table = table
         self.point_index = point_index
         self.starts = starts
         self.stops = stops
+        self.blocks = blocks
 
     def __len__(self) -> int:
         return len(self.points)
@@ -124,7 +145,8 @@ def build_grid_trace(points: Iterable, *,
             trainings.append(point.training)
 
         pieces: list[KernelTable] = []
-        layout: list[tuple[int, int]] = []  # (input index, row count)
+        blocks: list[Block] = []
+        offset = 0
         for key, (indices, trainings) in families.items():
             model = key[0]
             with spans.span("grid.stamp", model=model.name,
@@ -137,22 +159,28 @@ def build_grid_trace(points: Iterable, *,
             pipeline = point_pipeline(trainings[0], passes)
             if not pipeline.passes:
                 pieces.append(table)
-                layout.extend((index, rows_per_point) for index in indices)
+                blocks.append(Block(np.array(indices), offset,
+                                    rows_per_point))
+                offset += len(table)
                 continue
             for j, (index, training) in enumerate(zip(indices, trainings)):
                 rows = slice(j * rows_per_point, (j + 1) * rows_per_point)
                 sub = pipeline.run_table(table.take(rows), model, training)
                 pieces.append(sub)
-                layout.append((index, len(sub)))
+                blocks.append(Block(np.array([index]), offset, len(sub)))
+                offset += len(sub)
 
         stacked = pieces[0] if len(pieces) == 1 else KernelTable.concat(pieces)
-        order, counts = (np.array(column) for column in zip(*layout))
+        order = np.concatenate([block.indices for block in blocks])
+        counts = np.repeat([block.rows for block in blocks],
+                           [len(block.indices) for block in blocks])
         ends = np.cumsum(counts)
         starts, stops = np.empty((2, len(points)), dtype=np.int64)
         starts[order], stops[order] = ends - counts, ends
         point_index = np.repeat(order.astype(np.int32), counts)
         spans.annotate(kernels=len(stacked), families=len(families))
-    return GridTrace(points, stacked, point_index, starts, stops)
+    return GridTrace(points, stacked, point_index, starts, stops,
+                     tuple(blocks))
 
 
 class GridProfile:
@@ -189,6 +217,27 @@ class GridProfile:
         start, stop = self.trace.point_rows(index)
         return float(np.sum(self.times[start:stop]))
 
+    def summaries(self) -> list[dict[str, float]]:
+        """Every point's :func:`~repro.profiler.breakdown.summarize` row,
+        in input order: one block reduction per :class:`Block`, not one
+        profile per point."""
+        from repro.profiler.breakdown import summary_rows
+
+        table = self.trace.table
+        rows: list = [None] * len(self)
+        with spans.span("grid.summarize", points=len(self),
+                        blocks=len(self.trace.blocks)):
+            for block in self.trace.blocks:
+                count = len(block.indices)
+                times = self.times[block.start:
+                                   block.start + count * block.rows]
+                structure = table.take(slice(block.start,
+                                             block.start + block.rows))
+                for index, row in zip(block.indices.tolist(), summary_rows(
+                        times.reshape(count, block.rows), structure)):
+                    rows[index] = row
+        return rows
+
 
 def profile_grid(points: Iterable, device: DeviceModel | None = None, *,
                  passes: PassManager | None = None) -> GridProfile:
@@ -207,24 +256,25 @@ def profile_grid(points: Iterable, device: DeviceModel | None = None, *,
 
 
 def grid_summaries(points: Iterable, device: DeviceModel | None = None, *,
-                   passes: PassManager | None = None) -> list[dict]:
+                   passes: PassManager | None = None,
+                   key: str | None = None) -> list[dict]:
     """Per-point breakdown rows for a whole grid, disk-cached as one entry.
 
     Rows are :func:`repro.profiler.breakdown.summarize` dicts,
     positionally aligned with ``points``.  The cache entry is keyed on the
     full grid signature (:meth:`~repro.runner.cache.ResultCache.grid_key`)
     — any point, the device, the code, or the pass pipeline changing
-    invalidates it.
+    invalidates it.  A caller that has already hashed that signature
+    passes it as ``key``, so the grid is hashed once.
     """
-    from repro.profiler.breakdown import summarize
-
     points = _normalize(points)
     if device is None:
         device = default_device()
-    pipeline = passes.signature if passes is not None else ""
     cache = get_cache()
-    key = cache.grid_key(((p.model, p.training) for p in points), device,
-                         pipeline=pipeline)
+    if key is None:
+        pipeline = passes.signature if passes is not None else ""
+        key = cache.grid_key(((p.model, p.training) for p in points),
+                             device, pipeline=pipeline)
     payload = cache.get_payload(key)
     if payload is not None:
         POINT_RESOLUTIONS.inc(len(payload["kernels"]), result="hit")
@@ -232,7 +282,7 @@ def grid_summaries(points: Iterable, device: DeviceModel | None = None, *,
         return [dict(row) for row in payload["rows"]]
 
     profile = profile_grid(points, device, passes=passes)
-    rows = [summarize(profile.point_profile(i)) for i in range(len(points))]
+    rows = profile.summaries()
     kernels = (profile.trace.stops - profile.trace.starts).tolist()
     cache.put_payload(key, {"rows": rows, "kernels": kernels})
     return [dict(row) for row in rows]

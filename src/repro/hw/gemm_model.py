@@ -18,20 +18,24 @@ memory streaming time, plus launch overhead.
 :func:`gemm_terms` is the one implementation of the model: it prices a
 whole array of GEMM rows at once.  :func:`repro.hw.timing.kernel_times`
 calls it for every GEMM row of a trace, and :func:`gemm_time` is row 0 of
-a batch of one.  The event-driven backend of :mod:`repro.hw.microsim`
-replays the same tiles wave by wave, as a second opinion.
+a batch of one.  Shapes enter as rows of a dims array
+(:data:`~repro.ops.gemm.GEMM_DIMS`, a kernel table's GEMM pool), so a
+grid's thousands of distinct shapes are priced without a
+:class:`~repro.ops.gemm.GemmShape` per shape.  The event-driven backend
+of :mod:`repro.hw.microsim` replays the same tiles wave by wave, as a
+second opinion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from repro.hw.device import DeviceModel
 from repro.ops.base import DType
-from repro.ops.gemm import GemmShape
+from repro.ops.gemm import GemmShape, dims_bytes, dims_flops, gemm_dims
+from repro.trace.kernel_table import DTYPE_BYTES, DTYPES
 
 
 @dataclass(frozen=True)
@@ -74,12 +78,6 @@ _TILE_M, _TILE_N, _TILE_CEILING = (
     np.array(column)[:, None] for column in zip(*TILE_CANDIDATES))
 
 
-def shape_dims(shapes: Sequence[GemmShape]) -> np.ndarray:
-    """``(len(shapes), 4)`` int64 array of each ``(m, n, k, batch)``."""
-    return np.array([(s.m, s.n, s.k, s.batch) for s in shapes],
-                    dtype=np.int64).reshape(-1, 4)
-
-
 def gemm_terms(dims: np.ndarray, flops: np.ndarray, bytes_moved: np.ndarray,
                peaks: np.ndarray, device: DeviceModel
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -94,8 +92,9 @@ def gemm_terms(dims: np.ndarray, flops: np.ndarray, bytes_moved: np.ndarray,
     occupancy ramp.
 
     Args:
-        dims: ``(rows, 4)`` int64 ``(m, n, k, batch)`` of the shape that
-            sets each row's tiling (see :func:`shape_dims`).
+        dims: ``(rows, 7)`` int64 :data:`~repro.ops.gemm.GEMM_DIMS` rows
+            of the shape that sets each row's tiling; only
+            ``(m, n, k, batch)`` enter.
         flops: per-row FLOPs; a fused GEMM kernel's exceed its shape's.
         bytes_moved: per-row device-memory traffic.
         peaks: per-row achievable FLOP/s of the row's GEMM engine.
@@ -105,7 +104,7 @@ def gemm_terms(dims: np.ndarray, flops: np.ndarray, bytes_moved: np.ndarray,
         ``(compute_s, memory_s, efficiency)`` float64 arrays; a row's time
         is ``max(compute_s, memory_s)`` plus the launch overhead.
     """
-    m, n, k, batch = dims.T
+    m, n, k, batch = dims.T[:4]
     cus = device.compute_units
     # One row per candidate tiling, one column per GEMM row.
     tiles_m = -(-m // _TILE_M)
@@ -129,27 +128,25 @@ def gemm_terms(dims: np.ndarray, flops: np.ndarray, bytes_moved: np.ndarray,
     return compute_s, memory_s, efficiency
 
 
-def shape_gemm_terms(shapes: Sequence[GemmShape], dtypes: Sequence[DType],
+def shape_gemm_terms(dims: np.ndarray, dtype_codes: np.ndarray,
                      device: DeviceModel
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`gemm_terms` of GEMMs that move exactly their shape's FLOPs and
-    bytes, one row per ``(shape, dtype)`` pair."""
-    return gemm_terms(
-        shape_dims(shapes),
-        np.array([s.flops for s in shapes], dtype=np.int64),
-        np.array([s.bytes_total(dt) for s, dt in zip(shapes, dtypes)],
-                 dtype=np.int64),
-        np.array([device.gemm_engine(dt).effective_peak for dt in dtypes],
-                 dtype=np.float64),
-        device)
+    bytes: one row per dims row, in the dtype of the kernel-table dtype
+    code beside it."""
+    peaks = np.array([device.gemm_engine(dtype).effective_peak
+                      for dtype in DTYPES], dtype=np.float64)
+    return gemm_terms(dims, dims_flops(dims),
+                      dims_bytes(dims, DTYPE_BYTES[dtype_codes]),
+                      peaks[dtype_codes], device)
 
 
 def gemm_time(shape: GemmShape, dtype: DType,
               device: DeviceModel) -> GemmTimeBreakdown:
     """Execution-time breakdown of one (batched) GEMM on ``device``: row 0
     of :func:`shape_gemm_terms`."""
-    compute_s, memory_s, efficiency = shape_gemm_terms([shape], [dtype],
-                                                       device)
+    compute_s, memory_s, efficiency = shape_gemm_terms(
+        gemm_dims([shape]), np.array([DTYPES.index(dtype)]), device)
     return GemmTimeBreakdown(compute_s=float(compute_s[0]),
                              memory_s=float(memory_s[0]),
                              overhead_s=device.kernel_launch_overhead_s,

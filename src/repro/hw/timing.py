@@ -18,7 +18,11 @@ whole columnar :class:`~repro.trace.kernel_table.KernelTable` at once.
 GEMM rows go through :func:`repro.hw.gemm_model.gemm_terms`, memoized per
 ``(shape, dtype, device)`` since a trace contains only a few dozen
 distinct shapes; every other row goes through the one achieved-bandwidth
-ramp below.  Both :func:`trace_time` and
+ramp below.  Shapes are read from the table's GEMM dims pool, and the
+memo keys are plain int tuples ``(m, n, k, batch, transpose_a,
+transpose_b, accumulate, dtype_code)``, so a stacked grid and a single
+``run_point`` trace share entries without building shape records.
+Both :func:`trace_time` and
 :func:`repro.profiler.profiler.profile_trace` are thin wrappers over it.
 There is no per-kernel timing function: a single kernel is priced as a
 one-row table, and ``tests/golden/time_digests.json`` freezes the times.
@@ -32,14 +36,16 @@ from typing import Iterable
 import numpy as np
 
 from repro.hw.device import DeviceModel
-from repro.hw.gemm_model import gemm_terms, shape_dims, shape_gemm_terms
+from repro.hw.gemm_model import gemm_terms, shape_gemm_terms
 from repro.obs import metrics, spans
 from repro.ops.base import DType, Kernel
+from repro.ops.gemm import dims_flops
 from repro.trace.kernel_table import ACCESS_PATTERNS, DTYPES, KernelTable
 
 #: GEMM-time memo traffic, labeled ``result=hit|miss``.  One lookup per
 #: distinct ``(shape, dtype)`` pair per :func:`kernel_times` call — a few
-#: dozen per trace — so the counter costs nothing on the hot path.
+#: dozen per trace, about 17 per point of a grid — counted in one
+#: increment per result.
 _MEMO_LOOKUPS = metrics.counter(
     "gemm_memo.lookups", "GEMM-time memo lookups by result")
 
@@ -52,7 +58,8 @@ def _vector_peak(device: DeviceModel, dtype: DType) -> float:
     return tflops * 1e12
 
 
-# Per-device memo of GEMM total times keyed by (GemmShape, DType).  Devices
+# Per-device memo of GEMM total times keyed by the int tuple
+# (m, n, k, batch, transpose_a, transpose_b, accumulate, dtype_code).  Devices
 # are frozen dataclasses whose dict-valued fields make them unhashable, so
 # the outer key is id(device) guarded by a weakref: an entry is valid only
 # while its weakref still resolves to the *same* object, and a finalizer
@@ -90,20 +97,20 @@ def _gemm_rows_times(table: KernelTable, rows: np.ndarray,
     their own row.  Both price through :func:`gemm_terms`.
     """
     memo = _device_gemm_memo(device)
-    missing_shape = rows[table.gemm_code[rows] < 0]
+    gemm_code = table.gemm_code[rows]
+    missing_shape = rows[gemm_code < 0]
     if len(missing_shape):
         name = table.names[int(table.name_code[missing_shape[0]])]
         raise ValueError(f"GEMM kernel {name!r} missing shape")
 
-    gemm_code = table.gemm_code[rows]
-    shape_flops = np.array([s.flops for s in table.gemms], dtype=np.int64)
-    pure = table.flops[rows] == shape_flops[gemm_code]
+    dims = table.gemm_dims
+    pure = table.flops[rows] == dims_flops(dims)[gemm_code]
     fused = rows[~pure]
     if len(fused):
         peaks = np.array([device.gemm_engine(dt).effective_peak
                           for dt in DTYPES], dtype=np.float64)
         compute_s, memory_s, _ = gemm_terms(
-            shape_dims(table.gemms)[gemm_code[~pure]],
+            dims[gemm_code[~pure]],
             table.flops[fused],
             table.bytes_read[fused] + table.bytes_written[fused],
             peaks[table.dtype[fused]], device)
@@ -112,22 +119,26 @@ def _gemm_rows_times(table: KernelTable, rows: np.ndarray,
     pure_rows = rows[pure]
     if not len(pure_rows):
         return
-    # One lookup key per (shape, dtype) pair; a trace has a few dozen.
+    # One lookup key per (shape, dtype) pair, deduplicated by a dense
+    # table over every pooled pair code (ascending, as np.unique's).
     pair = (gemm_code[pure].astype(np.int64) * len(DTYPES)
             + table.dtype[pure_rows])
-    unique_pairs, inverse = np.unique(pair, return_inverse=True)
-    gemm_codes, dtype_codes = np.divmod(unique_pairs, len(DTYPES))
-    keys = [(table.gemms[gemm], DTYPES[dtype]) for gemm, dtype
-            in zip(gemm_codes.tolist(), dtype_codes.tolist())]
+    present = np.zeros(len(dims) * len(DTYPES), dtype=bool)
+    present[pair] = True
+    unique_pairs = np.flatnonzero(present)
+    inverse = (np.cumsum(present) - 1)[pair]
+    shape_codes, dtype_codes = np.divmod(unique_pairs, len(DTYPES))
+    pair_dims = dims[shape_codes]
+    keys = list(map(tuple, np.column_stack(
+        [pair_dims, dtype_codes]).tolist()))
     values = np.array([memo.get(key, np.nan) for key in keys])
     todo = np.isnan(values).nonzero()[0]
     if len(todo):
-        misses = [keys[slot] for slot in todo.tolist()]
         compute_s, memory_s, _ = shape_gemm_terms(
-            [shape for shape, _ in misses], [dtype for _, dtype in misses],
-            device)
+            pair_dims[todo], dtype_codes[todo], device)
         values[todo] = _gemm_totals(compute_s, memory_s, device)
-        memo.update(zip(misses, values[todo].tolist()))
+        memo.update(zip([keys[slot] for slot in todo.tolist()],
+                        values[todo].tolist()))
         _MEMO_LOOKUPS.inc(len(todo), result="miss")
     if len(keys) - len(todo):
         _MEMO_LOOKUPS.inc(len(keys) - len(todo), result="hit")

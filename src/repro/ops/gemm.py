@@ -6,13 +6,26 @@ and an optional batch count (Fig. 6's labels are
 ``transposeA, transposeB, M, N, K, [batch]``).  :class:`GemmShape` mirrors
 that representation exactly, and supplies the FLOP and byte counts every
 other subsystem consumes.
+
+A kernel table pools its shapes as a **dims array** instead: one int64
+row of :data:`GEMM_DIMS` per shape (:func:`gemm_dims`).
+:func:`dims_flops`, :func:`dims_bytes` and :func:`gemm_label` are the
+same cost and label math over those rows, so a whole pool is priced and
+labeled without building a :class:`GemmShape` per row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
+
+import numpy as np
 
 from repro.ops.base import DType, lanes_any
+
+#: Column order of a GEMM dims array; the flags are stored as 0/1.
+GEMM_DIMS = ("m", "n", "k", "batch", "transpose_a", "transpose_b",
+             "accumulate")
 
 
 @dataclass(frozen=True)
@@ -44,6 +57,21 @@ class GemmShape:
         if any(lanes_any(dim <= 0)
                for dim in (self.m, self.n, self.k, self.batch)):
             raise ValueError(f"GEMM dims must be positive, got {self}")
+
+    @classmethod
+    def from_dims(cls, row: Iterable[int]) -> "GemmShape":
+        """The shape of one :data:`GEMM_DIMS` row (plain Python ints and
+        bools, so it hashes equal to an emitter-built shape)."""
+        m, n, k, batch, transpose_a, transpose_b, accumulate = (
+            int(value) for value in row)
+        return cls(m, n, k, batch, bool(transpose_a), bool(transpose_b),
+                   bool(accumulate))
+
+    @property
+    def dims(self) -> tuple:
+        """This shape as one :data:`GEMM_DIMS` row."""
+        return (self.m, self.n, self.k, self.batch, int(self.transpose_a),
+                int(self.transpose_b), int(self.accumulate))
 
     # ------------------------------------------------------------------ cost
     @property
@@ -79,9 +107,7 @@ class GemmShape:
     @property
     def label(self) -> str:
         """Fig. 6-style label: ``tA, tB, M, N, K[, batch]``."""
-        flags = f"{'T' if self.transpose_a else 'N'}{'T' if self.transpose_b else 'N'}"
-        core = f"{flags},{self.m},{self.n},{self.k}"
-        return f"{core},[{self.batch}]" if self.batch > 1 else core
+        return gemm_label(*self.dims)
 
     def transposed(self) -> "GemmShape":
         """Shape of the mathematically transposed product (C^T = B^T A^T)."""
@@ -89,6 +115,34 @@ class GemmShape:
                          transpose_a=not self.transpose_b,
                          transpose_b=not self.transpose_a,
                          accumulate=self.accumulate)
+
+
+def gemm_label(m: int, n: int, k: int, batch: int, transpose_a: int,
+               transpose_b: int, accumulate: int = 0) -> str:
+    """Fig. 6-style label of one :data:`GEMM_DIMS` row."""
+    flags = f"{'T' if transpose_a else 'N'}{'T' if transpose_b else 'N'}"
+    core = f"{flags},{m},{n},{k}"
+    return f"{core},[{batch}]" if batch > 1 else core
+
+
+def gemm_dims(shapes: Iterable[GemmShape]) -> np.ndarray:
+    """``(len(shapes), 7)`` int64 dims array of scalar shapes."""
+    return np.array([shape.dims for shape in shapes],
+                    dtype=np.int64).reshape(-1, len(GEMM_DIMS))
+
+
+def dims_flops(dims: np.ndarray) -> np.ndarray:
+    """:attr:`GemmShape.flops` of every dims row."""
+    m, n, k, batch = dims.T[:4]
+    return 2 * m * n * k * batch
+
+
+def dims_bytes(dims: np.ndarray, element_bytes) -> np.ndarray:
+    """:meth:`GemmShape.bytes_total` of every dims row, at the given
+    per-row (or scalar) element size."""
+    m, n, k, batch, _, _, accumulate = dims.T
+    return (m * k + k * n + accumulate * m * n + m * n) * batch \
+        * element_bytes
 
 
 def linear_layer_gemms(d_in: int, d_out: int, tokens: int) -> dict[str, GemmShape]:

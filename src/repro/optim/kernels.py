@@ -245,4 +245,4 @@ def optimizer_kernels(name: str, inventory: Sequence[ParamTensor], *,
     columns.update((key, np.full(len(names), value))
                    for key, value in constants.items())
     return KernelTable(name_code=np.arange(len(names)), names=names,
-                       gemms=(), fusion_groups=(), **columns)
+                       gemm_dims=(), fusion_groups=(), **columns)

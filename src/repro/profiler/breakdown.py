@@ -14,16 +14,22 @@ Three aggregation levels mirror Figs. 3 and 4:
 Every slice here is expressed as an attribute filter (component/region
 codes) rather than a Python predicate, so on a columnar-backed
 :class:`~repro.profiler.profiler.Profile` each one is a single masked
-array reduction instead of an O(n) kernel scan.
+array reduction instead of an O(n) kernel scan.  The headline row of
+:func:`summarize` goes one step further: :func:`summary_rows` reduces a
+whole ``(P, R)`` block of same-structure points at once, so a grid
+summarizes each stamp family in one pass rather than point by point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.obs import spans
 from repro.ops.base import Component, Region
 from repro.profiler.profiler import Profile
+from repro.trace.kernel_table import KernelTable, code_of
 
 #: Region groups of the Fig. 4 "Transformer" bar.
 ATTENTION_REGIONS = (Region.ATTENTION_LINEAR, Region.ATTENTION_BGEMM,
@@ -128,21 +134,44 @@ def memory_bound_fraction(profile: Profile) -> float:
     return profile.non_gemm_time() / total if total else 0.0
 
 
+#: The keys of a :func:`summarize` row, in order, and the components
+#: whose shares open it (GEMM and non-GEMM shares follow).
+SUMMARY_KEYS = ("total_time_s", "transformer", "output", "embedding",
+                "optimizer", "gemm", "non_gemm")
+_SUMMARY_COMPONENTS = tuple(code_of(component) for component in (
+    Component.TRANSFORMER, Component.OUTPUT, Component.EMBEDDING,
+    Component.OPTIMIZER))
+
+
+def summary_rows(times: np.ndarray,
+                 rows: KernelTable) -> list[dict[str, float]]:
+    """:func:`summarize` rows of a block of points that share one row
+    structure.
+
+    ``times`` is ``(P, R)``, one point per row; ``rows`` is the
+    ``R``-row table of any one of them (the points differ only in sizes,
+    so they share its component and op-class columns).  Each masked sum
+    gathers its columns into a C-contiguous array first: every point then
+    sums the same compacted values, in the same pairwise order, as
+    :meth:`~repro.profiler.profiler.Profile.time_of` on its own profile,
+    so the rows are bit-identical to the point-by-point ones (a strided
+    ``times[:, mask].sum(axis=1)`` is not).
+    """
+    is_gemm = rows.is_gemm
+    masks = [rows.component == code for code in _SUMMARY_COMPONENTS]
+    masks += [is_gemm, ~is_gemm]
+    totals = times.sum(axis=1)
+    parts = np.stack([
+        np.ascontiguousarray(times.compress(mask, axis=1)).sum(axis=1)
+        for mask in masks])
+    shares = np.divide(parts, totals, out=np.zeros_like(parts),
+                       where=totals != 0)
+    return [dict(zip(SUMMARY_KEYS, values))
+            for values in zip(totals.tolist(), *shares.tolist())]
+
+
 def summarize(profile: Profile) -> dict[str, float]:
-    """Headline fractions used across experiments and tests."""
+    """Headline fractions used across experiments and tests: the
+    :func:`summary_rows` row of a block of one."""
     with spans.span("breakdown.summarize", kernels=len(profile)):
-        total = profile.total_time
-
-        def share(component: Component) -> float:
-            return (profile.time_of(component=component) / total
-                    if total else 0.0)
-
-        return {
-            "total_time_s": total,
-            "transformer": share(Component.TRANSFORMER),
-            "output": share(Component.OUTPUT),
-            "embedding": share(Component.EMBEDDING),
-            "optimizer": optimizer_fraction(profile),
-            "gemm": gemm_fraction(profile),
-            "non_gemm": memory_bound_fraction(profile),
-        }
+        return summary_rows(profile.times[None, :], profile.table)[0]

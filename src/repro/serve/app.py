@@ -82,6 +82,11 @@ DEFAULT_BREAKER_RESET_S = 5.0
 #: Last-known-good entries kept for stale-while-revalidate degradation.
 STALE_STORE_ENTRIES = 4096
 
+#: Bytes of last-known-good bodies kept: the hot cache's default budget.
+#: Grid bodies run to hundreds of KB, so the entry bound alone would let
+#: the store grow past a gigabyte.
+STALE_STORE_BYTES = 64 * 1024 * 1024
+
 #: Default serve-side retry: computes are seconds, so two quick retries
 #: absorb an injected transient without blowing the route budget.
 DEFAULT_SERVE_RETRY = Retry(max_attempts=3, base_delay_s=0.01,
@@ -92,17 +97,20 @@ class StaleStore:
     """Last-known-good response bytes, kept beyond hot-cache eviction.
 
     The hot cache is bytes-bounded and churns under load; this store is
-    entry-bounded LRU and *only* consulted when the engine cannot be
-    asked (breaker open, compute failed, budget expired) — stale bytes
-    are by construction a previously-correct rendering of the same
-    content-addressed key, so degrading to them can serve outdated
-    freshness but never wrong bytes.
+    an LRU bounded by both entries and bytes, and *only* consulted when
+    the engine cannot be asked (breaker open, compute failed, budget
+    expired) — stale bytes are by construction a previously-correct
+    rendering of the same content-addressed key, so degrading to them can
+    serve outdated freshness but never wrong bytes.  A body larger than
+    the whole byte budget is not kept.
     """
 
     def __init__(self, capacity: int = STALE_STORE_ENTRIES):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
+        self.capacity_bytes = STALE_STORE_BYTES
+        self.bytes = 0
         self._entries: OrderedDict[str, bytes] = OrderedDict()
 
     def get(self, key: str) -> bytes | None:
@@ -112,10 +120,17 @@ class StaleStore:
         return value
 
     def put(self, key: str, value: bytes) -> None:
+        if len(value) > self.capacity_bytes:
+            return
+        old = self._entries.pop(key, None)
+        if old is not None:
+            self.bytes -= len(old)
         self._entries[key] = value
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+        self.bytes += len(value)
+        while (len(self._entries) > self.capacity
+               or self.bytes > self.capacity_bytes):
+            _, evicted = self._entries.popitem(last=False)
+            self.bytes -= len(evicted)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -305,6 +320,7 @@ class App:
             "draining": self.draining,
             "breaker": self.breaker.snapshot(),
             "stale_entries": len(self.stale),
+            "stale_bytes": self.stale.bytes,
             "hot_cache": self.hot.snapshot(),
             "requests_by_route": _requests_by_route(snapshot),
             "route_latency": _route_latency(snapshot),
@@ -370,10 +386,11 @@ class App:
             model, trainings = self.service.parse_grid_spec(spec)
         except ValueError as error:
             return _error(400, str(error))
-        key = self.service.grid_cache_key(model, trainings)
+        address = self.service.grid_address(model, trainings)
         return await self._cached(
-            "grid", key,
-            lambda: render_json(self.service.grid_payload(model, trainings)),
+            "grid", f"grid:{address}",
+            lambda: render_json(self.service.grid_payload(
+                model, trainings, address)),
             meta)
 
     # ----------------------------------------------------- cache + coalesce

@@ -90,12 +90,12 @@ class ProfilingService:
             self._point_keys[(route, point)] = key
         return key
 
-    def grid_cache_key(self, model: BertConfig,
-                       trainings: list[TrainingConfig]) -> str:
-        """Hot-cache/coalescing key of one grid spec."""
-        address = get_cache().grid_key(
+    def grid_address(self, model: BertConfig,
+                     trainings: list[TrainingConfig]) -> str:
+        """Disk-cache address of one grid spec: hashed once per request,
+        then handed to :meth:`grid_payload`."""
+        return get_cache().grid_key(
             ((model, training) for training in trainings), self.device)
-        return f"grid:{address}"
 
     # ------------------------------------------------------------- computes
     def points_payload(self) -> dict:
@@ -188,7 +188,7 @@ class ProfilingService:
             raise ValueError(f"unknown grid spec fields: "
                              f"{', '.join(sorted(unknown))}")
         model_name = spec.get("model", "bert-large")
-        if model_name not in GRID_MODELS:
+        if not isinstance(model_name, str) or model_name not in GRID_MODELS:
             raise ValueError(f"unknown model {model_name!r}; valid: "
                              f"{', '.join(sorted(GRID_MODELS))}")
         batches, lengths, precisions = parse_grid_axes(
@@ -202,15 +202,19 @@ class ProfilingService:
                 cross_product(batches, lengths, precisions))
 
     def grid_payload(self, model: BertConfig,
-                     trainings: list[TrainingConfig]) -> dict:
-        """``POST /grid``: a sweep priced through the batched grid engine."""
+                     trainings: list[TrainingConfig], address: str) -> dict:
+        """``POST /grid``: a sweep priced through the batched grid engine.
+
+        ``address`` is the spec's :meth:`grid_address`, so the grid is
+        not hashed a second time.
+        """
         from repro.experiments.sweeps import grid_sweep
 
         with spans.span("grid.run", category="serve", model=model.name,
                         points=len(trainings)):
             fault_sites.inject("compute.slow")
             fault_sites.inject_failure("compute.fail")
-            rows = grid_sweep(model, trainings, self.device)
+            rows = grid_sweep(model, trainings, self.device, key=address)
         return {
             "model": model.name,
             "device": self.device.name,

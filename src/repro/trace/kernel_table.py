@@ -18,10 +18,14 @@ dataclass objects, so the three stages become array operations:
 Layout: low-cardinality categorical fields (op class, phase, component,
 region, dtype, access pattern) are stored as small integer codes indexed
 into the module-level enum code tables (``OP_CLASSES``, ``PHASES``, ...);
-repeated heavyweight values (kernel names, :class:`GemmShape` records,
-fusion-group labels) are pooled — the column stores an index into the
-table's pool, with ``-1`` meaning absent.  Cost fields (flops, bytes,
-element counts) are ``int64`` columns.
+repeated heavyweight values (kernel names, GEMM shapes, fusion-group
+labels) are pooled — the column stores an index into the table's pool,
+with ``-1`` meaning absent.  The GEMM pool is a frozen ``(G, 7)`` int64
+dims array (:data:`~repro.ops.gemm.GEMM_DIMS`: m, n, k, batch and the
+three flags), so a lane-stamped grid pools, merges and prices thousands
+of shapes without building a :class:`GemmShape` per shape; ``gemms`` is
+the same pool as a read-only tuple of records, built on first read.
+Cost fields (flops, bytes, element counts) are ``int64`` columns.
 
 Tables are **immutable**: every array is marked read-only at construction,
 and transforms (``concat``, ``take``, ``select``, ``splice``,
@@ -43,14 +47,13 @@ kernel for kernel.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.ops.base import (AccessPattern, Component, DType, Kernel, OpClass,
                             Phase, Region)
-from repro.ops.gemm import GemmShape
+from repro.ops.gemm import GEMM_DIMS, GemmShape, gemm_dims, gemm_label
 
 # ---------------------------------------------------------------------------
 # Enum code tables.  Codes are positions in these tuples; they are stable
@@ -116,7 +119,7 @@ _STATIC_COLUMNS = ("name_code", "op_class", "phase", "component", "region",
 _COST_COLUMNS = ("flops", "bytes_read", "bytes_written", "n_elements")
 #: Every per-row column, and the pool each pooled code column indexes.
 _ROW_COLUMNS = _STATIC_COLUMNS + _COST_COLUMNS + ("gemm_code", "provenance")
-_POOLS = {"name_code": "names", "gemm_code": "gemms",
+_POOLS = {"name_code": "names", "gemm_code": "gemm_dims",
           "fusion_code": "fusion_groups", "provenance": "provenance_names"}
 
 
@@ -135,8 +138,12 @@ class KernelTable:
             codes into the module-level enum tables.
         flops / bytes_read / bytes_written / n_elements: ``int64`` costs.
         layer: ``int32`` encoder-layer index, ``-1`` for ``None``.
-        gemm_code: ``int32`` index into ``gemms``, ``-1`` for non-GEMMs.
-        gemms: pooled :class:`~repro.ops.gemm.GemmShape` records.
+        gemm_code: ``int32`` index into ``gemm_dims``, ``-1`` for
+            non-GEMMs.
+        gemm_dims: ``(G, 7)`` int64 pool of distinct GEMM shapes, one
+            :data:`~repro.ops.gemm.GEMM_DIMS` row each (not per row).
+        gemms: the same pool as :class:`~repro.ops.gemm.GemmShape`
+            records, a read-only tuple built on first read.
         fusion_code: ``int32`` index into ``fusion_groups``, ``-1`` for
             ``None``.
         fusion_groups: pooled fusion-group labels.
@@ -145,15 +152,17 @@ class KernelTable:
         provenance_names: pooled names of the passes that rewrote rows.
     """
 
-    __slots__ = ("name_code", "names", "op_class", "phase", "component",
-                 "region", "dtype", "access", "flops", "bytes_read",
-                 "bytes_written", "n_elements", "layer", "gemm_code",
-                 "gemms", "fusion_code", "fusion_groups", "provenance",
-                 "provenance_names")
+    #: Every column and pool: what a rebuild or a pickle carries.
+    _FIELDS = ("name_code", "names", "op_class", "phase", "component",
+               "region", "dtype", "access", "flops", "bytes_read",
+               "bytes_written", "n_elements", "layer", "gemm_code",
+               "gemm_dims", "fusion_code", "fusion_groups", "provenance",
+               "provenance_names")
+    __slots__ = _FIELDS + ("_gemms",)
 
     def __init__(self, *, name_code, names, op_class, phase, component,
                  region, dtype, access, flops, bytes_read, bytes_written,
-                 n_elements, layer, gemm_code, gemms, fusion_code,
+                 n_elements, layer, gemm_code, gemm_dims, fusion_code,
                  fusion_groups, provenance=None, provenance_names=()):
         self.name_code = _frozen(np.asarray(name_code, dtype=np.int32))
         self.names = tuple(names)
@@ -170,7 +179,9 @@ class KernelTable:
         self.n_elements = _frozen(np.asarray(n_elements, dtype=np.int64))
         self.layer = _frozen(np.asarray(layer, dtype=np.int32))
         self.gemm_code = _frozen(np.asarray(gemm_code, dtype=np.int32))
-        self.gemms = tuple(gemms)
+        self.gemm_dims = _frozen(np.asarray(gemm_dims, dtype=np.int64)
+                                 .reshape(-1, len(GEMM_DIMS)))
+        self._gemms: tuple[GemmShape, ...] | None = None
         self.fusion_code = _frozen(np.asarray(fusion_code, dtype=np.int32))
         self.fusion_groups = tuple(fusion_groups)
         if provenance is None:
@@ -225,37 +236,43 @@ class KernelTable:
                 for row, value in enumerate(columns[key]):
                     matrix[row] = value  # scalars broadcast across lanes
                 columns[key] = matrix.T.ravel()
-            gemm_code, gemms = _pool_lane_gemms(shapes, lanes)
+            gemm_code, dims = _pool_lane_gemms(shapes, lanes)
         else:
-            gemm_pool: dict[object, int] = {}
+            gemm_pool: dict[GemmShape, int] = {}
             gemm_code = [-1 if shape is None
                          else gemm_pool.setdefault(shape, len(gemm_pool))
                          for shape in shapes]
-            gemms = tuple(gemm_pool)
-        return cls(names=tuple(name_pool), gemms=gemms,
+            dims = gemm_dims(gemm_pool)
+        return cls(names=tuple(name_pool), gemm_dims=dims,
                    fusion_groups=tuple(fusion_pool), gemm_code=gemm_code,
                    **columns)
 
     @classmethod
     def concat(cls, tables: Sequence["KernelTable"]) -> "KernelTable":
-        """Concatenate tables, merging their pools (a pool only one table
-        fills is kept unhashed: the others' codes into it are all ``-1``)."""
+        """Concatenate tables, merging their pools in first-seen order (a
+        pool only one table fills is kept as is: the others' codes into
+        it are all ``-1``)."""
         def stacked(column):
             return np.concatenate([getattr(t, column) for t in tables])
 
         columns = {column: stacked(column)
                    for column in _ROW_COLUMNS if column not in _POOLS}
         for column, pool in _POOLS.items():
-            filled = [getattr(t, pool) for t in tables if getattr(t, pool)]
+            pools = [getattr(t, pool) for t in tables]
+            filled = [p for p in pools if len(p)]
             if len(filled) <= 1:
                 columns[column] = stacked(column)
-                columns[pool] = filled[0] if filled else ()
+                columns[pool] = filled[0] if filled else pools[0]
                 continue
-            merged: dict = {}
+            if pool == "gemm_dims":
+                columns[pool], translations = _merge_dims(pools)
+            else:
+                merged: dict = {}
+                translations = [_translation(p, merged) for p in pools]
+                columns[pool] = tuple(merged)
             columns[column] = np.concatenate(
-                [_remap(getattr(t, column), getattr(t, pool), merged)
-                 for t in tables])
-            columns[pool] = tuple(merged)
+                [translation[getattr(t, column)]
+                 for t, translation in zip(tables, translations)])
         return cls(**columns)
 
     def take(self, indices) -> "KernelTable":
@@ -271,8 +288,9 @@ class KernelTable:
 
     # ------------------------------------------------------ rewrite primitives
     def _columns(self) -> dict:
-        """Every slot, for rebuilding a table with some columns replaced."""
-        return {slot: getattr(self, slot) for slot in self.__slots__}
+        """Every column and pool, for rebuilding a table with some of
+        them replaced."""
+        return {field: getattr(self, field) for field in self._FIELDS}
 
     def with_columns(self, **overrides) -> "KernelTable":
         """A new table with the given columns (or pools) replaced.
@@ -319,15 +337,16 @@ class KernelTable:
         """A new table with the given rows' column values replaced.
 
         ``updates`` maps column names to per-row replacement values
-        (scalars broadcast).  Replacement pools (``names`` / ``gemms`` /
-        ``fusion_groups``) may be passed alongside their code columns when
-        a rewrite introduces new pooled values.  ``provenance`` stamps the
-        rewritten rows with the producing pass's name.
+        (scalars broadcast).  Replacement pools (``names`` /
+        ``gemm_dims`` / ``fusion_groups``) may be passed alongside their
+        code columns when a rewrite introduces new pooled values.
+        ``provenance`` stamps the rewritten rows with the producing pass's
+        name.
         """
         columns = self._columns()
         for column, values in updates.items():
             if column in _POOLS.values():
-                columns[column] = tuple(values)
+                columns[column] = values
                 continue
             if column not in columns:
                 raise KeyError(f"unknown column {column!r}")
@@ -420,12 +439,21 @@ class KernelTable:
         pooled = np.array([text in name for name in self.names], dtype=bool)
         return pooled[self.name_code]
 
+    @property
+    def gemms(self) -> tuple[GemmShape, ...]:
+        """The GEMM pool as records, indexed by ``gemm_code``: a
+        read-only tuple built from ``gemm_dims`` on first read."""
+        if self._gemms is None:
+            self._gemms = tuple(GemmShape.from_dims(row)
+                                for row in self.gemm_dims.tolist())
+        return self._gemms
+
     def label_pool(self, column: str) -> Sequence[str]:
         """The label of each code of a code column, indexed by code: enum
         values (dtype labels), pooled names and fusion groups, or
         GEMM-shape labels."""
         if column == "gemm_code":
-            return [shape.label for shape in self.gemms]
+            return [gemm_label(*row) for row in self.gemm_dims.tolist()]
         return {**_CODE_LABELS, "name_code": self.names,
                 "fusion_code": self.fusion_groups}[column]
 
@@ -475,51 +503,75 @@ class KernelTable:
 
     def __repr__(self) -> str:
         return (f"KernelTable({len(self)} kernels, "
-                f"{len(self.names)} names, {len(self.gemms)} gemm shapes)")
+                f"{len(self.names)} names, {len(self.gemm_dims)} gemm "
+                "shapes)")
 
     # --------------------------------------------------------------- pickling
     def __getstate__(self) -> dict:
         return self._columns()
 
     def __setstate__(self, state: dict) -> None:
-        for slot in self.__slots__:
-            value = state[slot]
+        for field in self._FIELDS:
+            value = state[field]
             if isinstance(value, np.ndarray):
                 value = _frozen(value)
-            setattr(self, slot, value)
+            setattr(self, field, value)
+        self._gemms = None
 
 
 def _pool_lane_gemms(shapes: list, lanes: int
-                     ) -> tuple[np.ndarray, tuple[GemmShape, ...]]:
-    """Point-major GEMM codes and the pool of every lane's distinct shape.
-
-    Pooled records are rebuilt from Python ints, so they hash and compare
-    equal to scalar-built shapes.
-    """
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Point-major GEMM codes and the dims pool of every lane's distinct
+    shape, in sorted row order; no :class:`GemmShape` is built."""
     rows = [row for row, shape in enumerate(shapes) if shape is not None]
     codes = np.full((len(shapes), lanes), -1, dtype=np.int32)
-    fields = [field.name for field in dataclasses.fields(GemmShape)]
-    dims = np.empty((len(rows), lanes, len(fields)), dtype=np.int64)
+    dims = np.empty((len(rows), lanes, len(GEMM_DIMS)), dtype=np.int64)
     for j, row in enumerate(rows):
-        for column, name in enumerate(fields):
-            dims[j, :, column] = getattr(shapes[row], name)
+        for column, value in enumerate(shapes[row].dims):
+            dims[j, :, column] = value
     # np.unique(axis=0)'s row order, without its slow structured sort.
-    flat = dims.reshape(-1, len(fields))
-    order = np.lexsort(flat.T[::-1])
-    ordered = flat[order]
-    first = np.ones(len(flat), dtype=bool)
-    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    flat = dims.reshape(-1, len(GEMM_DIMS))
+    order, first = _sorted_groups(flat)
     codes[rows] = (np.cumsum(first) - 1)[np.argsort(order)].reshape(
         len(rows), lanes)
-    pool = tuple(GemmShape(m, n, k, batch, bool(ta), bool(tb), bool(acc))
-                 for m, n, k, batch, ta, tb, acc in ordered[first].tolist())
-    return codes.T.ravel(), pool
+    return codes.T.ravel(), flat[order[first]]
 
 
-def _remap(codes: np.ndarray, pool: tuple, merged: dict) -> np.ndarray:
-    """Translate one table's pool codes into the merged pool's codes."""
+def _sorted_groups(dims: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, first)``: the stable lexsort order of the dims rows, and
+    a mask of the sorted rows that open a run of equal rows."""
+    order = np.lexsort(dims.T[::-1])
+    ordered = dims[order]
+    first = np.ones(len(dims), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return order, first
+
+
+def _merge_dims(pools: Sequence[np.ndarray]
+                ) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The union of dims pools in first-seen order, and each pool's code
+    translation (see :func:`_translation`), from one lexsort."""
+    stacked = np.concatenate(pools)
+    order, first = _sorted_groups(stacked)
+    group = np.cumsum(first) - 1
+    # A group's first sorted row is its first-seen one; number the
+    # groups in the order they were first seen.
+    leaders = order[first]
+    rank = np.empty(len(leaders), dtype=np.int32)
+    rank[np.argsort(leaders)] = np.arange(len(leaders), dtype=np.int32)
+    codes = np.empty(len(stacked), dtype=np.int32)
+    codes[order] = rank[group]
+    bounds = np.cumsum([0] + [len(pool) for pool in pools])
+    translations = [np.append(codes[lo:hi], np.int32(-1))
+                    for lo, hi in zip(bounds[:-1], bounds[1:])]
+    return stacked[np.sort(leaders)], translations
+
+
+def _translation(pool: tuple, merged: dict) -> np.ndarray:
+    """One table's pool codes -> the merged pool's codes, with a
+    trailing ``-1`` slot that absent (``-1``) codes index."""
     translation = np.empty(len(pool) + 1, dtype=np.int32)
-    translation[-1] = -1  # codes of -1 index the sentinel slot
+    translation[-1] = -1
     for local, item in enumerate(pool):
         translation[local] = merged.setdefault(item, len(merged))
-    return translation[codes]
+    return translation

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.ops.base import Component, Phase
+from repro.ops.gemm import dims_flops
 from repro.trace.builder import Trace
 from repro.trace.kernel_table import PHASES, KernelTable, code_of
 
@@ -58,8 +59,7 @@ def validate_trace(trace: Trace, *, training_iteration: bool = True
     """
     report = ValidationReport()
     table = trace.table
-    anchor = np.array([shape.flops for shape in table.gemms] + [0],
-                      dtype=np.int64)[table.gemm_code]
+    anchor = np.append(dims_flops(table.gemm_dims), 0)[table.gemm_code]
     suspect = ((table.is_gemm & ((table.gemm_code < 0)
                                  | (table.flops != anchor)))
                | ((table.bytes_total == 0) & (table.flops == 0))

@@ -3,9 +3,11 @@ sweep failure isolation, and the CSV-export bugfixes."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.config import (BERT_LARGE, BERT_TINY, BertConfig, Precision,
-                          TrainingConfig, training_point)
+from repro.config import (BERT_BASE, BERT_LARGE, BERT_TINY, C1, BertConfig,
+                          Precision, TrainingConfig, training_point)
 from repro.experiments import sweeps
 from repro.experiments.common import run_point
 from repro.grid import (GridPoint, LaneTraining, build_grid_trace,
@@ -156,6 +158,74 @@ def test_grid_summaries_cached_as_one_entry_per_grid():
     reordered = cache.grid_key(
         [(p.model, p.training) for p in reversed(points)], device)
     assert reordered != key
+
+
+# ------------------------------------------------------- columnar summaries
+_PROPERTY_DEVICE = mi100()
+
+#: One head, so B = 1 puts a point in its own stamp family (B * h = 1
+#: makes the attention GEMMs unbatched).
+_ONE_HEAD = BertConfig(num_layers=2, d_model=64, num_heads=1, d_ff=256,
+                       vocab_size=512, max_position=256, name="unit-1h")
+
+
+@settings(max_examples=12, deadline=None)
+@given(model=st.sampled_from([BERT_TINY, C1, BERT_BASE, _ONE_HEAD]),
+       batches=st.lists(st.integers(1, 12), min_size=1, max_size=3,
+                        unique=True).map(lambda b: sorted({1, *b})),
+       seq_lens=st.lists(st.sampled_from([16, 48, 64, 128, 200]),
+                         min_size=1, max_size=2, unique=True),
+       precisions=st.lists(st.sampled_from([Precision.FP32,
+                                            Precision.MIXED]),
+                           min_size=1, max_size=2, unique=True),
+       checkpointed=st.lists(st.booleans(), min_size=1, max_size=2,
+                             unique=True))
+def test_grid_summary_rows_equal_run_point_summaries(
+        model, batches, seq_lens, precisions, checkpointed):
+    """Block reductions (one per stamp family, one per checkpointed
+    point) give every point the row ``summarize`` gives its own
+    profile, field by field and bit for bit."""
+    trainings = [TrainingConfig(batch_size=batch, seq_len=seq_len,
+                                precision=precision,
+                                activation_checkpointing=flag)
+                 for batch in batches for seq_len in seq_lens
+                 for precision in precisions for flag in checkpointed]
+    rows = grid_summaries(grid_points(model, trainings), _PROPERTY_DEVICE)
+    assert len(rows) == len(trainings)
+    for training, row in zip(trainings, rows):
+        _, oracle = run_point(model, training, _PROPERTY_DEVICE)
+        expected = summarize(oracle)
+        assert list(row) == list(expected)
+        for column, value in expected.items():
+            assert row[column] == value, (training.label, column)
+
+
+def test_stamping_builds_no_gemm_shape_per_point(monkeypatch):
+    """GEMM shapes stay a dims pool from stamping to summary rows: a
+    64-point family builds no more ``GemmShape`` records than one point
+    (the emitters' lane-valued templates only)."""
+    from repro.ops.gemm import GemmShape
+
+    built = []
+    real = GemmShape.__post_init__
+
+    def counting(self):
+        built.append(1)
+        real(self)
+
+    monkeypatch.setattr(GemmShape, "__post_init__", counting)
+
+    def shapes_built(trainings):
+        built.clear()
+        profile_grid(grid_points(BERT_TINY, trainings), mi100()).summaries()
+        return len(built)
+
+    one = shapes_built([TrainingConfig(batch_size=2, seq_len=32)])
+    many = shapes_built([TrainingConfig(batch_size=batch, seq_len=seq_len)
+                         for batch in range(2, 10)
+                         for seq_len in range(32, 288, 32)])
+    assert one > 0
+    assert many <= one
 
 
 # ---------------------------------------------------------- sweep integration

@@ -25,6 +25,8 @@ from repro.experiments.points import POINT_REGISTRY
 from repro.obs import metrics
 from repro.serve import (App, HotCache, ProfilingService, create_server,
                          render_json, server_address)
+from repro.serve import app as serve_app
+from repro.serve.app import StaleStore
 
 TINY = "tiny.ph1-b2-fp32"
 
@@ -224,6 +226,34 @@ class TestEndpointContracts:
 
         responses = run(with_server(app, scenario))
         assert [status for status, _, _ in responses] == [400, 400, 400, 400]
+
+    @pytest.mark.parametrize("model", [["bert-tiny"], {"name": "c1"}])
+    def test_grid_rejects_unhashable_model_with_one_line_400(self, app,
+                                                             model):
+        response = run(app.handle("POST", "/grid",
+                                  json.dumps({"model": model}).encode()))
+        assert response.status == 400
+        message = json.loads(response.body)["error"]
+        assert message.startswith("unknown model") and "\n" not in message
+
+    def test_fresh_grid_hashes_its_address_once(self, app, monkeypatch):
+        from repro.runner.cache import ResultCache
+
+        calls = []
+        real = ResultCache.grid_key
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(ResultCache, "grid_key", counting)
+        spec = {"model": "bert-tiny", "batch_sizes": [3, 7],
+                "seq_lens": [48], "precisions": ["mixed"]}
+        response = run(app.handle("POST", "/grid",
+                                  json.dumps(spec).encode()))
+        assert response.status == 200
+        assert json.loads(response.body)["failed"] == 0
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("axes", [
         {"batch_sizes": "32"},   # a string is not iterated digit by digit
@@ -455,6 +485,69 @@ class TestHotCache:
                 return True
 
             assert run(scenario())
+        finally:
+            app.close()
+
+
+class TestStaleStore:
+    @pytest.fixture
+    def budget(self, monkeypatch):
+        """Set the module's stale byte budget for stores built after."""
+        return lambda size: monkeypatch.setattr(serve_app,
+                                                "STALE_STORE_BYTES", size)
+
+    def test_eviction_is_lru_past_the_byte_budget(self, budget):
+        budget(250)
+        store = StaleStore(capacity=10)
+        store.put("a", b"a" * 100)
+        store.put("b", b"b" * 100)
+        store.get("a")  # refresh a: b is now least recently used
+        store.put("c", b"c" * 100)  # 300 bytes > 250: evict b
+        assert store.get("b") is None
+        assert store.get("a") and store.get("c")
+        assert len(store) == 2 and store.bytes == 200
+
+    def test_entry_bound_still_holds(self):
+        store = StaleStore(capacity=2)
+        for key in "abc":
+            store.put(key, b"x")
+        assert store.get("a") is None and len(store) == 2
+
+    def test_oversize_body_is_not_kept(self, budget):
+        budget(50)
+        store = StaleStore(capacity=10)
+        store.put("small", b"s" * 10)
+        store.put("big", b"b" * 51)
+        assert store.get("big") is None
+        assert store.get("small") == b"s" * 10
+
+    def test_replacing_a_key_updates_byte_accounting(self, budget):
+        budget(300)
+        store = StaleStore(capacity=10)
+        store.put("a", b"a" * 200)
+        store.put("a", b"a" * 50)
+        store.put("b", b"b" * 240)  # 290 <= 300: nothing evicted
+        assert store.bytes == 290 and len(store) == 2
+
+    def test_sweep_bodies_stay_inside_the_budget_through_the_app(
+            self, budget):
+        """Fresh grid bodies beyond the byte budget evict the oldest."""
+        budget(8_000)
+        app = App(workers=1, hot_cache=HotCache())
+        try:
+            async def sweeps():
+                for batch in (2, 3, 4, 5):
+                    spec = {"model": "bert-tiny", "batch_sizes": [batch],
+                            "seq_lens": [32, 64, 96, 128],
+                            "precisions": ["fp32", "mixed"]}
+                    response = await app.handle(
+                        "POST", "/grid", json.dumps(spec).encode())
+                    assert 2000 < len(response.body) < 4000
+                return True
+
+            assert run(sweeps())
+            assert len(app.stale) < 4
+            assert app.stale.bytes <= 8_000
         finally:
             app.close()
 

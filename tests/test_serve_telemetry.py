@@ -93,6 +93,27 @@ class TestConnectedSpanTree:
         assert roots[0]["depth"] == 0
         assert profile_run["depth"] == 1
 
+    def test_grid_span_count_does_not_grow_with_points(self, app,
+                                                       cold_engine):
+        """A fresh sweep opens one summary span per grid, not one per
+        point: one stamp family of 1 or 12 points records as many
+        spans."""
+        def spans_of(batch_sizes, seq_lens):
+            spec = {"model": "bert-tiny", "batch_sizes": batch_sizes,
+                    "seq_lens": seq_lens, "precisions": ["fp32"]}
+            response = run(app.handle("POST", "/grid",
+                                      json.dumps(spec).encode()))
+            assert response.status == 200
+            record = app.flight.lookup(response.headers["X-Trace-Id"])
+            assert record.cache == "computed"
+            return sorted(s["name"] for s in record.spans)
+
+        small = spans_of([2], [32])
+        large = spans_of([2, 3, 4, 5], [32, 64, 96])
+        assert "grid.summarize" in small
+        assert "breakdown.summarize" not in small
+        assert len(large) == len(small)
+
     def test_hot_hit_records_no_engine_spans(self, app):
         async def twice():
             await app.handle("GET", f"/profile/{TINY}")
