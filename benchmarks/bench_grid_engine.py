@@ -2,9 +2,10 @@
 
 Prices a 1000-point BERT Large grid (25 batch sizes x 20 sequence lengths
 x {FP32, mixed}) with one :func:`repro.grid.engine.profile_grid` call —
-the whole grid stamped into a single KernelTable and timed in one batched
-tile/wave-model evaluation — cold per repeat (fresh device, so the GEMM
-memo starts empty: what a first sweep over a new grid pays).
+each stamp family's distinct rows timed in one batched tile/wave-model
+evaluation and gathered into every point's layout — cold per repeat
+(fresh device, so the GEMM memo starts empty: what a first sweep over a
+new grid pays).
 
 It also times a cold :func:`repro.grid.engine.grid_summaries` over the
 same 1000 points (fresh device and an empty disk cache per repeat): the
@@ -32,6 +33,8 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
+
 from repro.config import BERT_LARGE, Precision, TrainingConfig
 from repro.experiments.common import run_point
 from repro.grid.engine import grid_points, grid_summaries, profile_grid
@@ -46,10 +49,11 @@ from repro.trace.bert_trace import clear_iteration_traces
 MAX_GRID_SECONDS = 0.5
 
 #: Maximum acceptable cold ``grid_summaries`` time for the same grid:
-#: about 1.5x the 0.17-0.22 s measured with per-block summary rows on a
-#: 2-vCPU host, and below the 0.33-0.36 s the same host took when every
-#: point built its own profile and summary, so that regression fails.
-MAX_SUMMARIES_SECONDS = 0.3
+#: about 1.5x the 0.059-0.090 s measured pricing only each family's
+#: distinct rows on a quiet to loaded 2-vCPU host, and below the
+#: 0.16-0.19 s the same host took pricing every laid-out row, so that
+#: regression fails.
+MAX_SUMMARIES_SECONDS = 0.14
 
 GRID_REPEATS = 3
 
@@ -78,7 +82,7 @@ def _time_grid(points) -> tuple[float, int]:
         start = time.perf_counter()
         profile = profile_grid(grid_points(BERT_LARGE, points), device)
         best = min(best, time.perf_counter() - start)
-        rows = len(profile.trace.table)
+        rows = int(np.sum(profile.trace.stops - profile.trace.starts))
     return best, rows
 
 

@@ -1,11 +1,12 @@
 """Batched grid-profiling engine.
 
 Stamps a whole sweep grid — many ``(model, B, n, dtype)`` operating
-points — into **one** stacked :class:`~repro.trace.kernel_table.
-KernelTable` with a per-row point index, and prices the entire grid with
-a single :func:`repro.hw.timing.kernel_times` call.  A point is a grid of
-one: families go through the builder's own assembler and per-point pass
-pipeline (:func:`repro.trace.bert_trace.layout_table`,
+points — into blocks of distinct :class:`~repro.trace.kernel_table.
+KernelTable` rows with per-point row layouts, and prices the entire grid
+with a single :func:`repro.hw.timing.kernel_times` call over those rows.
+A point is a grid of one: families go through the builder's own
+assembler and per-point pass pipeline
+(:func:`repro.trace.bert_trace.stamp_layout`,
 :func:`repro.trace.passes.point_pipeline`), so per-point results are
 bit-exact against the :func:`repro.experiments.common.run_point` loop.
 

@@ -21,15 +21,18 @@ distinct shapes; every other row goes through the one achieved-bandwidth
 ramp below.  Shapes are read from the table's GEMM dims pool, and the
 memo keys are plain int tuples ``(m, n, k, batch, transpose_a,
 transpose_b, accumulate, dtype_code)``, so a stacked grid and a single
-``run_point`` trace share entries without building shape records.
-Both :func:`trace_time` and
-:func:`repro.profiler.profiler.profile_trace` are thin wrappers over it.
+``run_point`` trace share entries without building shape records; each
+device's memo keeps at most :data:`GEMM_MEMO_SIZE` of them.  Both
+:func:`trace_time` and :func:`repro.profiler.profiler.profile_trace` are
+thin wrappers over it.
 There is no per-kernel timing function: a single kernel is priced as a
 one-row table, and ``tests/golden/time_digests.json`` freezes the times.
 """
 
 from __future__ import annotations
 
+import itertools
+import threading
 import weakref
 from typing import Iterable
 
@@ -58,27 +61,49 @@ def _vector_peak(device: DeviceModel, dtype: DType) -> float:
     return tflops * 1e12
 
 
+#: Most GEMM times one device's memo keeps.  A fresh sweep point adds
+#: about 17 ``(shape, dtype)`` keys, so this holds about two 1000-point
+#: grids; past it the oldest entries are evicted first, and a later
+#: lookup of one recomputes the same bits.
+GEMM_MEMO_SIZE = 1 << 15
+
 # Per-device memo of GEMM total times keyed by the int tuple
 # (m, n, k, batch, transpose_a, transpose_b, accumulate, dtype_code).  Devices
 # are frozen dataclasses whose dict-valued fields make them unhashable, so
 # the outer key is id(device) guarded by a weakref: an entry is valid only
 # while its weakref still resolves to the *same* object, and a finalizer
 # evicts it on collection (id reuse can therefore never alias two devices).
-_gemm_memo: dict[int, tuple[weakref.ref, dict]] = {}
+# Each memo carries a lock that serializes its writes and evictions across
+# the server's worker threads; a single ``dict.get`` needs none.
+_gemm_memo: dict[int, tuple[weakref.ref, dict, threading.Lock]] = {}
+_gemm_memo_lock = threading.Lock()
 
 
-def _device_gemm_memo(device: DeviceModel) -> dict:
+def _device_gemm_memo(device: DeviceModel) -> tuple[dict, threading.Lock]:
     key = id(device)
-    entry = _gemm_memo.get(key)
-    if entry is not None and entry[0]() is device:
-        return entry[1]
-    memo: dict = {}
+    with _gemm_memo_lock:
+        entry = _gemm_memo.get(key)
+        if entry is not None and entry[0]() is device:
+            return entry[1], entry[2]
+        memo: dict = {}
+        lock = threading.Lock()
 
-    def _evict(_ref, key=key):
-        _gemm_memo.pop(key, None)
+        def _evict(_ref, key=key):
+            _gemm_memo.pop(key, None)
 
-    _gemm_memo[key] = (weakref.ref(device, _evict), memo)
-    return memo
+        _gemm_memo[key] = (weakref.ref(device, _evict), memo, lock)
+        return memo, lock
+
+
+def _memo_store(memo: dict, lock: threading.Lock, items) -> None:
+    """Add ``items`` to a device memo, then evict its oldest entries
+    beyond :data:`GEMM_MEMO_SIZE`."""
+    with lock:
+        memo.update(items)
+        excess = len(memo) - GEMM_MEMO_SIZE
+        if excess > 0:
+            for stale in list(itertools.islice(memo, excess)):
+                del memo[stale]
 
 
 def _gemm_totals(compute_s: np.ndarray, memory_s: np.ndarray,
@@ -96,7 +121,7 @@ def _gemm_rows_times(table: KernelTable, rows: np.ndarray,
     shape) take their tiling from the anchor shape and their costs from
     their own row.  Both price through :func:`gemm_terms`.
     """
-    memo = _device_gemm_memo(device)
+    memo, lock = _device_gemm_memo(device)
     gemm_code = table.gemm_code[rows]
     missing_shape = rows[gemm_code < 0]
     if len(missing_shape):
@@ -129,16 +154,16 @@ def _gemm_rows_times(table: KernelTable, rows: np.ndarray,
     inverse = (np.cumsum(present) - 1)[pair]
     shape_codes, dtype_codes = np.divmod(unique_pairs, len(DTYPES))
     pair_dims = dims[shape_codes]
-    keys = list(map(tuple, np.column_stack(
-        [pair_dims, dtype_codes]).tolist()))
-    values = np.array([memo.get(key, np.nan) for key in keys])
+    keys = list(zip(*pair_dims.T.tolist(), dtype_codes.tolist()))
+    values = np.fromiter(map(memo.get, keys, itertools.repeat(np.nan)),
+                         dtype=np.float64, count=len(keys))
     todo = np.isnan(values).nonzero()[0]
     if len(todo):
         compute_s, memory_s, _ = shape_gemm_terms(
             pair_dims[todo], dtype_codes[todo], device)
         values[todo] = _gemm_totals(compute_s, memory_s, device)
-        memo.update(zip([keys[slot] for slot in todo.tolist()],
-                        values[todo].tolist()))
+        _memo_store(memo, lock, zip([keys[slot] for slot in todo.tolist()],
+                                    values[todo].tolist()))
         _MEMO_LOOKUPS.inc(len(todo), result="miss")
     if len(keys) - len(todo):
         _MEMO_LOOKUPS.inc(len(keys) - len(todo), result="hit")

@@ -80,13 +80,19 @@ class ProfilingService:
         """Hot-cache/coalescing key of one point route: the runner's
         content address prefixed with the route name.
 
+        A ``/profile`` body names its point, and several registry ids
+        alias one operating point, so its key carries the id as well; a
+        ``/perfetto`` body does not, so aliases share one entry.
+
         Raises:
             KeyError: ``point`` is not in the registry.
         """
         key = self._point_keys.get((route, point))
         if key is None:
             model, training = POINT_REGISTRY[point]
-            key = f"{route}:{get_cache().key(model, training, self.device)}"
+            address = get_cache().key(model, training, self.device)
+            key = (f"{route}:{point}:{address}" if route == "profile"
+                   else f"{route}:{address}")
             self._point_keys[(route, point)] = key
         return key
 

@@ -9,7 +9,8 @@ dataclass objects, so the three stages become array operations:
 * **generation** pools one iteration template and replicates its encoder
   layer across the remaining identical layers with :meth:`KernelTable.take`
   (``repro.trace.bert_trace.layout_table``) instead of re-walking the model
-  per layer, once for all the points of a lane-valued grid family;
+  per layer; a lane-valued grid family pools its template once for all its
+  points (``repro.trace.bert_trace.stamp_layout``);
 * **timing** (:func:`repro.hw.timing.kernel_times`) batches the GEMM
   tile-efficiency and achieved-bandwidth models over whole columns;
 * **aggregation** (``select`` / ``time_of`` / breakdowns) becomes masked

@@ -14,9 +14,12 @@ from repro.grid import (GridPoint, LaneTraining, build_grid_trace,
                         family_key, grid_points, grid_summaries,
                         profile_grid)
 from repro.hw.device import mi100
+from repro.hw.timing import kernel_times
 from repro.profiler.breakdown import region_breakdown, summarize
 from repro.runner.cache import get_cache
+from repro.trace.bert_trace import pretraining_sections, stamp_layout
 from repro.trace.passes import build_pipeline
+from tests.test_iteration_layout import grid_families
 
 TINY_GRID = [
     TrainingConfig(batch_size=batch, seq_len=seq_len, precision=precision)
@@ -226,6 +229,68 @@ def test_stamping_builds_no_gemm_shape_per_point(monkeypatch):
                          for seq_len in range(32, 288, 32)])
     assert one > 0
     assert many <= one
+
+
+# ------------------------------------------------------ distinct-row pricing
+@settings(max_examples=25, deadline=None)
+@given(family=grid_families(), seed=st.integers(0, 2**32 - 1))
+def test_kernel_times_commute_with_row_takes(family, seed):
+    """Pricing rows then gathering equals gathering rows then pricing,
+    bit for bit: what lets a grid price only its distinct rows.  Each
+    side prices on its own fresh device, so no memo entry is shared."""
+    model, trainings = family
+    source, _, _ = stamp_layout(model.num_layers, *pretraining_sections(
+        model, LaneTraining(trainings)))
+    rows = np.random.default_rng(seed).integers(0, len(source),
+                                                size=2 * len(source))
+    taken = kernel_times(source.take(rows), mi100())
+    gathered = kernel_times(source, mi100())[rows]
+    assert np.array_equal(taken.view(np.int64), gathered.view(np.int64))
+
+
+def test_summary_rows_get_c_ordered_times(monkeypatch):
+    """Every block hands ``summary_rows`` a C-contiguous ``(P, R)`` array:
+    an F-ordered one sums in another order and moves totals by ulps."""
+    from repro.profiler import breakdown
+
+    orders = []
+    real = breakdown.summary_rows
+
+    def recording(times, rows):
+        orders.append(times.flags.c_contiguous)
+        return real(times, rows)
+
+    monkeypatch.setattr(breakdown, "summary_rows", recording)
+    points = grid_points(BERT_TINY, TINY_GRID) + grid_points(
+        BERT_TINY, [TrainingConfig(batch_size=2, seq_len=64,
+                                   activation_checkpointing=True)])
+    profile_grid(points, mi100()).summaries()
+    assert len(orders) == 3 and all(orders)
+
+
+def test_pass_free_grid_prices_only_distinct_rows():
+    """A pass-free P-point family prices its P·T lane template rows and
+    its optimizer tail once, not its P·R laid-out rows, and summary rows
+    never build the stacked table."""
+    from repro.obs import spans
+
+    trainings = [TrainingConfig(batch_size=batch, seq_len=seq_len)
+                 for batch in (2, 4, 8) for seq_len in (32, 64, 128)]
+    sections, optimizer = pretraining_sections(BERT_TINY, trainings[0])
+    template = sum(len(section) for section in sections)
+    with spans.get_tracer().capture() as scope:
+        profile = profile_grid(grid_points(BERT_TINY, trainings), mi100())
+        rows = profile.summaries()
+    priced = sum(span.attrs["kernels"] for span in scope.spans
+                 if span.name == "timing.kernel_times")
+    laid_out = int(profile.trace.stops[0] - profile.trace.starts[0])
+    assert 0 < priced <= len(trainings) * template + len(optimizer)
+    assert priced < len(trainings) * laid_out
+    assert len(rows) == len(trainings)
+    assert "table" not in vars(profile.trace)
+    assert "point_index" not in vars(profile.trace)
+    assert len(profile.trace.table) == len(trainings) * laid_out
+    assert "table" in vars(profile.trace)
 
 
 # ---------------------------------------------------------- sweep integration

@@ -212,3 +212,34 @@ class TestRoofline:
                     bytes_written=10**6)
         result = classify_kernels([ew], device)
         assert result["ew"] is Boundedness.MEMORY_BOUND
+
+
+class TestGemmMemo:
+    def test_bounded_memo_evicts_and_keeps_times_bit_identical(
+            self, monkeypatch):
+        """Past ``GEMM_MEMO_SIZE`` the oldest entries go, and re-pricing
+        an evicted shape gives back the same bits."""
+        import numpy as np
+
+        from repro.config import BERT_TINY, TrainingConfig
+        from repro.hw import timing
+        from repro.trace.bert_trace import build_iteration_trace
+
+        tables = [build_iteration_trace(
+            BERT_TINY, TrainingConfig(batch_size=batch, seq_len=64)).table
+            for batch in (1, 2, 3, 4)]
+        reference = [kernel_times(table, mi100()) for table in tables]
+
+        monkeypatch.setattr(timing, "GEMM_MEMO_SIZE", 8)
+        device = mi100()
+        misses = []
+        for _ in range(2):
+            misses.append(timing._MEMO_LOOKUPS.value(result="miss"))
+            for table, expected in zip(tables, reference):
+                got = kernel_times(table, device)
+                assert np.array_equal(got.view(np.int64),
+                                      expected.view(np.int64))
+                memo, _ = timing._device_gemm_memo(device)
+                assert len(memo) <= 8
+        # The second round re-prices evicted shapes: its misses are real.
+        assert timing._MEMO_LOOKUPS.value(result="miss") - misses[1] > 0

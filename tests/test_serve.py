@@ -589,6 +589,41 @@ class TestGoldenEquivalence:
         assert body == out.read_bytes()
 
 
+    @pytest.mark.parametrize("order", ["fig3-first", "fig8-first"])
+    def test_alias_profiles_match_their_digests(self, order):
+        """Registry ids that alias one operating point serve their own
+        ``/profile`` body (it names the point), in either order and
+        under a hot cache too small to keep both."""
+        import hashlib
+        from pathlib import Path
+
+        digests = json.loads((Path(__file__).parent / "golden"
+                              / "export_digests.json").read_text())
+        aliases = ["ph1-b32-fp32", "ph1-b4-fp32", "ph2-b4-fp32"]
+        figures = ["fig3", "fig8"]
+        if order == "fig8-first":
+            figures.reverse()
+        points = [f"{figure}.{alias}" for alias in aliases
+                  for figure in figures]
+        app = App(workers=1, hot_cache=HotCache(capacity_bytes=3000))
+        try:
+            async def scenario():
+                bodies = []
+                for point in points + points:
+                    response = await app.handle("GET", f"/profile/{point}")
+                    assert response.status == 200
+                    bodies.append(response.body)
+                return bodies
+
+            bodies = run(scenario())
+        finally:
+            app.close()
+        for point, body in zip(points + points, bodies):
+            assert json.loads(body)["point"] == point
+            assert hashlib.sha256(body).hexdigest() \
+                == digests[point]["profile"]
+
+
 class TestServeCli:
     def test_rejects_nonpositive_knobs(self, capsys):
         from repro.cli import main
@@ -597,3 +632,32 @@ class TestServeCli:
         assert main(["serve", "--queue-limit", "0"]) == 2
         assert main(["serve", "--hot-cache-mb", "0"]) == 2
         assert "must be positive" in capsys.readouterr().err
+
+    def test_server_shortens_the_switch_interval_while_it_runs(
+            self, monkeypatch):
+        """``run_server`` serves under its short GIL switch interval and
+        restores the caller's on exit; an in-process App is untouched."""
+        import sys
+
+        from repro.serve import http
+
+        seen = []
+
+        def fake_run(coro):
+            coro.close()
+            seen.append(sys.getswitchinterval())
+            raise KeyboardInterrupt
+
+        class _App:
+            closed = False
+
+            def close(self):
+                self.closed = True
+
+        before = sys.getswitchinterval()
+        monkeypatch.setattr(http.asyncio, "run", fake_run)
+        stub = _App()
+        http.run_server(stub)
+        assert seen == [pytest.approx(http.SWITCH_INTERVAL_S)]
+        assert sys.getswitchinterval() == before
+        assert stub.closed
